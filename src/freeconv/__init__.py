@@ -9,7 +9,6 @@ from .core import (
     Complex2x2,
     PhasePoint,
     QuaternionicGreen,
-    URotation,
     invert,
     phase_split,
     qinv,

@@ -14,13 +14,11 @@ Exit codes: 0 success, 1 validation error, 2 partial numerical failure
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -430,21 +428,14 @@ def cmd_transform(cfg: JobConfig) -> int:
 
 
 def _solve_grid(cfg: JobConfig, rmap_a, rmap_b):
-    """Solve the product system at every grid node, order-preserving."""
+    """Solve the product system at every grid node; None marks a failed node."""
     points = cfg.grid.points()
-    flat = [complex(z) for z in points.ravel()]
-
-    def solve_one(z: complex):
+    sols = []
+    for z in points.ravel():
         try:
-            return nonhermitian.solve_product(rmap_a, rmap_b, z)
+            sols.append(nonhermitian.solve_product(rmap_a, rmap_b, complex(z)))
         except FreeconvError:
-            return None
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            sols = list(pool.map(solve_one, flat))
-    else:
-        sols = [solve_one(z) for z in flat]
+            sols.append(None)
     return points, sols
 
 
@@ -507,22 +498,13 @@ def cmd_boundary(cfg: JobConfig) -> int:
     result = nonhermitian.boundary_curve(rmap_a, rmap_b,
                                          angular_samples=cfg.angular_samples,
                                          r_max=cfg.r_max)
-    route = nonhermitian._registered_route(rmap_a, rmap_b)
-
-    def reference(phi: float):
-        if route is None:
-            return None
-        kind, param = route
-        if kind == "circular":
-            return float(param)
-        r_ref = 1.0 + 2.0 * math.cos(phi)
-        return r_ref if r_ref > 0 else None
-
+    law = nonhermitian.closed_form(rmap_a, rmap_b)
     entries = [(phi, r, "ok") for r, phi in result.points]
     entries += [(phi, None, "empty") for phi in result.empty_rays]
     entries.sort(key=lambda e: e[0])
     header = ["phi", "r", "r_reference", "status"]
-    rows = [[phi, r, reference(phi), status] for phi, r, status in entries]
+    rows = [[phi, r, law.edge(phi) if law else None, status]
+            for phi, r, status in entries]
     summary = {"rays": len(entries), "located": len(result.points),
                "empty": len(result.empty_rays)}
     _write_table(cfg, summary, header, rows)
@@ -592,12 +574,9 @@ def _point_density(rmap_a, rmap_b, z: complex) -> Optional[float]:
     """Analytic density at one point, via the closed form when registered."""
     if abs(z) < 1e-9:
         return None
-    route = nonhermitian._registered_route(rmap_a, rmap_b)
-    if route is not None:
-        kind, param = route
-        if kind == "circular":
-            return nonhermitian._circular_point(param, z)[1]
-        return nonhermitian.limacon_reference(abs(z), cmath.phase(z)).rho
+    law = nonhermitian.closed_form(rmap_a, rmap_b)
+    if law is not None:
+        return law.point(z)[1]
     return nonhermitian.density_at(rmap_a, rmap_b, z).rho
 
 
@@ -696,8 +675,8 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
                      help="'quick' or 'paper-scale'; sets the default trial count")
     sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
     sub.add_argument("--workers", type=int, default=None,
-                     help="parallelism cap (default: FREECONV_WORKERS or 1); "
-                          "never affects output bytes")
+                     help="Monte Carlo threads for sample and compare (default: "
+                          "FREECONV_WORKERS or 1); never affects output bytes")
     if "trials" in keys:
         sub.add_argument("--trials", type=int, default=None,
                          help="Monte Carlo trials (default from profile)")

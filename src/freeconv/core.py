@@ -136,19 +136,6 @@ def phase_split(z: complex) -> PhasePoint:
     return PhasePoint(z=z, w=w, phi=phi, psi=0.5 * phi)
 
 
-@dataclass(frozen=True)
-class URotation:
-    """Conjugation by u(psi) = diag(e^{i psi/2}, e^{-i psi/2}), from either side."""
-
-    psi: float
-
-    def left(self, m: Complex2x2) -> Complex2x2:
-        return rotate_left(m, self.psi)
-
-    def right(self, m: Complex2x2) -> Complex2x2:
-        return rotate_right(m, self.psi)
-
-
 def rotate_left(m: Complex2x2, psi: float) -> Complex2x2:
     """[X]^L: multiply q12 by e^{i psi} and q21 by e^{-i psi}; diagonal untouched."""
     u = cmath.exp(1j * psi)

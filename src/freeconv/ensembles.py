@@ -7,7 +7,9 @@ on draw order across trials or processes.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -49,8 +51,8 @@ class EnsembleSpec:
             problems.append(f"n must be an integer >= 2, got {self.n!r}")
         try:
             sigma = float(self.sigma)
-            if not sigma > 0:
-                problems.append(f"sigma must be positive, got {self.sigma}")
+            if not 0.0 < sigma < math.inf:
+                problems.append(f"sigma must be positive and finite, got {self.sigma}")
         except (TypeError, ValueError):
             problems.append(f"sigma must be a positive number, got {self.sigma!r}")
             sigma = 1.0
@@ -76,6 +78,8 @@ class EnsembleSpec:
             shift = 1.0 if self.kind == "shifted" else 0.0
         elif self.kind == "shifted" and shift == 0.0:
             problems.append("kind 'shifted' needs a nonzero shift")
+        elif not cmath.isfinite(complex(shift)):
+            problems.append(f"shift must be finite, got {shift}")
         if problems:
             raise SpecValidationError(problems)
         object.__setattr__(self, "sigma", sigma)

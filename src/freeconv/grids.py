@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,9 @@ class GridSpec:
             problems.append("ranges must be ((lo, hi), (lo, hi))")
         else:
             for axis, (lo, hi) in enumerate(self.ranges):
-                if not hi > lo:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    problems.append(f"axis {axis}: range ({lo}, {hi}) is not finite")
+                elif not hi > lo:
                     problems.append(f"axis {axis}: range ({lo}, {hi}) is empty")
             if self.kind == "polar" and self.ranges[0][0] <= 0:
                 problems.append("polar grids need r > 0")

@@ -190,17 +190,6 @@ def eigenvector_correlator(g: QuaternionicGreen) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _holomorphic_scalars(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex):
-    """Holomorphic-branch diagonal data (g, s_a, s_b, aux g_a, g_b)."""
-    ta = rmap_a.diagonal_section()
-    tb = rmap_b.diagonal_section()
-    pg = hermitian.multiply_r_system(ta, tb, z)
-    ga_aux, gb_aux = hermitian._product_aux(ta, tb, pg.g)
-    sa = ta.r_eval(gb_aux)
-    sb = tb.r_eval(ga_aux)
-    return pg.g, sa, sb, ga_aux, gb_aux
-
-
 def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> float:
     """Spectral radius minus one of the off-diagonal stability matrix.
 
@@ -215,9 +204,20 @@ def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> floa
     where s_X are the diagonal self-energies, L_X the off-diagonal couplings,
     and g the holomorphic Green's function of the product.
     """
-    g, sa, sb, ga_aux, gb_aux = _holomorphic_scalars(rmap_a, rmap_b, z)
-    la = rmap_a.b_coupling(gb_aux)
-    lb = rmap_b.b_coupling(ga_aux)
+    return _holomorphic_probe(rmap_a, rmap_b, z)[0]
+
+
+def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
+                       tol: float = 1e-12):
+    """(branch_indicator value, holomorphic ProductGreens) at z."""
+    ta = rmap_a.diagonal_section()
+    tb = rmap_b.diagonal_section()
+    pg = hermitian.multiply_r_system(ta, tb, z, tol)
+    g = pg.g
+    sa = ta.r_eval(pg.g_b)
+    sb = tb.r_eval(pg.g_a)
+    la = rmap_a.b_coupling(pg.g_b)
+    lb = rmap_b.b_coupling(pg.g_a)
     phase = z / abs(z)
     g2 = abs(g) ** 2
     t11 = abs(sa) ** 2 * g2 * lb
@@ -227,15 +227,7 @@ def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> floa
     half_tr = 0.5 * (t11 + t22)
     disc = cmath.sqrt(half_tr * half_tr - (t11 * t22 - t12 * t21))
     radius = max(abs(half_tr + disc), abs(half_tr - disc))
-    return radius - 1.0
-
-
-def _single_indicator(rmap: MatrixRMap, z: complex) -> float:
-    """Same stability criterion for a single matrix: L |g|^2 - 1."""
-    section = rmap.diagonal_section()
-    g = hermitian.green_from_r(section, z).g
-    coupling = rmap.b_coupling(g)
-    return abs(coupling) * abs(g) ** 2 - 1.0
+    return radius - 1.0, pg
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +251,13 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
     """
     phase_split(z)  # reject the origin up front
     try:
-        unstable = _single_indicator(rmap, z) > 0.0
+        # stability of the holomorphic solution: L |g|^2 - 1 > 0 means inside
+        g = hermitian.green_from_r(rmap.diagonal_section(), z, tol).g
+        unstable = abs(rmap.b_coupling(g)) * abs(g) ** 2 - 1.0 > 0.0
     except (ConvergenceError, BranchUndecidedError):
         unstable = True
 
     if not unstable:
-        section = rmap.diagonal_section()
-        g = hermitian.green_from_r(section, z, tol).g
         q = QuaternionicGreen(g, 0.0)
         res = _single_residual(rmap, z, q)
         return NonHermSolution(z=z, gm=q, ga=q, gb=q,
@@ -285,7 +277,11 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
         if step < 0.1 * tol:
             break
 
-    q = _newton_polish_q(fp_step, q, tol)
+    def fp_values(c):
+        nxt = fp_step(QuaternionicGreen(*c))
+        return nxt.a, nxt.b
+
+    q = QuaternionicGreen(*_newton_polish(fp_values, (q.a, q.b), tol))
     res = _single_residual(rmap, z, q)
     if res > max(tol * 10.0, 1e-10):
         raise ConvergenceError(f"single-matrix solve stalled at z = {z}", residual=res)
@@ -295,33 +291,45 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
                            branch=branch, residual=res, iterations=iterations)
 
 
-def _newton_polish_q(fp_step, q: QuaternionicGreen, tol: float,
-                     max_newton: int = 40) -> QuaternionicGreen:
-    """Least-squares Newton for the fixed point of a map on one (a, b) pair."""
+def _newton_polish(step, values, tol: float, max_newton: int = 40) -> list:
+    """Least-squares Newton for the fixed point values = step(values).
 
-    def pack(p):
-        return np.array([p.a.real, p.a.imag, p.b.real, p.b.imag])
+    values is a sequence of complex unknowns and step maps it to a sequence of
+    the same length.  Newton runs on the real and imaginary parts with a
+    forward-difference Jacobian; each step is the minimal-norm least-squares
+    solution, because the single and product systems carry a one-parameter
+    phase redundancy in b.  A breakdown of the least-squares solve (e.g. on
+    non-finite iterates) raises ConvergenceError.
+    """
+
+    def pack(cs):
+        return np.array([part for c in cs for part in (c.real, c.imag)])
 
     def unpack(x):
-        return QuaternionicGreen(complex(x[0], x[1]), complex(x[2], x[3]))
+        return [complex(x[k], x[k + 1]) for k in range(0, len(x), 2)]
 
     def fval(x):
-        p = unpack(x)
-        n = fp_step(p)
-        return pack(p) - pack(n)
+        return x - pack(step(unpack(x)))
 
-    x = pack(q)
+    x = pack(values)
+    n = len(x)
     for _ in range(max_newton):
         f = fval(x)
         if np.max(np.abs(f)) < 0.05 * tol:
             break
-        jac = np.empty((4, 4))
+        jac = np.empty((n, n))
         h = 1e-7
-        for k in range(4):
+        for k in range(n):
             xp = x.copy()
             xp[k] += h
             jac[:, k] = (fval(xp) - f) / h
-        dx, *_ = np.linalg.lstsq(jac, f, rcond=None)
+        if not np.isfinite(jac).all():
+            # LAPACK would print to stderr, then raise LinAlgError
+            raise ConvergenceError("least-squares Newton hit non-finite values")
+        try:
+            dx, *_ = np.linalg.lstsq(jac, f, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"least-squares Newton step failed: {exc}") from exc
         x = x - dx
     return unpack(x)
 
@@ -348,36 +356,41 @@ def _product_step(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex, psi: float
     return ga, gb, gm
 
 
-def _product_residual(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex, psi: float,
-                      qa: QuaternionicGreen, qb: QuaternionicGreen,
-                      gm: QuaternionicGreen) -> float:
-    """Defining-equation residuals recomputed with dense 2x2 algebra."""
+def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
+                       psi: float, qa: QuaternionicGreen, qb: QuaternionicGreen,
+                       gm: QuaternionicGreen):
+    """Sigma_A^L, Sigma_B^R and the (G_M, G_A, G_B) defining-equation residuals.
+
+    Recomputed with dense 2x2 algebra, independent of the structured solver
+    arithmetic.
+    """
     sal = rotate_left(rmap_a.apply(qb), psi)
     sbr = rotate_right(rmap_b.apply(qa), psi)
-    sm = sal @ sbr
     zmat = Complex2x2.diagonal(z, z.conjugate())
-    r1 = (gm.embed() - invert(zmat - sm)).norm_max()
-    r2 = (qa.embed() - rotate_left(gm.embed() @ sal, psi)).norm_max()
-    r3 = (qb.embed() - rotate_right(sbr @ gm.embed(), psi)).norm_max()
-    return max(r1, r2, r3)
+    gm_full = gm.embed()
+    r_gm = (gm_full - invert(zmat - sal @ sbr)).norm_max()
+    r_ga = (qa.embed() - rotate_left(gm_full @ sal, psi)).norm_max()
+    r_gb = (qb.embed() - rotate_right(sbr @ gm_full, psi)).norm_max()
+    return sal, sbr, (r_gm, r_ga, r_gb)
 
 
-def _holomorphic_product(rmap_a, rmap_b, z, tol):
-    ta = rmap_a.diagonal_section()
-    tb = rmap_b.diagonal_section()
-    pg = hermitian.multiply_r_system(ta, tb, z, tol)
+def _holomorphic_product(rmap_a, rmap_b, z, tol, pg=None):
+    """Holomorphic-branch solution, from pg when the caller already solved it."""
+    if pg is None:
+        pg = hermitian.multiply_r_system(rmap_a.diagonal_section(),
+                                         rmap_b.diagonal_section(), z, tol)
     gm = QuaternionicGreen(pg.g, 0.0)
     qa = QuaternionicGreen(pg.g_a, 0.0)
     qb = QuaternionicGreen(pg.g_b, 0.0)
     psi = phase_split(z).psi
-    res = _product_residual(rmap_a, rmap_b, z, psi, qa, qb, gm)
+    res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
     return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=0.0,
                            branch="holomorphic", residual=res)
 
 
 def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
                   tol: float = 1e-12, max_fp: int = 400,
-                  symmetric: bool = False, branch: str = None) -> NonHermSolution:
+                  branch: str = None) -> NonHermSolution:
     """Solve the free-product Green's system for M = A B at one point.
 
     The coupled unknowns (G_M, G_A, G_B) satisfy
@@ -386,29 +399,29 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         G_A = [G_M [R_A(G_B)]^L]^L,   G_B = [[R_B(G_A)]^R G_M]^R,
 
     with the one-sided rotations taken at half the phase of z.  The branch is
-    chosen by branch_indicator; inside the support a damped fixed point plus
-    least-squares Newton refines the nonholomorphic solution.  symmetric=True
-    ties the two auxiliary blocks together (valid only when both maps are
-    identical); the result is still validated against the untied equations.
+    chosen by branch_indicator, whose holomorphic solution is also the result
+    outside the support; inside, a damped fixed point plus least-squares
+    Newton refines the nonholomorphic solution.
     branch ("nonholomorphic" or "holomorphic") skips the indicator probe when
     the caller already classified z, e.g. for the arms of a tight stencil
     classified once at its center; a wrong "nonholomorphic" hint is caught by
     the collapse detector, which falls back to the holomorphic branch.
     """
-    pp = phase_split(z)
-    psi = pp.psi
+    psi = phase_split(z).psi
+    pg = None  # holomorphic solution, once the probe has computed it
     if branch is not None:
         inside = branch == "nonholomorphic"
     else:
         try:
-            inside = branch_indicator(rmap_a, rmap_b, z) > 0.0
+            indicator, pg = _holomorphic_probe(rmap_a, rmap_b, z, tol)
+            inside = indicator > 0.0
         except (ConvergenceError, BranchUndecidedError):
             # the holomorphic scalar branch itself is lost here, which only
             # happens deep inside the support; let the full iteration decide
             inside = True
 
     if not inside:
-        return _holomorphic_product(rmap_a, rmap_b, z, tol)
+        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
 
     qa = QuaternionicGreen(0.0, 0.1)
     qb = QuaternionicGreen(0.0, 0.1)
@@ -416,8 +429,6 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     collapsed = False
     for iterations in range(1, max_fp + 1):
         na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
-        if symmetric:
-            na = nb = QuaternionicGreen(0.5 * (na.a + nb.a), 0.5 * (na.b + nb.b))
         step = max(abs(na.a - qa.a), abs(na.b - qa.b),
                    abs(nb.a - qb.a), abs(nb.b - qb.b))
         qa = QuaternionicGreen(qa.a + 0.5 * (na.a - qa.a), qa.b + 0.5 * (na.b - qa.b))
@@ -432,52 +443,26 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         # the iteration sank to the holomorphic branch; either z is outside
         # after all (indicator failed) or marginally inside, where the two
         # branches coincide to solver precision
-        return _holomorphic_product(rmap_a, rmap_b, z, tol)
+        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
 
-    qa, qb = _newton_polish_pair(rmap_a, rmap_b, z, psi, qa, qb, tol)
+    def pair_values(c):
+        na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, QuaternionicGreen(c[0], c[1]),
+                                  QuaternionicGreen(c[2], c[3]))
+        return na.a, na.b, nb.a, nb.b
+
+    a_a, a_b, b_a, b_b = _newton_polish(pair_values, (qa.a, qa.b, qb.a, qb.b), tol)
+    qa, qb = QuaternionicGreen(a_a, a_b), QuaternionicGreen(b_a, b_b)
     _, _, gm = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
     corr = abs(qa.b) * abs(qb.b)
     if corr <= _COLLAPSE:
         # Newton landed on the holomorphic root
-        return _holomorphic_product(rmap_a, rmap_b, z, tol)
-    res = _product_residual(rmap_a, rmap_b, z, psi, qa, qb, gm)
+        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
+    res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
     if res > max(10.0 * tol, 1e-10):
         raise ConvergenceError(f"product solve stalled at z = {z}", residual=res)
     return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr,
                            branch="nonholomorphic", residual=res,
                            iterations=iterations)
-
-
-def _newton_polish_pair(rmap_a, rmap_b, z, psi, qa, qb, tol, max_newton=40):
-    """Least-squares Newton on the 8 real unknowns of the product system."""
-
-    def pack(pa, pb):
-        return np.array([pa.a.real, pa.a.imag, pa.b.real, pa.b.imag,
-                         pb.a.real, pb.a.imag, pb.b.real, pb.b.imag])
-
-    def unpack(x):
-        return (QuaternionicGreen(complex(x[0], x[1]), complex(x[2], x[3])),
-                QuaternionicGreen(complex(x[4], x[5]), complex(x[6], x[7])))
-
-    def fval(x):
-        pa, pb = unpack(x)
-        na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, pa, pb)
-        return x - pack(na, nb)
-
-    x = pack(qa, qb)
-    for _ in range(max_newton):
-        f = fval(x)
-        if np.max(np.abs(f)) < 0.05 * tol:
-            break
-        jac = np.empty((8, 8))
-        h = 1e-7
-        for k in range(8):
-            xp = x.copy()
-            xp[k] += h
-            jac[:, k] = (fval(xp) - f) / h
-        dx, *_ = np.linalg.lstsq(jac, f, rcond=None)
-        x = x - dx
-    return unpack(x)
 
 
 # ---------------------------------------------------------------------------
@@ -639,17 +624,14 @@ def limacon_reference(r: float, phi: float) -> LimaconPoint:
     return LimaconPoint(C=0.0, D=d, G=1.0 / (z - 1.0), rho=0.0)
 
 
-def _registered_route(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
-    """Identify (route, params) for pairs with closed-form densities."""
-    ma, mb = rmap_a.meta, rmap_b.meta
-    if not ma or not mb or ma.get("kind") != "elliptic" or mb.get("kind") != "elliptic":
-        return None
-    if ma["shift"] == 0 and mb["shift"] == 0:
-        return ("circular", ma["sigma"] * mb["sigma"])
-    if all(m["shift"] == 1 and m["tau"] == 0.0 and m["sigma"] == 1.0
-           for m in (ma, mb)):
-        return ("limacon", None)
-    return None
+def _limacon_point(z: complex):
+    ref = limacon_reference(abs(z), cmath.phase(z))
+    return ref.G, ref.rho
+
+
+def _limacon_edge(phi: float) -> Optional[float]:
+    r = 1.0 + 2.0 * math.cos(phi)
+    return r if r > 0 else None
 
 
 def _circular_point(s: float, z: complex):
@@ -658,6 +640,38 @@ def _circular_point(s: float, z: complex):
     if r <= s:
         return z.conjugate() / (r * s), 1.0 / (2.0 * math.pi * s * r)
     return 1.0 / z, 0.0
+
+
+class ClosedForm(NamedTuple):
+    """Closed-form law of a registered product A B.
+
+    point maps z to (g11, rho); edge maps a ray angle phi to the support
+    radius along it, or None where the ray misses the support.
+    """
+
+    kind: str
+    point: Callable[[complex], tuple]
+    edge: Callable[[float], Optional[float]]
+
+
+def closed_form(rmap_a: MatrixRMap, rmap_b: MatrixRMap) -> Optional[ClosedForm]:
+    """The closed-form law of A B for registered pairs, else None.
+
+    Registered are centered elliptic x centered elliptic (a disk of radius
+    sigma_A sigma_B) and the square of the unit-shift, unit-variance Ginibre
+    ensemble (the limacon of limacon_reference).
+    """
+    ma, mb = rmap_a.meta, rmap_b.meta
+    if not ma or not mb or ma.get("kind") != "elliptic" or mb.get("kind") != "elliptic":
+        return None
+    if ma["shift"] == 0 and mb["shift"] == 0:
+        s = ma["sigma"] * mb["sigma"]
+        return ClosedForm("circular", lambda z: _circular_point(s, z),
+                          lambda phi: float(s))
+    if all(m["shift"] == 1 and m["tau"] == 0.0 and m["sigma"] == 1.0
+           for m in (ma, mb)):
+        return ClosedForm("limacon", _limacon_point, _limacon_edge)
+    return None
 
 
 class PointDensity(NamedTuple):
@@ -715,25 +729,17 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
     points = grid.points()
     if grid.contains_origin():
         raise GridError("grid contains z = 0; offset the ranges to avoid the origin")
-    route = None if force_generic else _registered_route(rmap_a, rmap_b)
+    law = None if force_generic else closed_form(rmap_a, rmap_b)
 
-    if route is not None:
-        kind, param = route
+    if law is not None:
         g11 = np.empty(points.shape, dtype=complex)
         rho = np.empty(points.shape, dtype=float)
         it = np.nditer(points, flags=["multi_index"])
         for zv in it:
-            z = complex(zv)
-            if kind == "circular":
-                g, d = _circular_point(param, z)
-            else:
-                ref = limacon_reference(abs(z), cmath.phase(z))
-                g, d = ref.G, ref.rho
-            g11[it.multi_index] = g
-            rho[it.multi_index] = d
+            g11[it.multi_index], rho[it.multi_index] = law.point(complex(zv))
         return DensityField(grid=grid, rho=rho, g11=g11,
                             rot=np.zeros(points.shape), rot_residual=0.0,
-                            route=f"closed-form:{kind}")
+                            route=f"closed-form:{law.kind}")
 
     g11 = np.full(points.shape, np.nan + 0j, dtype=complex)
     holes = 0
@@ -842,32 +848,11 @@ def _matrix_fixed_point(step, seed: Complex2x2, tol: float, max_iter: int = 600)
         if delta < 1e-6:
             break
 
-    def pack(m: Complex2x2):
-        return np.array([m.q11.real, m.q11.imag, m.q12.real, m.q12.imag,
-                         m.q21.real, m.q21.imag, m.q22.real, m.q22.imag])
+    def entries(m: Complex2x2):
+        return m.q11, m.q12, m.q21, m.q22
 
-    def unpack(v) -> Complex2x2:
-        return Complex2x2(complex(v[0], v[1]), complex(v[2], v[3]),
-                          complex(v[4], v[5]), complex(v[6], v[7]))
-
-    def fval(v):
-        m = unpack(v)
-        return v - pack(step(m))
-
-    vec = pack(x)
-    for _ in range(40):
-        f = fval(vec)
-        if np.max(np.abs(f)) < 0.05 * tol:
-            break
-        jac = np.empty((8, 8))
-        h = 1e-7
-        for k in range(8):
-            vp = vec.copy()
-            vp[k] += h
-            jac[:, k] = (fval(vp) - f) / h
-        dx, *_ = np.linalg.lstsq(jac, f, rcond=None)
-        vec = vec - dx
-    x = unpack(vec)
+    x = Complex2x2(*_newton_polish(lambda c: entries(step(Complex2x2(*c))),
+                                   entries(x), tol))
     delta = (step(x) - x).norm_max()
     if delta < tol:
         return x
@@ -886,22 +871,16 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     such while the residual checks still run.
     """
     psi = phase_split(sol.z).psi
-    sal = rotate_left(rmap_a.apply(sol.gb), psi)
-    sbr = rotate_right(rmap_b.apply(sol.ga), psi)
+    sal, sbr, (gm_res, ga_res, gb_res) = _product_equations(
+        rmap_a, rmap_b, sol.z, psi, sol.ga, sol.gb, sol.gm)
     rm = sal @ sbr
-    zmat = Complex2x2.diagonal(sol.z, sol.z.conjugate())
     gm = sol.gm.embed()
-    gm_res = (gm - invert(zmat - rm)).norm_max()
-    ga_res = (sol.ga.embed() - rotate_left(gm @ sal, psi)).norm_max()
-    gb_res = (sol.gb.embed() - rotate_right(sbr @ gm, psi)).norm_max()
-    commutator = (sal @ sbr - sbr @ sal).norm_max()
+    checks = dict(gm_residual=gm_res, ga_residual=ga_res, gb_residual=gb_res,
+                  commutator_norm=(rm - sbr @ sal).norm_max())
 
     if rmap_a.kappa1 == 0 or rmap_b.kappa1 == 0:
-        return IdentityReport(gm_residual=gm_res, ga_residual=ga_res,
-                              gb_residual=gb_res, s_status="S undefined",
-                              s_left=None, s_right=None,
-                              factorization_residual=None,
-                              commutator_norm=commutator)
+        return IdentityReport(s_status="S undefined", s_left=None, s_right=None,
+                              factorization_residual=None, **checks)
     if rmap_a.apply_matrix is None or rmap_b.apply_matrix is None:
         raise FreeconvError(
             "left/right S transforms need full-matrix R maps (apply_matrix)")
@@ -923,14 +902,8 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
         s_left = _matrix_fixed_point(step_left, seed_a, tol)
         s_right = _matrix_fixed_point(step_right, seed_b, tol)
     except ConvergenceError:
-        return IdentityReport(gm_residual=gm_res, ga_residual=ga_res,
-                              gb_residual=gb_res, s_status="non-convergent",
-                              s_left=None, s_right=None,
-                              factorization_residual=None,
-                              commutator_norm=commutator)
+        return IdentityReport(s_status="non-convergent", s_left=None, s_right=None,
+                              factorization_residual=None, **checks)
     fact = (invert(rm) - s_right @ s_left).norm_max()
-    return IdentityReport(gm_residual=gm_res, ga_residual=ga_res,
-                          gb_residual=gb_res, s_status="converged",
-                          s_left=s_left, s_right=s_right,
-                          factorization_residual=fact,
-                          commutator_norm=commutator)
+    return IdentityReport(s_status="converged", s_left=s_left, s_right=s_right,
+                          factorization_residual=fact, **checks)

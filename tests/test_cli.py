@@ -206,6 +206,27 @@ def test_boundary_circle(tmp_path):
         assert r[3] == "ok"
 
 
+def test_boundary_limacon_reference(tmp_path):
+    shifted = {"kind": "shifted", "n": 24}
+    out = tmp_path / "lim.csv"
+    rc = run_cli(tmp_path, "boundary", {
+        "ensemble_a": shifted, "ensemble_b": shifted, "angular_samples": 8,
+        "output": str(out)})
+    assert rc == 0
+    _, _, _, rows = read_csv(out)
+    assert len(rows) == 8
+    blank = 0
+    for r in rows:
+        edge = 1.0 + 2.0 * math.cos(float(r[0]))
+        if edge > 0:
+            assert float(r[2]) == edge
+            assert abs(float(r[1]) - edge) <= 1e-4
+        else:                                # past the cusp: no support
+            assert r[2] == ""
+            blank += 1
+    assert blank == 2
+
+
 def test_boundary_empty_when_capped(tmp_path, capsys):
     rc = run_cli(tmp_path, "boundary", {
         "ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": 8,
@@ -281,6 +302,22 @@ def test_rerun_bytes_identical(tmp_path):
 # ---------------------------------------------------------------------------
 # validation and merging
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("solve-product", {"ensemble_a": {"kind": "ginibre", "n": 24, "sigma": math.inf},
+                       "grid": {"kind": "polar", "ranges": [[0.2, 0.8], [-1.0, 1.0]],
+                                "resolution": [3, 3]}}),
+    ("density", {"grid": {"kind": "cartesian", "ranges": [[0.1, math.inf], [0.1, 1.0]],
+                          "resolution": [4, 4]}}),
+    ("boundary", {"ensemble_b": {"kind": "ginibre", "n": 24, "shift": [math.nan, 0]}}),
+])
+def test_nonfinite_input_rejected(tmp_path, capsys, command, overrides):
+    out = tmp_path / "o.csv"
+    config = dict({"ensemble_a": GIN, "ensemble_b": GIN, "output": str(out)}, **overrides)
+    assert run_cli(tmp_path, command, config) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_aggregates_everything(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from freeconv.core import (
     Complex2x2,
     QuaternionicGreen,
-    URotation,
     invert,
     phase_split,
     qinv,
@@ -133,7 +132,7 @@ def test_rotate_left_is_diagonal_conjugation(psi):
 
 def test_rotation_preserves_quaternionic_structure():
     q = QuaternionicGreen(0.6 - 0.1j, 0.9 + 0.4j).embed()
-    r = URotation(1.1).left(q)
+    r = rotate_left(q, 1.1)
     assert r.q22 == r.q11.conjugate()
     # q12 = i*b', q21 = i*conj(b') for the rotated b' = b e^{i psi}
     assert r.q21 == pytest.approx(1j * (-1j * r.q12).conjugate(), abs=1e-15)

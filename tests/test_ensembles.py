@@ -27,6 +27,9 @@ def test_spec_defaults():
     (dict(kind="gue", n=8, tau=0.5), "fixes tau = 1"),
     (dict(kind="ginibre", n=8, tau=0.3), "fixes tau = 0"),
     (dict(kind="shifted", n=8, shift=0.0), "nonzero shift"),
+    (dict(kind="ginibre", n=8, sigma=math.inf), "sigma"),
+    (dict(kind="ginibre", n=8, shift=complex(math.nan, 0.0)), "shift must be finite"),
+    (dict(kind="shifted", n=8, shift=complex(0.0, -math.inf)), "shift must be finite"),
 ])
 def test_spec_validation(kwargs, fragment):
     with pytest.raises(SpecValidationError) as err:

@@ -80,6 +80,12 @@ def test_solve_at_origin_raises():
         solve_product(GIN, GIN, 0.0)
 
 
+def test_nonfinite_map_raises_library_error():
+    # non-finite iterates reach the least-squares Newton step
+    with pytest.raises(FreeconvError):
+        solve_product(elliptic_rmap(float("inf")), GIN, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
