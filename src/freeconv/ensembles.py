@@ -27,6 +27,14 @@ _KINDS = ("ginibre", "elliptic", "gue", "shifted")
 _MASK64 = (1 << 64) - 1
 
 
+def _number(kind, value):
+    """kind(value), or None when value is not a number of that kind."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One matrix ensemble: kind + correlation tau + scale sigma + shift + size.
@@ -49,13 +57,11 @@ class EnsembleSpec:
             problems.append(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             problems.append(f"n must be an integer >= 2, got {self.n!r}")
-        try:
-            sigma = float(self.sigma)
-            if not 0.0 < sigma < math.inf:
-                problems.append(f"sigma must be positive and finite, got {self.sigma}")
-        except (TypeError, ValueError):
+        sigma = _number(float, self.sigma)
+        if sigma is None:
             problems.append(f"sigma must be a positive number, got {self.sigma!r}")
-            sigma = 1.0
+        elif not (0.0 < sigma and math.isfinite(sigma * sigma)):
+            problems.append(f"sigma must be positive and finite, got {self.sigma}")
         tau = self.tau
         if self.kind in ("ginibre", "shifted"):
             if tau is None:
@@ -71,15 +77,23 @@ class EnsembleSpec:
             if tau is None:
                 problems.append("kind 'elliptic' requires an explicit tau")
                 tau = 0.0
-        if tau is not None and not -1.0 <= float(tau) <= 1.0:
-            problems.append(f"tau must lie in [-1, 1], got {tau}")
+        if tau is not None:
+            value = _number(float, tau)
+            if value is None:
+                problems.append(f"tau must be a number, got {tau!r}")
+            elif not -1.0 <= value <= 1.0:
+                problems.append(f"tau must lie in [-1, 1], got {tau}")
         shift = self.shift
         if shift is None:
             shift = 1.0 if self.kind == "shifted" else 0.0
         elif self.kind == "shifted" and shift == 0.0:
             problems.append("kind 'shifted' needs a nonzero shift")
-        elif not cmath.isfinite(complex(shift)):
-            problems.append(f"shift must be finite, got {shift}")
+        else:
+            value = _number(complex, shift)
+            if value is None:
+                problems.append(f"shift must be a number or [re, im], got {shift!r}")
+            elif not cmath.isfinite(value):
+                problems.append(f"shift must be finite, got {shift}")
         if problems:
             raise SpecValidationError(problems)
         object.__setattr__(self, "sigma", sigma)
@@ -104,9 +118,9 @@ class EnsembleSpec:
             raise SpecValidationError(problems)
         shift = d.get("shift")
         if isinstance(shift, (list, tuple)):
-            if len(shift) != 2:
-                raise SpecValidationError(["shift must be a number or [re, im]"])
-            shift = complex(shift[0], shift[1])
+            parts = [_number(float, part) for part in shift]
+            if len(parts) == 2 and None not in parts:
+                shift = complex(*parts)  # anything else is reported by the spec
         return EnsembleSpec(kind=d["kind"], n=d["n"], sigma=d.get("sigma", 1.0),
                             tau=d.get("tau"), shift=shift)
 

@@ -7,6 +7,15 @@ The central solver tracks the decaying branch g ~ 1/z of
 by a geometric homotopy in |z|: start far out where the fixed point is a
 contraction around 1/z, certify the asymptotic normalization there, then walk
 the scale down to the requested point, polishing with Newton at every stage.
+
+Transforms that declare themselves exactly affine, R(g) = c + alpha g (the
+constant, Gaussian and shifted Gaussian transforms here, and the diagonal
+sections of elliptic matrix maps), multiply in closed form: the auxiliary
+pair of the product law is a linear 2x2 system, so the product R transform
+and its derivative are rational in x.  Every other transform takes the
+generic route (damped fixed point plus Newton for the auxiliary pair, a
+central difference for the derivative), which stays as the test oracle for
+the affine one.  Both feed the same homotopy ladder.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ class ScalarTransform:
     kappa1 = R(0) is stored explicitly because the S-transform machinery and
     the homotopy ladder both need it cheaply and exactly.
     cumulants, when present, lists (kappa1, kappa2, ...) up to some order.
+    affine, when present, is (c, alpha) with R(g) = c + alpha g exactly; the
+    product law then solves its auxiliary pair in closed form.
     """
 
     name: str
@@ -43,6 +54,7 @@ class ScalarTransform:
     kappa1: complex
     r_deriv: Optional[Callable[[complex], complex]] = None
     cumulants: Optional[tuple] = None
+    affine: Optional[tuple] = None
 
     def deriv(self, g: complex) -> complex:
         if self.r_deriv is not None:
@@ -59,6 +71,7 @@ def constant_transform(c: complex, name: str = None) -> ScalarTransform:
         r_deriv=lambda g: 0.0,
         kappa1=c,
         cumulants=(c,),
+        affine=(c, 0.0),
     )
 
 
@@ -71,6 +84,7 @@ def gaussian_transform(sigma: float = 1.0, name: str = None) -> ScalarTransform:
         r_deriv=lambda g: s2,
         kappa1=0.0,
         cumulants=(0.0, s2),
+        affine=(0.0, s2),
     )
 
 
@@ -84,6 +98,7 @@ def shifted_gaussian_transform(shift: complex = 1.0, sigma: float = 1.0,
         r_deriv=lambda g: s2,
         kappa1=shift,
         cumulants=(shift, s2),
+        affine=(shift, s2),
     )
 
 
@@ -233,9 +248,26 @@ class ProductGreens(NamedTuple):
     residual: float
 
 
+def _affine_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex):
+    """(P, Q, D) of the exact affine auxiliary solution.
+
+    With R_A = c_A + alpha_A g and R_B = c_B + alpha_B g the pair solves to
+    g_a = x P / D and g_b = x Q / D, where P = c_A + x alpha_A c_B = D R_A(g_b),
+    Q = c_B + x alpha_B c_A = D R_B(g_a) and D = 1 - x^2 alpha_A alpha_B.
+    """
+    (ca, aa), (cb, ab) = ta.affine, tb.affine
+    d = 1.0 - x * x * aa * ab
+    if d == 0:
+        raise ConvergenceError(f"auxiliary product system is singular at x = {x}")
+    return ca + x * aa * cb, cb + x * ab * ca, d
+
+
 def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex,
                  tol: float = 1e-13):
     """Solve the auxiliary pair g_a = x R_A(g_b), g_b = x R_B(g_a)."""
+    if ta.affine is not None and tb.affine is not None:
+        p, q, d = _affine_aux(ta, tb, x)
+        return x * p / d, x * q / d
     ga = x * ta.kappa1
     gb = x * tb.kappa1
     for _ in range(120):
@@ -274,16 +306,30 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
 
     R_AB(x) = R_A(g_b) R_B(g_a) where (g_a, g_b) solve the auxiliary pair at x.
     Feeding this map to green_from_r yields the Green's function of A B.
+    For two affine factors R_AB = P Q / D^2 (see _affine_aux), with an exact
+    derivative; otherwise every evaluation solves the auxiliary pair.
     """
+    r_deriv = None
+    if ta.affine is not None and tb.affine is not None:
+        aa, ab = ta.affine[1], tb.affine[1]
+        dp, dq = aa * tb.affine[0], ab * ta.affine[0]  # dP/dx, dQ/dx
 
-    def r_eval(x: complex) -> complex:
-        ga, gb = _product_aux(ta, tb, x)
-        return ta.r_eval(gb) * tb.r_eval(ga)
+        def r_eval(x: complex) -> complex:
+            p, q, d = _affine_aux(ta, tb, x)
+            return p * q / (d * d)
+
+        def r_deriv(x: complex) -> complex:
+            p, q, d = _affine_aux(ta, tb, x)
+            return ((dp * q + p * dq) * d + 4.0 * x * aa * ab * p * q) / (d * d * d)
+    else:
+        def r_eval(x: complex) -> complex:
+            ga, gb = _product_aux(ta, tb, x)
+            return ta.r_eval(gb) * tb.r_eval(ga)
 
     return ScalarTransform(
         name=f"({ta.name})*({tb.name})",
         r_eval=r_eval,
-        r_deriv=None,
+        r_deriv=r_deriv,
         kappa1=ta.kappa1 * tb.kappa1,
         cumulants=None,
     )

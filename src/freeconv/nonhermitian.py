@@ -54,7 +54,8 @@ class MatrixRMap:
     solvers; apply embeds its result as a full 2x2 matrix.  apply_matrix, when
     available, extends the map to arbitrary 2x2 arguments as required by the
     left/right S-transform machinery.  meta carries the parameters of known
-    families so closed-form density routes can recognize them.
+    families so closed-form density routes can recognize them; elliptic meta
+    also makes the diagonal section exactly affine and the b-coupling exact.
     """
 
     name: str
@@ -66,16 +67,28 @@ class MatrixRMap:
     def apply(self, g: QuaternionicGreen) -> Complex2x2:
         return self.apply_q(g).embed()
 
+    def _elliptic(self) -> bool:
+        return self.meta is not None and self.meta.get("kind") == "elliptic"
+
     def diagonal_section(self) -> ScalarTransform:
         """Restriction to diagonal arguments, as a scalar R transform."""
+        affine = r_deriv = None
+        if self._elliptic():
+            alpha = self.meta["tau"] * self.meta["sigma"] ** 2
+            affine = (self.meta["shift"], alpha)
+            r_deriv = lambda x: alpha
         return ScalarTransform(
             name=f"{self.name}|diag",
             r_eval=lambda x: self.apply_q(QuaternionicGreen(x, 0.0)).a,
             kappa1=self.kappa1,
+            r_deriv=r_deriv,
+            affine=affine,
         )
 
     def b_coupling(self, a_value: complex) -> complex:
         """d(off-diagonal out)/d(off-diagonal in) at b = 0, diagonal a_value."""
+        if self._elliptic():
+            return self.meta["sigma"] ** 2
         h = 1e-6
         tp = self.apply_q(QuaternionicGreen(a_value, +h)).b
         tm = self.apply_q(QuaternionicGreen(a_value, -h)).b
@@ -89,11 +102,17 @@ def elliptic_rmap(sigma: float = 1.0, tau: float = 0.0, shift: complex = 0.0,
     tau = 0 is the rotationally invariant (Ginibre-type) case, tau = 1 the
     hermitian Gaussian, intermediate values interpolate the two.
     """
-    s2 = float(sigma) ** 2
+    try:
+        s2 = float(sigma) ** 2
+    except OverflowError:
+        s2 = math.inf
     t = float(tau)
     c = complex(shift)
     if not -1.0 <= t <= 1.0:
         raise FreeconvError(f"tau must lie in [-1, 1], got {t}")
+    if not (math.isfinite(s2) and cmath.isfinite(c)):
+        raise FreeconvError(
+            f"sigma and shift must be finite, got sigma={sigma}, shift={shift}")
 
     def apply_q(g: QuaternionicGreen) -> QuaternionicGreen:
         return QuaternionicGreen(c + t * s2 * g.a, s2 * g.b)

@@ -320,6 +320,20 @@ def test_nonfinite_input_rejected(tmp_path, capsys, command, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ensemble_b,fragment", [
+    ({"kind": "elliptic", "n": 24, "tau": "x"}, "tau must be a number"),
+    ({"kind": "ginibre", "n": 24, "shift": "abc"}, "shift must be a number"),
+    ({"kind": "ginibre", "n": 24, "shift": ["abc", 0]}, "shift must be a number"),
+    ({"kind": "ginibre", "n": 24, "sigma": 1e200}, "sigma must be positive and finite"),
+])
+def test_nonnumeric_spec_rejected(tmp_path, capsys, ensemble_b, fragment):
+    out = tmp_path / "o.csv"
+    config = {"ensemble_a": GIN, "ensemble_b": ensemble_b, "output": str(out)}
+    assert run_cli(tmp_path, "boundary", config) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_aggregates_everything(tmp_path, capsys):
     rc = run_cli(tmp_path, "density", {
         "ensemble_a": {"kind": "wishart", "n": 1},

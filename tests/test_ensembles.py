@@ -30,6 +30,10 @@ def test_spec_defaults():
     (dict(kind="ginibre", n=8, sigma=math.inf), "sigma"),
     (dict(kind="ginibre", n=8, shift=complex(math.nan, 0.0)), "shift must be finite"),
     (dict(kind="shifted", n=8, shift=complex(0.0, -math.inf)), "shift must be finite"),
+    (dict(kind="ginibre", n=8, sigma=1e200), "sigma must be positive and finite"),
+    (dict(kind="elliptic", n=8, tau="x"), "tau must be a number"),
+    (dict(kind="ginibre", n=8, shift="abc"), "shift must be a number"),
+    (dict(kind="ginibre", n=8, shift=["abc", 0.0]), "shift must be a number"),
 ])
 def test_spec_validation(kwargs, fragment):
     with pytest.raises(SpecValidationError) as err:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from freeconv.errors import CenteredTransformError
+from freeconv.errors import CenteredTransformError, ConvergenceError
 from freeconv.hermitian import (
+    _product_aux,
     constant_transform,
     density_real,
     free_add,
@@ -199,6 +201,39 @@ def test_product_r_transform_matches_system(z):
     combined = product_r_transform(SHIFTED, SHIFTED)
     assert green_from_r(combined, z).g == pytest.approx(
         multiply_r_system(SHIFTED, SHIFTED, z).g, abs=1e-10)
+
+
+@pytest.mark.parametrize("ta,tb", [
+    (SHIFTED, SHIFTED),
+    (GUE, SHIFTED),
+    (shifted_gaussian_transform(0.5, 2.0), constant_transform(1.5)),
+    (constant_transform(0.5 + 1j), shifted_gaussian_transform(-1.0, 0.7)),
+])
+@pytest.mark.parametrize("z", [8.0 + 0.5j, 3.0 + 2j, -2.0 + 1.5j, 0.4 + 0.9j])
+def test_affine_product_matches_generic_route(ta, tb, z):
+    # the generic route (no affine declaration) is the oracle
+    generic = [dataclasses.replace(t, affine=None) for t in (ta, tb)]
+    want = multiply_r_system(*generic, z)
+    got = multiply_r_system(ta, tb, z)
+    for u, v in ((got.g, want.g), (got.g_a, want.g_a), (got.g_b, want.g_b)):
+        assert u == pytest.approx(v, abs=1e-10)
+    combined = product_r_transform(ta, tb)
+    h = 1e-6
+    fd = (combined.r_eval(z + h) - combined.r_eval(z - h)) / (2 * h)
+    assert combined.r_deriv(z) == pytest.approx(fd, rel=1e-6)
+
+
+def test_affine_declarations():
+    assert constant_transform(2.5).affine == (2.5, 0.0)
+    assert gaussian_transform(2.0).affine == (0.0, 4.0)
+    assert SHIFTED.affine == (1.0, 1.0)
+    assert product_r_transform(SHIFTED, SHIFTED).affine is None
+
+
+def test_affine_aux_singular_raises():
+    # D = 1 - x^2 alpha_A alpha_B vanishes at x = 1 for two unit semicircles
+    with pytest.raises(ConvergenceError):
+        _product_aux(GUE, GUE, 1.0)
 
 
 def test_transform_metadata():

@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freeconv import nonhermitian
-from freeconv.errors import FreeconvError, GridError, OriginError
+from freeconv import hermitian, nonhermitian
+from freeconv.errors import ConvergenceError, FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
 from freeconv.hermitian import gaussian_transform, green_from_r
 from freeconv.nonhermitian import (
+    MatrixRMap,
     boundary_curve,
     branch_indicator,
     constant_rmap,
@@ -81,9 +83,24 @@ def test_solve_at_origin_raises():
 
 
 def test_nonfinite_map_raises_library_error():
-    # non-finite iterates reach the least-squares Newton step
+    # the elliptic constructor rejects the non-finite sigma
     with pytest.raises(FreeconvError):
         solve_product(elliptic_rmap(float("inf")), GIN, 0.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=1e200),
+    dict(shift=math.nan), dict(shift=complex(0.0, -math.inf)),
+])
+def test_elliptic_rmap_rejects_nonfinite(kwargs):
+    with pytest.raises(FreeconvError, match="finite"):
+        elliptic_rmap(**kwargs)
+
+
+def test_newton_polish_rejects_nonfinite_step():
+    # the Jacobian guard stops it before LAPACK sees the values
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        nonhermitian._newton_polish(lambda c: [complex(math.inf, 0.0)], [0.5], 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +221,80 @@ def test_boundary_respects_explicit_cap():
     res = boundary_curve(GIN, GIN, angular_samples=8, r_max=0.5)
     assert not res.points
     assert len(res.empty_rays) == 8
+
+
+# ---------------------------------------------------------------------------
+# exact affine route against the generic (callable) route
+# ---------------------------------------------------------------------------
+
+
+def generic_twin(rmap: MatrixRMap) -> MatrixRMap:
+    """The same map without meta: every solve takes the callable route."""
+    return MatrixRMap(name=rmap.name, apply_q=rmap.apply_q, kappa1=rmap.kappa1,
+                      apply_matrix=rmap.apply_matrix)
+
+
+def close(u: complex, v: complex, tol: float = 1e-10) -> bool:
+    return abs(u - v) <= tol * max(1.0, abs(v))
+
+
+SIGMAS = st.floats(0.3, 2.0)
+TAUS = st.floats(-1.0, 1.0)
+SHIFT_PARTS = st.floats(-1.5, 1.5)
+ELLIPTIC = st.builds(lambda s, t, re, im: elliptic_rmap(s, t, complex(re, im)),
+                     SIGMAS, TAUS, SHIFT_PARTS, SHIFT_PARTS)
+POINTS = st.builds(cmath.rect, st.floats(0.05, 6.0), st.floats(-math.pi, math.pi))
+DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True,
+                        database=None)
+
+
+@DIFFERENTIAL
+@given(ELLIPTIC, ELLIPTIC, POINTS)
+def test_affine_product_matches_generic_route(rmap_a, rmap_b, z):
+    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    assert ta.affine is not None and tb.affine is not None
+    oa, ob = generic_twin(rmap_a), generic_twin(rmap_b)
+    assert oa.diagonal_section().affine is None
+    try:
+        want = hermitian.multiply_r_system(oa.diagonal_section(),
+                                           ob.diagonal_section(), z)
+    except FreeconvError:
+        return  # the oracle itself has no holomorphic solution here
+    got = hermitian.multiply_r_system(ta, tb, z)
+    assert close(got.g, want.g) and close(got.g_a, want.g_a)
+    assert close(got.g_b, want.g_b)
+    indicator = branch_indicator(oa, ob, z)
+    if abs(indicator) > 1e-8:
+        assert (branch_indicator(rmap_a, rmap_b, z) > 0) == (indicator > 0)
+
+
+@DIFFERENTIAL
+@given(ELLIPTIC, ELLIPTIC, POINTS)
+def test_affine_derivatives_are_exact(rmap_a, rmap_b, x):
+    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    product = hermitian.product_r_transform(ta, tb)
+    x = x / 4.0
+    if abs(1.0 - x * x * ta.affine[1] * tb.affine[1]) < 0.1:
+        return  # next to a pole of R_AB the difference quotient is useless
+    h = 1e-6
+    fd = (product.r_eval(x + h) - product.r_eval(x - h)) / (2.0 * h)
+    assert close(product.r_deriv(x), fd, 1e-6)
+    assert close(rmap_a.b_coupling(0.3 + 0.1j),
+                 generic_twin(rmap_a).b_coupling(0.3 + 0.1j), 1e-8)
+
+
+@DIFFERENTIAL
+@given(SIGMAS, TAUS, SHIFT_PARTS, SIGMAS, TAUS, SHIFT_PARTS, POINTS)
+def test_affine_product_conjugation_symmetry(sa, ta, ca, sb, tb, cb, z):
+    # real shifts make R real on the real axis, so g(conj z) = conj g(z)
+    pa = elliptic_rmap(sa, ta, ca).diagonal_section()
+    pb = elliptic_rmap(sb, tb, cb).diagonal_section()
+    try:
+        g = hermitian.multiply_r_system(pa, pb, z).g
+    except FreeconvError:
+        return
+    assert close(hermitian.multiply_r_system(pa, pb, z.conjugate()).g,
+                 g.conjugate())
 
 
 # ---------------------------------------------------------------------------
