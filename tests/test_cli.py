@@ -227,6 +227,16 @@ def test_boundary_limacon_reference(tmp_path):
     assert blank == 2
 
 
+def test_boundary_summary_counts_failed_solves(tmp_path):
+    out = tmp_path / "b.csv"
+    rc = run_cli(tmp_path, "boundary", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": 8,
+        "output": str(out)})
+    assert rc == 0
+    _, summary, _, _ = read_csv(out)
+    assert summary == {"rays": 8, "located": 8, "empty": 0, "failed_solves": 0}
+
+
 def test_boundary_empty_when_capped(tmp_path, capsys):
     rc = run_cli(tmp_path, "boundary", {
         "ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": 8,

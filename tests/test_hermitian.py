@@ -11,6 +11,7 @@ import pytest
 
 from freeconv.errors import CenteredTransformError, ConvergenceError
 from freeconv.hermitian import (
+    ScalarTransform,
     _product_aux,
     constant_transform,
     density_real,
@@ -234,6 +235,61 @@ def test_affine_aux_singular_raises():
     # D = 1 - x^2 alpha_A alpha_B vanishes at x = 1 for two unit semicircles
     with pytest.raises(ConvergenceError):
         _product_aux(GUE, GUE, 1.0)
+
+
+@pytest.mark.parametrize("ta,tb,c", [
+    (constant_transform(2.0), constant_transform(0.5 - 1j), 1.0 - 2j),
+    (gaussian_transform(1.3), constant_transform(0.0), 0.0),
+    (constant_transform(0.0), GUE, 0.0),
+])
+def test_constant_product_declared(ta, tb, c):
+    # alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0: R_AB = c_A c_B
+    assert product_r_transform(ta, tb).affine == (c, 0.0)
+
+
+@pytest.mark.parametrize("ta,tb", [
+    (constant_transform(2.0), GUE),          # alpha_B c_A^2 = 4
+    (GUE, GUE),                              # alpha_A alpha_B = 1
+])
+def test_nonconstant_product_not_declared(ta, tb):
+    assert product_r_transform(ta, tb).affine is None
+
+
+@pytest.mark.parametrize("z", [3.0 + 0.5j, -0.4 + 0.2j, 1.0 + 2j])
+def test_constant_green_is_exact_root(z):
+    t = product_r_transform(constant_transform(2.0), constant_transform(0.5 - 1j))
+    got = green_from_r(t, z)
+    assert got.g == 1.0 / (z - (1.0 - 2j))
+    assert got.branch_certificate == ((1.0, got.residual),)
+    want = green_from_r(dataclasses.replace(t, affine=None), z)  # the ladder
+    assert got.g == pytest.approx(want.g, abs=1e-12)
+
+
+def test_constant_green_pole_and_certificate():
+    with pytest.raises(ConvergenceError):
+        green_from_r(constant_transform(2.0), 2.0)
+    # a declaration that r_eval contradicts fails its residual certificate
+    liar = dataclasses.replace(constant_transform(2.0), affine=(3.0, 0.0))
+    with pytest.raises(ConvergenceError):
+        green_from_r(liar, 1.0 + 1j)
+
+
+NAN = complex(math.nan, 0.0)
+
+
+def test_generic_aux_rejects_nan():
+    # the residual check must not pass NaN as converged
+    nan_r = ScalarTransform("nan", r_eval=lambda g: NAN, kappa1=0.0)
+    with pytest.raises(ConvergenceError):
+        _product_aux(nan_r, nan_r, 0.3)
+
+
+def test_ladder_rejects_nan_stage():
+    # R turns NaN once |g| grows past 0.3, i.e. part way down the ladder
+    t = ScalarTransform("nan below", r_eval=lambda g: g if abs(g) < 0.3 else NAN,
+                        kappa1=0.0)
+    with pytest.raises(ConvergenceError):
+        green_from_r(t, 0.5 + 0.5j)
 
 
 def test_transform_metadata():

@@ -297,6 +297,219 @@ def test_affine_product_conjugation_symmetry(sa, ta, ca, sb, tb, cb, z):
                  g.conjugate())
 
 
+ROTATION_INVARIANT = st.builds(lambda s, re, im: elliptic_rmap(s, 0.0, complex(re, im)),
+                               SIGMAS, SHIFT_PARTS, SHIFT_PARTS)
+# R_AB is also constant (= 0) when one factor is centered with tau = 0
+CONSTANT_PAIRS = st.one_of(
+    st.tuples(ROTATION_INVARIANT, ROTATION_INVARIANT),
+    st.tuples(ELLIPTIC, st.builds(elliptic_rmap, SIGMAS)),
+    st.tuples(st.builds(elliptic_rmap, SIGMAS), ELLIPTIC),
+)
+
+
+@DIFFERENTIAL
+@given(CONSTANT_PAIRS, st.lists(POINTS, min_size=1, max_size=6))
+def test_constant_product_array_matches_generic_route(maps, zs):
+    rmap_a, rmap_b = maps
+    pair = nonhermitian._constant_pair(rmap_a, rmap_b)
+    assert pair is not None
+    indicator, pg, ok = nonhermitian._constant_probe(pair, np.array(zs))
+    oa, ob = generic_twin(rmap_a), generic_twin(rmap_b)
+    for k, z in enumerate(zs):
+        try:
+            want_indicator, want = nonhermitian._holomorphic_probe(oa, ob, z)
+        except FreeconvError:
+            continue  # the oracle itself has no holomorphic solution here
+        assert ok[k]
+        assert close(pg.g[k], want.g) and close(pg.g_a[k], want.g_a)
+        assert close(pg.g_b[k], want.g_b)
+        assert close(indicator[k], want_indicator, 1e-8)
+        if abs(want_indicator) > 1e-8:
+            assert (indicator[k] > 0) == (want_indicator > 0)
+
+
+def test_constant_probe_flags_pole_and_origin():
+    pair = nonhermitian._constant_pair(SHIFTED, SHIFTED)  # R_AB = 1
+    _, _, ok = nonhermitian._constant_probe(pair, np.array([1.0, 0.0, 2.0 + 1j]))
+    assert ok.tolist() == [False, False, True]
+
+
+def test_constant_pair_routing():
+    assert nonhermitian._constant_pair(GIN, SHIFTED) is not None
+    assert nonhermitian._constant_pair(GIN, gue_rmap(1.0)) is not None  # R_AB = 0
+    assert nonhermitian._constant_pair(gue_rmap(1.0), gue_rmap(1.0)) is None
+    assert nonhermitian._constant_pair(generic_twin(GIN), GIN) is None
+
+
+TAU_PAIR = (elliptic_rmap(1.0, 0.5, 0.7), elliptic_rmap(1.0, 0.5, 0.5 + 0.3j))
+
+
+@pytest.fixture
+def stage_count(monkeypatch):
+    calls = []
+    real = hermitian._stage_solve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hermitian, "_stage_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pair", [(gue_rmap(1.0), gue_rmap(1.0)), TAU_PAIR])
+def test_tau_pairs_take_the_ladder(pair, stage_count):
+    boundary_curve(*pair, angles=[0.4])
+    assert len(stage_count) > 0
+
+
+@pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED)])
+def test_constant_pairs_skip_the_ladder(pair, stage_count):
+    boundary_curve(*pair, angular_samples=8)
+    solve_product(*pair, 0.5 + 0.5j)
+    assert branch_indicator(*pair, 4.0 + 1j) < 0
+    assert not stage_count
+
+
+def test_boundary_gue_square_is_unit_circle():
+    res = boundary_curve(gue_rmap(1.0), gue_rmap(1.0), angular_samples=8)
+    assert len(res.points) == 8 and not res.empty_rays
+    for r, _phi in res.points:
+        assert r == pytest.approx(1.0, abs=1e-4)
+
+
+def bisection_ray(inside, r_max, expandable, r_min=1e-4, tol=1e-5):
+    """boundary_curve's bisection search on one ray: (radius, count)."""
+    count = 0
+
+    def probe(r):
+        nonlocal count
+        count += 1
+        return inside(r)
+
+    r_hi = r_max
+    for _ in range(3 if expandable else 1):
+        if not probe(r_hi):
+            break
+        r_hi *= 2.0
+    else:
+        return None, count
+    r_prev = r_hi
+    for k in range(1, 25):
+        r = r_hi + (r_min - r_hi) * k / 24
+        if probe(r):
+            lo, hi = r, r_prev
+            break
+        r_prev = r
+    else:
+        return None, count
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), count
+
+
+@pytest.mark.parametrize("pair", [
+    (gue_rmap(1.0), gue_rmap(1.0)),
+    TAU_PAIR,
+    # plain Illinois needs more steps than bisection on some of these rays
+    (elliptic_rmap(1.0, 0.5, 1.0), elliptic_rmap(1.0, 0.3, 1.0)),
+])
+def test_ladder_rays_evaluate_no_more_points(pair, monkeypatch):
+    # point by point, every ray spends at most the bisection search's count
+    angles = [-math.pi + (k + 0.5) * math.pi / 12 for k in range(24)]
+    per_ray = {}
+    real = nonhermitian.branch_indicator
+
+    def counting(rmap_a, rmap_b, z):
+        phi = min(angles, key=lambda p: abs(cmath.rect(1.0, p) - z / abs(z)))
+        per_ray[phi] = per_ray.get(phi, 0) + 1
+        return real(rmap_a, rmap_b, z)
+
+    monkeypatch.setattr(nonhermitian, "branch_indicator", counting)
+    res = boundary_curve(*pair, angles=angles)
+    monkeypatch.undo()
+    located = dict((phi, r) for r, phi in res.points)
+    r_max = 1.5 * nonhermitian._support_scale(pair[0]) * nonhermitian._support_scale(
+        pair[1]) + 1.0
+    for phi in angles:
+        def inside(r):
+            try:
+                return branch_indicator(*pair, cmath.rect(r, phi)) > 0.0
+            except FreeconvError:
+                return True  # as boundary_curve treats a failed solve
+
+        ref, count = bisection_ray(inside, r_max, True)
+        assert per_ray[phi] <= count
+        assert located.get(phi) == pytest.approx(ref, abs=1e-5)
+
+
+@pytest.mark.parametrize("pair,angles", [
+    ((GIN, GIN), [-2.5, -0.9, 0.7, 2.2]),
+    ((SHIFTED, SHIFTED), [-3.0, -2.2, -1.0, 0.0, 1.3, 2.4]),
+    ((elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(1.0, 0.0, 1.1 + 0.2j)),
+     [-2.6, -1.2, 0.3, 1.9]),
+])
+def test_lockstep_boundary_matches_oracle_route(pair, angles):
+    # sigma = 1 keeps the internal r_max the same without elliptic meta
+    got = boundary_curve(*pair, angles=angles)
+    want = boundary_curve(*(generic_twin(m) for m in pair), angles=angles)
+    assert got.empty_rays == want.empty_rays
+    assert [phi for _, phi in got.points] == [phi for _, phi in want.points]
+    for (r, _), (r_want, _) in zip(got.points, want.points):
+        assert r == pytest.approx(r_want, abs=2e-5)
+    assert got.failed_solves == want.failed_solves == 0
+
+
+def test_array_route_rounds_within_bisection_budget(monkeypatch):
+    # near this pair's cusps unprojected Illinois needs 17 steps, bisection 16
+    pair = (elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(0.7, 0.0, 1.1 + 0.2j))
+    sizes = []
+    real = nonhermitian._constant_probe
+
+    def counting(constant_pair, z):
+        sizes.append(len(z))
+        return real(constant_pair, z)
+
+    monkeypatch.setattr(nonhermitian, "_constant_probe", counting)
+    boundary_curve(*pair, angular_samples=128)
+    assert sizes[:2] == [128, 128 * 24]  # one probe round, then the whole scan
+    r_max = 1.5 * nonhermitian._support_scale(pair[0]) * nonhermitian._support_scale(
+        pair[1]) + 1.0
+    assert len(sizes) - 2 <= math.ceil(math.log2((r_max - 1e-4) / 24 / 1e-5))
+
+
+def test_boundary_counts_failed_solves_on_array_route():
+    # R_AB = 2 here, and z = 2 is the pole of g = 1/(z - 2), where the solve fails
+    a, b = elliptic_rmap(0.01, 0.0, 2.0), elliptic_rmap(0.01, 0.0, 1.0)
+    probe = boundary_curve(a, b, angles=[0.0], r_max=2.0)
+    assert probe.empty_rays == (0.0,) and probe.failed_solves == 1
+    scan = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)  # z = 2 ends the scan
+    assert scan.failed_solves == 1
+    assert scan.points[0][0] == pytest.approx(2.02, abs=0.01)
+
+
+def test_boundary_counts_failed_solves():
+    # R turns NaN where |a| > 0.3; those solves fail and count as inside
+    base = elliptic_rmap(1.0, 0.5, 0.5)
+
+    def apply_q(g):
+        out = base.apply_q(g)
+        return out if abs(g.a) <= 0.3 else type(g)(complex(math.nan, 0.0), out.b)
+
+    broken = MatrixRMap("nan inside", apply_q, base.kappa1)
+    assert boundary_curve(base, base, angles=[0.3]).failed_solves == 0
+    assert boundary_curve(broken, broken, angles=[0.3]).failed_solves > 0
+
+
+@pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED)])
+def test_boundary_no_failed_solves_on_registered_pairs(pair):
+    assert boundary_curve(*pair, angular_samples=32).failed_solves == 0
+
+
 # ---------------------------------------------------------------------------
 # closed-form limacon reference
 # ---------------------------------------------------------------------------
