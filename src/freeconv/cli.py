@@ -7,20 +7,20 @@ host.  CSV outputs start with a "# provenance: <json>" line followed by a
 "# summary: <json>" line; JSON outputs carry the same data under fixed keys
 with a schema version.
 
-Exit codes: 0 success, 1 validation error, 2 partial numerical failure
-(including Monte Carlo skip-rate errors), 3 total failure.
+Exit codes: 0 success, 1 validation error or unwritable output, 2 partial
+numerical failure (including Monte Carlo skip-rate errors), 3 total failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -329,17 +329,16 @@ def _json_cell(value):
 
 
 def _write_table(cfg: JobConfig, summary: dict, header: list, rows: list) -> None:
-    path = Path(cfg.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
     prov = _provenance(cfg)
     if cfg.format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write("# provenance: " + _canon(prov) + "\r\n")
-            handle.write("# summary: " + _canon(summary) + "\r\n")
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_csv_cell(c) for c in row])
+        buf = io.StringIO()
+        buf.write("# provenance: " + _canon(prov) + "\r\n")
+        buf.write("# summary: " + _canon(summary) + "\r\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(c) for c in row])
+        _write_output(cfg.output, buf.getvalue())
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -348,15 +347,35 @@ def _write_table(cfg: JobConfig, summary: dict, header: list, rows: list) -> Non
             "columns": header,
             "rows": [[_json_cell(c) for c in row] for row in rows],
         }
-        _write_json(path, payload)
+        _write_json(cfg.output, payload)
 
 
 def _write_json(path, payload: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2))
-        handle.write("\n")
+    _write_output(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_output(path, text: str) -> None:
+    """Replace the file at path, after following symlinks, with text.
+
+    An existing regular file is unlinked and the new one created
+    exclusively: truncating a written file in place can block until its old
+    data reaches the disk (ext4 auto_da_alloc), and so can renaming over it.
+    Anything else that exists at path (a device such as /dev/null, a FIFO)
+    is written through as it is.  Missing parent directories are created,
+    and any OSError is reported as a validation error.
+    """
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            target, mode = path, "w"    # a directory fails here, in open
+        else:
+            target, mode = os.path.realpath(path), "x"
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            if os.path.lexists(target):
+                os.unlink(target)
+        with open(target, mode, newline="", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SpecValidationError([f"cannot write output: {exc}"])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from . import hermitian
 from .hermitian import ScalarTransform
 
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
+_HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,11 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
     """Solve G = (Z - R(G))^{-1} for one matrix ensemble at one point.
 
     Chooses the branch by the stability of the holomorphic solution, then
-    solves the chosen branch with a damped fixed point plus a least-squares
-    Newton polish (the system has a one-parameter phase redundancy in b, so
-    the Newton step is computed in the minimal-norm sense).
+    solves the chosen branch with a damped fixed point that hands off to a
+    least-squares Newton polish once its update is below _HANDOFF (the
+    system has a one-parameter phase redundancy in b, so the Newton step is
+    computed in the minimal-norm sense).  iterations counts the damped steps
+    taken before the hand-off.
     """
     phase_split(z)  # reject the origin up front
     try:
@@ -333,7 +336,7 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
         nxt = fp_step(q)
         step = max(abs(nxt.a - q.a), abs(nxt.b - q.b))
         q = QuaternionicGreen(q.a + 0.5 * (nxt.a - q.a), q.b + 0.5 * (nxt.b - q.b))
-        if step < 0.1 * tol:
+        if step < _HANDOFF:
             break
 
     def fp_values(c):
@@ -459,8 +462,10 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
 
     with the one-sided rotations taken at half the phase of z.  The branch is
     chosen by branch_indicator, whose holomorphic solution is also the result
-    outside the support; inside, a damped fixed point plus least-squares
-    Newton refines the nonholomorphic solution.
+    outside the support.  Inside, a damped fixed point runs until its update
+    is below _HANDOFF and then hands off to a least-squares Newton polish,
+    which converges the nonholomorphic solution to tol; iterations counts the
+    damped steps taken before the hand-off.
     branch ("nonholomorphic" or "holomorphic") skips the indicator probe when
     the caller already classified z, e.g. for the arms of a tight stencil
     classified once at its center; a wrong "nonholomorphic" hint is caught by
@@ -495,7 +500,7 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         if abs(qa.b) < 1e-9 and abs(qb.b) < 1e-9 and iterations > 20:
             collapsed = True
             break
-        if step < 0.1 * tol:
+        if step < _HANDOFF:
             break
 
     if collapsed:
@@ -979,7 +984,7 @@ def _matrix_fixed_point(step, seed: Complex2x2, tol: float, max_iter: int = 600)
         nxt = step(x)
         delta = (nxt - x).norm_max()
         x = x + (nxt - x).scale(0.5)
-        if delta < 1e-6:
+        if delta < _HANDOFF:
             break
 
     def entries(m: Complex2x2):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -307,6 +309,83 @@ def test_rerun_bytes_identical(tmp_path):
                        name=f"cfg_{name}") == 0
         blobs.append((tmp_path / name).read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def transform_job(out, count=20):
+    return {"ensemble_a": SHIFTED_GUE, "variable": "y", "start": 0.1,
+            "stop": 2.0, "count": count, "output": str(out)}
+
+
+def test_shorter_rewrite_leaves_only_new_bytes(tmp_path):
+    out, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    assert run_cli(tmp_path, "transform", transform_job(out, 40)) == 0
+    longer = out.stat().st_size
+    assert run_cli(tmp_path, "transform", transform_job(out, 3)) == 0
+    assert run_cli(tmp_path, "transform", transform_job(fresh, 3)) == 0
+    assert out.stat().st_size < longer
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_rerun_replaces_the_file(tmp_path):
+    out, keep = tmp_path / "t.csv", tmp_path / "keep.csv"
+    assert run_cli(tmp_path, "transform", transform_job(out)) == 0
+    first = out.read_bytes()
+    os.link(out, keep)          # holds the old inode, so its number stays taken
+    assert run_cli(tmp_path, "transform", transform_job(out)) == 0
+    assert out.read_bytes() == first
+    assert out.stat().st_ino != keep.stat().st_ino
+    assert keep.read_bytes() == first           # replaced, not truncated
+
+
+def test_symlinked_output_is_followed(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "f.csv"
+    target.write_bytes(b"stale\r\n" * 1000)
+    link.symlink_to(target)
+    assert run_cli(tmp_path, "transform", transform_job(link)) == 0
+    assert run_cli(tmp_path, "transform", transform_job(fresh)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_special_file_output_is_written_through(tmp_path):
+    # the same path as /dev/null or /dev/stdout: never unlinked
+    fifo, fresh = tmp_path / "pipe", tmp_path / "f.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(tmp_path, "transform", transform_job(fifo)) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert run_cli(tmp_path, "transform", transform_job(fresh)) == 0
+    assert data == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["density", "compare"])
+@pytest.mark.parametrize("where", ["directory", "under a file"])
+def test_unwritable_output_exits_cleanly(tmp_path, capsys, command, where):
+    blocker = tmp_path / "blocker"
+    if where == "directory":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("a regular file")
+        out = blocker / "o.csv"
+    config = {"ensemble_a": GIN, "ensemble_b": GIN, "output": str(out)}
+    if command == "density":
+        config["grid"] = {"kind": "polar", "ranges": [[0.2, 0.8], [-3.0, 3.0]],
+                          "resolution": [5, 7]}
+    else:
+        config.update(trials=30, grid=COMPARE_GRID)
+    assert run_cli(tmp_path, command, config) == 1   # OSError did not escape
+    assert "cannot write output" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

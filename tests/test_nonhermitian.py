@@ -511,6 +511,110 @@ def test_boundary_no_failed_solves_on_registered_pairs(pair):
 
 
 # ---------------------------------------------------------------------------
+# damped fixed point handed to Newton once its update is below _HANDOFF
+# ---------------------------------------------------------------------------
+
+
+def fully_damped(solve, *args):
+    """solve(*args) with the damped loop run until its update is below
+    0.1 tol = 1e-13, so that Newton only polishes: the oracle of the hand-off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonhermitian, "_HANDOFF", 1e-13)
+        return solve(*args)
+
+
+INSIDE_FRACTIONS = (0.1, 0.5, 0.9, 0.97)  # of the edge radius along each ray
+
+
+@pytest.mark.parametrize("pair", ["circular", "limacon"])
+def test_handoff_inside_points_match_references(pair):
+    checked = 0
+    for k in range(30):
+        u = (k + 0.5) / 30
+        for frac in INSIDE_FRACTIONS:
+            if pair == "circular":
+                z = cmath.rect(frac, -math.pi + 2.0 * math.pi * u)
+                sol = solve_product(GIN, GIN, z)
+                g_ref, c_ref = z.conjugate() / abs(z), 1.0 - abs(z)
+            else:
+                phi = -2.0 + 4.0 * u
+                r = frac * (1.0 + 2.0 * math.cos(phi))
+                sol = solve_product(SHIFTED, SHIFTED, cmath.rect(r, phi))
+                ref = limacon_reference(r, phi)
+                g_ref, c_ref = ref.G, ref.C
+            assert sol.branch == "nonholomorphic"
+            assert abs(sol.gm.a - g_ref) <= 1e-10
+            assert abs(sol.correlator - c_ref) <= 1e-10
+            assert sol.residual <= 1e-10
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("sigma", [0.6, 1.0, 1.7])
+def test_single_handoff_matches_circular_law(sigma):
+    rmap = ginibre_rmap(sigma)
+    for k in range(12):
+        for frac in INSIDE_FRACTIONS:
+            z = cmath.rect(frac * sigma, -math.pi + 2.0 * math.pi * (k + 0.5) / 12)
+            sol = solve_single(rmap, z)
+            assert sol.branch == "nonholomorphic"
+            assert abs(sol.gm.a - z.conjugate() / sigma ** 2) <= 1e-10
+            assert abs(sol.correlator - (1.0 - frac ** 2) / sigma ** 2) <= 1e-10
+
+
+@DIFFERENTIAL
+@given(ELLIPTIC, ELLIPTIC, POINTS)
+def test_handoff_matches_fully_damped_solve(rmap_a, rmap_b, z):
+    sol = solve_product(rmap_a, rmap_b, z)
+    want = fully_damped(solve_product, rmap_a, rmap_b, z)
+    assert sol.residual <= 1e-10
+    assert sol.branch == want.branch
+    assert close(sol.gm.a, want.gm.a)
+    assert abs(sol.correlator - want.correlator) <= 1e-10
+    assert sol.iterations <= want.iterations
+
+
+@DIFFERENTIAL
+@given(ROTATION_INVARIANT, ROTATION_INVARIANT, POINTS)
+def test_handoff_branch_follows_indicator(rmap_a, rmap_b, z):
+    sol = solve_product(rmap_a, rmap_b, z)
+    indicator = branch_indicator(rmap_a, rmap_b, z)
+    assert sol.residual <= 1e-10
+    if abs(indicator) > 1e-8:
+        assert (sol.branch == "nonholomorphic") == (indicator > 0)
+
+
+def test_handoff_cuts_iterations_on_generic_grid():
+    # the sigma = 2, shift = 2 Ginibre pair, 4 x the limacon: the generic route
+    rmap = elliptic_rmap(2.0, 0.0, 2.0)
+    grid = GridSpec(kind="polar", ranges=((1.2, 7.2), (0.6, 2.2)), resolution=(10, 9))
+    used = oracle = inside = 0
+    for z in grid.points().ravel():
+        sol = solve_product(rmap, rmap, complex(z))
+        want = fully_damped(solve_product, rmap, rmap, complex(z))
+        assert sol.branch == want.branch
+        assert sol.iterations <= want.iterations
+        inside += sol.branch == "nonholomorphic"
+        used += sol.iterations
+        oracle += want.iterations
+    assert inside > 20
+    assert used < oracle
+
+
+@DIFFERENTIAL
+@given(SIGMAS, SIGMAS, st.floats(0.05, 3.0), st.floats(-math.pi, math.pi),
+       st.floats(-math.pi, math.pi))
+def test_centered_product_rotation_invariance(sa, sb, frac, phi, theta):
+    # R-diagonal factors: G11(z e^{i theta}) = e^{-i theta} G11(z), same correlator
+    rmap_a, rmap_b = elliptic_rmap(sa), elliptic_rmap(sb)
+    z = cmath.rect(frac * sa * sb, phi)
+    base = solve_product(rmap_a, rmap_b, z)
+    turned = solve_product(rmap_a, rmap_b, z * cmath.exp(1j * theta))
+    assert abs(turned.gm.a - cmath.exp(-1j * theta) * base.gm.a) <= 1e-10
+    assert abs(turned.correlator - base.correlator) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # closed-form limacon reference
 # ---------------------------------------------------------------------------
 
