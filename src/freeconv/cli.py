@@ -446,30 +446,17 @@ def cmd_transform(cfg: JobConfig) -> int:
     return 0
 
 
-def _solve_grid(cfg: JobConfig, rmap_a, rmap_b):
-    """Solve the product system at every grid node; None marks a failed node."""
-    points = cfg.grid.points()
-    sols = []
-    for z in points.ravel():
-        try:
-            sols.append(nonhermitian.solve_product(rmap_a, rmap_b, complex(z)))
-        except FreeconvError:
-            sols.append(None)
-    return points, sols
-
-
 def cmd_solve_product(cfg: JobConfig) -> int:
     """Per-point product Green's functions (a, b, C, branch, residual) on a grid."""
     _, rmap_a = analytic_transforms(cfg.ensemble_a)
     _, rmap_b = analytic_transforms(cfg.ensemble_b)
-    points, sols = _solve_grid(cfg, rmap_a, rmap_b)
+    points = cfg.grid.points()
+    sols, g11 = nonhermitian._solve_nodes(rmap_a, rmap_b, points)
     n0, n1 = points.shape
-    failures = sum(1 for s in sols if s is None)
+    failures = sols.count(None)
 
     rot = None
     if min(cfg.grid.resolution) >= 5:
-        g11 = np.array([s.gm.a if s is not None else complex("nan")
-                        for s in sols]).reshape(points.shape)
         _, rot = nonhermitian._divergence_rho(cfg.grid, g11)
 
     axis_names = ("x", "y") if cfg.grid.kind == "cartesian" else ("r", "phi")
@@ -497,9 +484,7 @@ def cmd_solve_product(cfg: JobConfig) -> int:
 
     summary = {"points": n0 * n1, "failed": failures}
     if rot is not None:
-        core = rot[1:-1, 1:-1]
-        finite = core[np.isfinite(core)]
-        summary["rot_residual"] = float(np.max(np.abs(finite))) if finite.size else None
+        summary["rot_residual"] = _json_cell(nonhermitian._rot_residual(rot))
     _write_table(cfg, summary, header, rows)
     if failures == n0 * n1:
         print(f"error: all {failures} grid points failed to solve", file=sys.stderr)

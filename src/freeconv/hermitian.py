@@ -47,7 +47,6 @@ class ScalarTransform:
     r_deriv may be omitted; solvers fall back to a central difference.
     kappa1 = R(0) is stored explicitly because the S-transform machinery and
     the homotopy ladder both need it cheaply and exactly.
-    cumulants, when present, lists (kappa1, kappa2, ...) up to some order.
     affine, when present, is (c, alpha) with R(g) = c + alpha g exactly; the
     product law then solves its auxiliary pair in closed form, and for
     alpha = 0 green_from_r returns the exact root 1/(z - c).
@@ -57,7 +56,6 @@ class ScalarTransform:
     r_eval: Callable[[complex], complex]
     kappa1: complex
     r_deriv: Optional[Callable[[complex], complex]] = None
-    cumulants: Optional[tuple] = None
     affine: Optional[tuple] = None
 
     def deriv(self, g: complex) -> complex:
@@ -74,7 +72,6 @@ def constant_transform(c: complex, name: str = None) -> ScalarTransform:
         r_eval=lambda g: c,
         r_deriv=lambda g: 0.0,
         kappa1=c,
-        cumulants=(c,),
         affine=(c, 0.0),
     )
 
@@ -87,7 +84,6 @@ def gaussian_transform(sigma: float = 1.0, name: str = None) -> ScalarTransform:
         r_eval=lambda g: s2 * g,
         r_deriv=lambda g: s2,
         kappa1=0.0,
-        cumulants=(0.0, s2),
         affine=(0.0, s2),
     )
 
@@ -101,17 +97,12 @@ def shifted_gaussian_transform(shift: complex = 1.0, sigma: float = 1.0,
         r_eval=lambda g: shift + s2 * g,
         r_deriv=lambda g: s2,
         kappa1=shift,
-        cumulants=(shift, s2),
         affine=(shift, s2),
     )
 
 
 def free_add(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTransform:
     """Free additive convolution: R transforms add."""
-    cumulants = None
-    if ta.cumulants is not None and tb.cumulants is not None:
-        k = min(len(ta.cumulants), len(tb.cumulants))
-        cumulants = tuple(ta.cumulants[i] + tb.cumulants[i] for i in range(k))
     deriv = None
     if ta.r_deriv is not None and tb.r_deriv is not None:
         deriv = lambda g: ta.r_deriv(g) + tb.r_deriv(g)
@@ -120,7 +111,6 @@ def free_add(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTransform:
         r_eval=lambda g: ta.r_eval(g) + tb.r_eval(g),
         r_deriv=deriv,
         kappa1=ta.kappa1 + tb.kappa1,
-        cumulants=cumulants,
     )
 
 
@@ -243,13 +233,6 @@ def green_from_r(transform: ScalarTransform, z: complex,
                             branch_certificate=certificate)
 
 
-def green_derivative(transform: ScalarTransform, z: complex,
-                     tol: float = 1e-12) -> complex:
-    """dg/dz via implicit differentiation of g (z - R(g)) = 1."""
-    g = green_from_r(transform, z, tol).g
-    return -g * g / (1.0 - g * g * transform.deriv(g))
-
-
 def density_real(transform: ScalarTransform, lam: float,
                  epsilon: float = 1e-6) -> float:
     """Spectral density on the real axis from two Green's evaluations.
@@ -365,7 +348,6 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
         r_eval=r_eval,
         r_deriv=r_deriv,
         kappa1=ta.kappa1 * tb.kappa1,
-        cumulants=None,
         affine=affine,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -38,6 +38,10 @@ from .grids import GridSpec
 from . import hermitian
 from .hermitian import ScalarTransform
 
+_TOL = 1e-12          # target of the point solvers' Newton polish and certificates
+_IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
+_RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
+_MAX_FP = 400          # cap on the damped fixed-point steps before the hand-off
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
 _HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
 
@@ -139,23 +143,20 @@ def gue_rmap(sigma: float = 1.0) -> MatrixRMap:
 
 
 def constant_rmap(c: complex, name: str = None) -> MatrixRMap:
-    """Deterministic matrix c * I: R is the constant diag(c, conj c)."""
-    c = complex(c)
-
-    def apply_q(g: QuaternionicGreen) -> QuaternionicGreen:
-        return QuaternionicGreen(c, 0.0)
-
-    def apply_matrix(m: Complex2x2) -> Complex2x2:
-        return Complex2x2.diagonal(c, c.conjugate())
-
-    return MatrixRMap(name=name or f"const({c})", apply_q=apply_q, kappa1=c,
-                      apply_matrix=apply_matrix,
-                      meta={"kind": "constant", "shift": c})
+    """Deterministic matrix c * I: the elliptic map with sigma = 0, shift = c."""
+    return elliptic_rmap(sigma=0.0, shift=c, name=name or f"const({complex(c)})")
 
 
 def shifted_rmap(base: MatrixRMap, shift: complex, name: str = None) -> MatrixRMap:
-    """Add a deterministic shift * I to an existing map."""
+    """Add a deterministic shift * I to an existing map.
+
+    An elliptic base stays elliptic, with the two shifts added.
+    """
     c = complex(shift)
+    label = name or f"{base.name}+{shift}"
+    if base._elliptic():
+        m = base.meta
+        return elliptic_rmap(m["sigma"], m["tau"], m["shift"] + c, name=label)
 
     def apply_q(g: QuaternionicGreen) -> QuaternionicGreen:
         inner = base.apply_q(g)
@@ -166,13 +167,8 @@ def shifted_rmap(base: MatrixRMap, shift: complex, name: str = None) -> MatrixRM
         def apply_matrix(m: Complex2x2) -> Complex2x2:
             return Complex2x2.diagonal(c, c.conjugate()) + base.apply_matrix(m)
 
-    meta = None
-    if base.meta is not None and base.meta.get("kind") == "elliptic":
-        meta = dict(base.meta)
-        meta["shift"] = meta.get("shift", 0.0) + c
-    return MatrixRMap(name=name or f"{base.name}+{shift}",
-                      apply_q=apply_q, kappa1=base.kappa1 + c,
-                      apply_matrix=apply_matrix, meta=meta)
+    return MatrixRMap(name=label, apply_q=apply_q, kappa1=base.kappa1 + c,
+                      apply_matrix=apply_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +218,14 @@ def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> floa
          [e^{-i phi} L_B (conj(g) + |g|^2 s_A s_B),  |s_B|^2 |g|^2 L_A]]
 
     where s_X are the diagonal self-energies, L_X the off-diagonal couplings,
-    and g the holomorphic Green's function of the product.
+    and g the holomorphic Green's function of the product.  Evaluated by
+    _holomorphic_probe; raises ConvergenceError where the holomorphic
+    solution at z fails its certificate.
     """
-    return _holomorphic_probe(rmap_a, rmap_b, z)[0]
+    indicator, _, ok = _holomorphic_probe(rmap_a, rmap_b)(z)
+    if not ok:
+        raise ConvergenceError(f"no certified holomorphic product solution at z = {z}")
+    return float(indicator)
 
 
 def _stability_radius(z, g, sa, sb, la, lb):
@@ -245,49 +246,68 @@ def _stability_radius(z, g, sa, sb, la, lb):
     return np.maximum(abs(half_tr + disc), abs(half_tr - disc)) - 1.0
 
 
-def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-                       tol: float = 1e-12):
-    """(branch_indicator value, holomorphic ProductGreens) at z."""
-    ta = rmap_a.diagonal_section()
-    tb = rmap_b.diagonal_section()
-    pg = hermitian.multiply_r_system(ta, tb, z, tol)
-    radius = _stability_radius(z, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a),
-                               rmap_a.b_coupling(pg.g_b), rmap_b.b_coupling(pg.g_a))
-    return float(radius), pg
+def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
+    """The holomorphic product solution of a pair, as a function of z.
 
-
-def _constant_pair(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
-    """((c_A, alpha_A), (c_B, alpha_B), L_A, L_B) when the holomorphic product
-    of two elliptic maps has the constant R_AB = c_A c_B, else None."""
-    if not (rmap_a._elliptic() and rmap_b._elliptic()):
-        return None
-    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
-    if hermitian.product_r_transform(ta, tb).affine is None:
-        return None
-    return ta.affine, tb.affine, rmap_a.b_coupling(0.0), rmap_b.b_coupling(0.0)
-
-
-def _constant_probe(pair, z: np.ndarray, tol: float = 1e-12):
-    """_holomorphic_probe on an array of z for a _constant_pair.
-
-    g = 1/(z - c_A c_B) is the exact root, and the auxiliary pair is
-    g_a = g R_A(g_b), g_b = g R_B(g_a) in closed form (D = 1 here).  Returns
-    (indicator, ProductGreens of arrays, ok): ok is False where the three
-    product residuals fail multiply_r_system's certificate (including the
-    pole, where they are NaN) or at z = 0, as the scalar route raises there.
+    The returned probe maps z, a complex scalar or a 1-d array, to
+    (indicator, ProductGreens, ok) of the same shape: branch_indicator's
+    values, the holomorphic solution (g, g_a, g_b and the worst of its three
+    residuals), and a mask that is False where the solve failed or missed
+    multiply_r_system's certificate.  Callers treat a failed point as
+    inside, where the holomorphic solution is lost.  The route is chosen
+    once per pair.  A constant R_AB = c_A c_B (see
+    hermitian.product_r_transform; every tau = 0 pair) has the exact root
+    g = 1/(z - c_A c_B) and a closed-form auxiliary pair, evaluated with
+    numpy ufuncs on all of z at once (the residuals are NaN at the pole, and
+    z = 0 fails as on the other route); probe.vectorized is then True.
+    Every other pair solves hermitian.multiply_r_system point by point.
     """
-    (ca, aa), (cb, ab), la, lb = pair
-    with np.errstate(all="ignore"):
-        g = 1.0 / (z - ca * cb)
-        ga = g * (ca + g * aa * cb)
-        gb = g * (cb + g * ab * ca)
-        sa = ca + aa * gb
-        sb = cb + ab * ga
-        residual = np.maximum.reduce([abs(g - 1.0 / (z - sa * sb)),
-                                      abs(ga - g * sa), abs(gb - g * sb)])
-        indicator = _stability_radius(z, g, sa, sb, la, lb)
-    ok = (residual <= 10.0 * tol) & (z != 0)
-    return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    if hermitian.product_r_transform(ta, tb).affine is not None:
+        # only elliptic maps declare affine sections; their b-couplings are
+        # the constants sigma^2
+        (ca, aa), (cb, ab) = ta.affine, tb.affine
+        la, lb = rmap_a.b_coupling(0.0), rmap_b.b_coupling(0.0)
+
+        def probe(z):
+            # a scalar z becomes a numpy scalar: numpy's division (inf/NaN at
+            # the pole, not ZeroDivisionError) without an array's overhead
+            z = np.asarray(z)[()]
+            with np.errstate(all="ignore"):
+                g = 1.0 / (z - ca * cb)
+                ga = g * (ca + g * aa * cb)
+                gb = g * (cb + g * ab * ca)
+                sa = ca + aa * gb
+                sb = cb + ab * ga
+                residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
+                                                 abs(ga - g * sa)), abs(gb - g * sb))
+                indicator = _stability_radius(z, g, sa, sb, la, lb)
+            ok = (residual <= 10.0 * _TOL) & (z != 0)
+            return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+
+        probe.vectorized = True
+        return probe
+
+    def probe(z):
+        z = np.asarray(z)
+        indicator, residual = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
+        g, ga, gb = (np.full(z.shape, np.nan + 0j) for _ in range(3))
+        ok = np.zeros(z.shape, dtype=bool)
+        for k, zk in np.ndenumerate(z):
+            zk = complex(zk)
+            try:
+                pg = hermitian.multiply_r_system(ta, tb, zk, _TOL)
+            except (ConvergenceError, BranchUndecidedError):
+                continue
+            indicator[k] = _stability_radius(
+                zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a),
+                rmap_a.b_coupling(pg.g_b), rmap_b.b_coupling(pg.g_a))
+            g[k], ga[k], gb[k], residual[k] = pg
+            ok[k] = True
+        return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+
+    probe.vectorized = False
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +320,7 @@ def _single_residual(rmap: MatrixRMap, z: complex, g: QuaternionicGreen) -> floa
     return (g.embed() - invert(zmat - rmap.apply(g))).norm_max()
 
 
-def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
-                 max_fp: int = 400) -> NonHermSolution:
+def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     """Solve G = (Z - R(G))^{-1} for one matrix ensemble at one point.
 
     Chooses the branch by the stability of the holomorphic solution, then
@@ -314,7 +333,7 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
     phase_split(z)  # reject the origin up front
     try:
         # stability of the holomorphic solution: L |g|^2 - 1 > 0 means inside
-        g = hermitian.green_from_r(rmap.diagonal_section(), z, tol).g
+        g = hermitian.green_from_r(rmap.diagonal_section(), z, _TOL).g
         unstable = abs(rmap.b_coupling(g)) * abs(g) ** 2 - 1.0 > 0.0
     except (ConvergenceError, BranchUndecidedError):
         unstable = True
@@ -332,7 +351,7 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
 
     q = QuaternionicGreen(0.0, 0.1)
     iterations = 0
-    for iterations in range(1, max_fp + 1):
+    for iterations in range(1, _MAX_FP + 1):
         nxt = fp_step(q)
         step = max(abs(nxt.a - q.a), abs(nxt.b - q.b))
         q = QuaternionicGreen(q.a + 0.5 * (nxt.a - q.a), q.b + 0.5 * (nxt.b - q.b))
@@ -343,9 +362,9 @@ def solve_single(rmap: MatrixRMap, z: complex, tol: float = 1e-12,
         nxt = fp_step(QuaternionicGreen(*c))
         return nxt.a, nxt.b
 
-    q = QuaternionicGreen(*_newton_polish(fp_values, (q.a, q.b), tol))
+    q = QuaternionicGreen(*_newton_polish(fp_values, (q.a, q.b), _TOL))
     res = _single_residual(rmap, z, q)
-    if res > max(tol * 10.0, 1e-10):
+    if res > max(_TOL * 10.0, 1e-10):
         raise ConvergenceError(f"single-matrix solve stalled at z = {z}", residual=res)
     corr = eigenvector_correlator(q)
     branch = "holomorphic" if corr <= _COLLAPSE else "nonholomorphic"
@@ -436,14 +455,17 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     return sal, sbr, (r_gm, r_ga, r_gb)
 
 
-def _holomorphic_product(rmap_a, rmap_b, z, tol, pg=None):
-    """Holomorphic-branch solution, from pg when the caller already solved it."""
-    if pg is None:
-        pg = hermitian.multiply_r_system(rmap_a.diagonal_section(),
-                                         rmap_b.diagonal_section(), z, tol)
-    gm = QuaternionicGreen(pg.g, 0.0)
-    qa = QuaternionicGreen(pg.g_a, 0.0)
-    qb = QuaternionicGreen(pg.g_b, 0.0)
+def _holomorphic_product(rmap_a, rmap_b, z, at_z=None):
+    """Holomorphic-branch solution from the probe's result at_z at z, which
+    is computed here when the caller has none."""
+    if at_z is None:
+        at_z = _holomorphic_probe(rmap_a, rmap_b)(z)
+    _, pg, ok = at_z
+    if not ok:
+        raise ConvergenceError(f"no certified holomorphic product solution at z = {z}")
+    gm = QuaternionicGreen(complex(pg.g), 0.0)
+    qa = QuaternionicGreen(complex(pg.g_a), 0.0)
+    qb = QuaternionicGreen(complex(pg.g_b), 0.0)
     psi = phase_split(z).psi
     res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
     return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=0.0,
@@ -451,7 +473,6 @@ def _holomorphic_product(rmap_a, rmap_b, z, tol, pg=None):
 
 
 def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-                  tol: float = 1e-12, max_fp: int = 400,
                   branch: str = None) -> NonHermSolution:
     """Solve the free-product Green's system for M = A B at one point.
 
@@ -461,37 +482,34 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         G_A = [G_M [R_A(G_B)]^L]^L,   G_B = [[R_B(G_A)]^R G_M]^R,
 
     with the one-sided rotations taken at half the phase of z.  The branch is
-    chosen by branch_indicator, whose holomorphic solution is also the result
-    outside the support.  Inside, a damped fixed point runs until its update
-    is below _HANDOFF and then hands off to a least-squares Newton polish,
-    which converges the nonholomorphic solution to tol; iterations counts the
-    damped steps taken before the hand-off.
+    chosen by one call of _holomorphic_probe, whose holomorphic solution is
+    also the result outside the support; a failed probe counts as inside.
+    Inside, a damped fixed point runs until its update is below _HANDOFF and
+    then hands off to a least-squares Newton polish, which converges the
+    nonholomorphic solution to _TOL; iterations counts the damped steps
+    taken before the hand-off.
     branch ("nonholomorphic" or "holomorphic") skips the indicator probe when
     the caller already classified z, e.g. for the arms of a tight stencil
     classified once at its center; a wrong "nonholomorphic" hint is caught by
     the collapse detector, which falls back to the holomorphic branch.
     """
     psi = phase_split(z).psi
-    pg = None  # holomorphic solution, once the probe has computed it
+    at_z = None  # the probe's result at z, once computed
     if branch is not None:
         inside = branch == "nonholomorphic"
     else:
-        try:
-            indicator, pg = _holomorphic_probe(rmap_a, rmap_b, z, tol)
-            inside = indicator > 0.0
-        except (ConvergenceError, BranchUndecidedError):
-            # the holomorphic scalar branch itself is lost here, which only
-            # happens deep inside the support; let the full iteration decide
-            inside = True
+        at_z = _holomorphic_probe(rmap_a, rmap_b)(z)
+        indicator, _, ok = at_z
+        inside = not ok or indicator > 0.0
 
     if not inside:
-        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
+        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
 
     qa = QuaternionicGreen(0.0, 0.1)
     qb = QuaternionicGreen(0.0, 0.1)
     iterations = 0
     collapsed = False
-    for iterations in range(1, max_fp + 1):
+    for iterations in range(1, _MAX_FP + 1):
         na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
         step = max(abs(na.a - qa.a), abs(na.b - qa.b),
                    abs(nb.a - qb.a), abs(nb.b - qb.b))
@@ -507,22 +525,22 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         # the iteration sank to the holomorphic branch; either z is outside
         # after all (indicator failed) or marginally inside, where the two
         # branches coincide to solver precision
-        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
+        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
 
     def pair_values(c):
         na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, QuaternionicGreen(c[0], c[1]),
                                   QuaternionicGreen(c[2], c[3]))
         return na.a, na.b, nb.a, nb.b
 
-    a_a, a_b, b_a, b_b = _newton_polish(pair_values, (qa.a, qa.b, qb.a, qb.b), tol)
+    a_a, a_b, b_a, b_b = _newton_polish(pair_values, (qa.a, qa.b, qb.a, qb.b), _TOL)
     qa, qb = QuaternionicGreen(a_a, a_b), QuaternionicGreen(b_a, b_b)
     _, _, gm = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
     corr = abs(qa.b) * abs(qb.b)
     if corr <= _COLLAPSE:
         # Newton landed on the holomorphic root
-        return _holomorphic_product(rmap_a, rmap_b, z, tol, pg)
+        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
     res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
-    if res > max(10.0 * tol, 1e-10):
+    if res > max(10.0 * _TOL, 1e-10):
         raise ConvergenceError(f"product solve stalled at z = {z}", residual=res)
     return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr,
                            branch="nonholomorphic", residual=res,
@@ -551,7 +569,7 @@ class BoundaryResult:
 
 
 def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
-                   angular_samples: int = 64, radial_tolerance: float = 1e-5,
+                   angular_samples: int = 64,
                    r_min: float = 1e-4, r_max: float = None,
                    angles=None) -> BoundaryResult:
     """Locate the support boundary of A B along rays, all rays in lockstep.
@@ -560,15 +578,17 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     crosses zero transversally at the boundary.  Each ray first finds an
     outside radius (r_max, doubled up to twice when r_max is the internal
     estimate), then scans 24 steps inward to the first inside radius, then
-    narrows that bracket below radial_tolerance by Illinois regula falsi,
+    narrows that bracket below _RADIAL_TOL by Illinois regula falsi,
     which converges superlinearly on the transversal crossing.  Each step is
     projected to within reach of bisection's schedule (the projection of the
     ITP method, Oliveira & Takahashi, ACM TOMS 47, 2021), so no ray takes
     more steps than bisection would.  The outermost crossing is returned on
-    rays that enter and leave the support more than once.  Pairs with a
-    constant R_AB evaluate each round as one array in closed form; other
-    pairs solve point by point, and scan only up to each ray's first inside
-    radius.  A point whose solve fails counts as inside.
+    rays that enter and leave the support more than once.  Every round is
+    one call of the pair's _holomorphic_probe, built once per call.  On its
+    closed-form (vectorized) route the whole scan is one round; on the
+    point-by-point route the scan advances one step per round, so no ray
+    evaluates past its first inside radius.  A point whose solve fails
+    counts as inside, and is counted in failed_solves.
     """
     if angles is None:
         if angular_samples < 8:
@@ -580,24 +600,15 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     expandable = r_max is None  # only the internal estimate may be enlarged
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0
-    pair = _constant_pair(rmap_a, rmap_b)
+    probe = _holomorphic_probe(rmap_a, rmap_b)
     phis = np.array(angles, dtype=float)
     failed = 0
 
     def indicator(r: np.ndarray, rays: np.ndarray):
-        """Indicator values at radii r on the given rays, and the failed mask."""
-        z = r * np.exp(1j * phis[rays])
-        if pair is not None:
-            values, _, ok = _constant_probe(pair, z)
-            return np.where(ok, values, 1.0), ~ok
-        values = np.empty(len(z))
-        bad = np.zeros(len(z), dtype=bool)
-        for k, zk in enumerate(z):
-            try:
-                values[k] = branch_indicator(rmap_a, rmap_b, complex(zk))
-            except (ConvergenceError, BranchUndecidedError):
-                values[k], bad[k] = 1.0, True  # scalar branch loss only happens inside
-        return values, bad
+        """Indicator values at radii r on the given rays, and the failed mask;
+        a failed point reads as inside."""
+        values, _, ok = probe(r * np.exp(1j * phis[rays]))
+        return np.where(ok, values, 1.0), ~ok
 
     # outward probe: find an outside radius r_hi on every ray
     n_scan = 24
@@ -621,7 +632,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     k = np.arange(n_scan + 1)
     radii[:] = radii[:, :1] + (r_min - radii[:, :1]) * k / n_scan
     rays = np.flatnonzero(~empty)
-    width = n_scan if pair is not None else 1
+    width = n_scan if probe.vectorized else 1
     first = np.zeros(len(angles), dtype=int)  # column of the first inside radius
     for col in range(1, n_scan + 1, width):
         if not rays.size:
@@ -649,8 +660,8 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     moved = np.zeros(len(rays), dtype=int)  # +1: lo moved last, -1: hi moved last
     # bisection's step count; a step never leaves a bracket wider than
     # bisection's after as many steps, so no ray evaluates more points
-    budget = np.ceil(np.log2((hi - lo) / radial_tolerance))
-    todo = np.flatnonzero(hi - lo > radial_tolerance)
+    budget = np.ceil(np.log2((hi - lo) / _RADIAL_TOL))
+    todo = np.flatnonzero(hi - lo > _RADIAL_TOL)
     step = 0
     while todo.size:
         a, b, fa, fb = lo[todo], hi[todo], f_lo[todo], f_hi[todo]
@@ -660,13 +671,13 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         secant = np.where(np.isfinite(secant), secant, mid)
         step += 1
         # the margin absorbs rounding in the schedule
-        schedule = (1.0 - 1e-6) * radial_tolerance * 2.0 ** (budget[todo] - step)
+        schedule = (1.0 - 1e-6) * _RADIAL_TOL * 2.0 ** (budget[todo] - step)
         reach = np.maximum(schedule - 0.5 * (b - a), 0.0)
         r = np.clip(secant, mid - reach, mid + reach)
         free = r == secant
-        # stay radial_tolerance / 2 clear of the ends, so the step after an
+        # stay _RADIAL_TOL / 2 clear of the ends, so the step after an
         # accurate one closes the bracket
-        r = np.clip(r, a + 0.5 * radial_tolerance, b - 0.5 * radial_tolerance)
+        r = np.clip(r, a + 0.5 * _RADIAL_TOL, b - 0.5 * _RADIAL_TOL)
         v, bad = indicator(r, rays[todo])
         failed += int(bad.sum())
         inside = v > 0.0
@@ -676,7 +687,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         f_lo[out[(moved[out] == -1) & free[~inside]]] *= 0.5
         lo[into], f_lo[into], moved[into] = r[inside], squash(v[inside]), 1
         hi[out], f_hi[out], moved[out] = r[~inside], squash(v[~inside]), -1
-        todo = todo[hi[todo] - lo[todo] > radial_tolerance]
+        todo = todo[hi[todo] - lo[todo] > _RADIAL_TOL]
 
     located = dict(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
     points = tuple((located[i], phi) for i, phi in enumerate(angles) if i in located)
@@ -819,7 +830,7 @@ class PointDensity(NamedTuple):
 
 
 def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-               step: float = None, tol: float = 1e-12) -> PointDensity:
+               step: float = None) -> PointDensity:
     """Pointwise density of M = A B from the divergence of the Green's field.
 
     Uses fourth-order central differences of G = (Re g11, -Im g11) on a local
@@ -834,10 +845,10 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         if abs(z) < 4.0 * step:
             step = abs(z) / 4.0  # keep the stencil clear of the origin
     h = float(step)
-    side = solve_product(rmap_a, rmap_b, z, tol=tol).branch
+    side = solve_product(rmap_a, rmap_b, z).branch
 
     def g_of(w: complex) -> complex:
-        return solve_product(rmap_a, rmap_b, w, tol=tol, branch=side).gm.a
+        return solve_product(rmap_a, rmap_b, w, branch=side).gm.a
 
     def d4(values):
         m2, m1, p1, p2 = values
@@ -855,7 +866,7 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
 
 
 def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
-                  tol: float = 1e-12, force_generic: bool = False) -> DensityField:
+                  force_generic: bool = False) -> DensityField:
     """Eigenvalue density of A B on a full grid.
 
     Registered pairs (centered elliptic x centered elliptic; unit-shift
@@ -880,24 +891,37 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
                             rot=np.zeros(points.shape), rot_residual=0.0,
                             route=f"closed-form:{law.kind}")
 
-    g11 = np.full(points.shape, np.nan + 0j, dtype=complex)
-    holes = 0
-    it = np.nditer(points, flags=["multi_index"])
-    for zv in it:
-        z = complex(zv)
-        try:
-            g11[it.multi_index] = solve_product(rmap_a, rmap_b, z, tol=tol).gm.a
-        except (ConvergenceError, BranchUndecidedError, FreeconvError):
-            holes += 1
+    sols, g11 = _solve_nodes(rmap_a, rmap_b, points)
+    holes = sols.count(None)
     if holes > 0.05 * points.size:
         raise GridError(f"{holes} of {points.size} grid nodes failed to solve")
 
     rho, rot = _divergence_rho(grid, g11)
-    rot_core = rot[1:-1, 1:-1]  # edge rows use one-sided stencils; skip them
-    finite_rot = rot_core[np.isfinite(rot_core)]
-    rot_residual = float(np.max(np.abs(finite_rot))) if finite_rot.size else math.inf
     return DensityField(grid=grid, rho=rho, g11=g11, rot=rot,
-                        rot_residual=rot_residual, route="generic", holes=holes)
+                        rot_residual=_rot_residual(rot), route="generic", holes=holes)
+
+
+def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points: np.ndarray):
+    """solve_product at every node of points: the solutions in points.ravel()
+    order, None where the solve failed, and g11 shaped like points, NaN there.
+    """
+    sols = []
+    for z in points.ravel().tolist():
+        try:
+            sols.append(solve_product(rmap_a, rmap_b, z))
+        except FreeconvError:
+            sols.append(None)
+    g11 = np.array([s.gm.a if s is not None else complex("nan") for s in sols],
+                   dtype=complex).reshape(points.shape)
+    return sols, g11
+
+
+def _rot_residual(rot: np.ndarray) -> float:
+    """Worst finite |rot| off the grid's edge rows, which use one-sided
+    stencils; inf when there is none."""
+    core = rot[1:-1, 1:-1]
+    finite = core[np.isfinite(core)]
+    return float(np.max(np.abs(finite))) if finite.size else math.inf
 
 
 def _axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -999,7 +1023,7 @@ def _matrix_fixed_point(step, seed: Complex2x2, tol: float, max_iter: int = 600)
 
 
 def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
-                        rmap_b: MatrixRMap, tol: float = 1e-10) -> IdentityReport:
+                        rmap_b: MatrixRMap) -> IdentityReport:
     """Recompute defining residuals and the one-sided S factorization.
 
     The left S transform of A solves X = (R_A^L([X Y_L]^R))^{-1} with
@@ -1038,8 +1062,8 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     seed_a = Complex2x2.identity().scale(1.0 / rmap_a.kappa1)
     seed_b = Complex2x2.identity().scale(1.0 / rmap_b.kappa1)
     try:
-        s_left = _matrix_fixed_point(step_left, seed_a, tol)
-        s_right = _matrix_fixed_point(step_right, seed_b, tol)
+        s_left = _matrix_fixed_point(step_left, seed_a, _IDENTITY_TOL)
+        s_right = _matrix_fixed_point(step_right, seed_b, _IDENTITY_TOL)
     except ConvergenceError:
         return IdentityReport(s_status="non-convergent", s_left=None, s_right=None,
                               factorization_residual=None, **checks)

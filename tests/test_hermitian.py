@@ -17,7 +17,6 @@ from freeconv.hermitian import (
     density_real,
     free_add,
     gaussian_transform,
-    green_derivative,
     green_from_r,
     multiply_r_system,
     multiply_via_s,
@@ -61,13 +60,6 @@ def test_green_is_herglotz(z):
     # upper half plane maps to the lower half plane for any spectral measure
     assert green_from_r(GUE, z).g.imag < 0
     assert green_from_r(SHIFTED, z).g.imag < 0
-
-
-@pytest.mark.parametrize("z", [0.5 + 1j, 2.2 + 0.3j, -1.0 + 0.7j])
-def test_green_derivative_matches_finite_difference(z):
-    h = 1e-6
-    fd = (green_from_r(GUE, z + h).g - green_from_r(GUE, z - h).g) / (2 * h)
-    assert green_derivative(GUE, z) == pytest.approx(fd, abs=1e-6)
 
 
 def test_density_semicircle_center():
