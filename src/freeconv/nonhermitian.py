@@ -12,6 +12,7 @@ collapse, which stays sharp arbitrarily close to the support edge.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -42,6 +43,7 @@ _TOL = 1e-12          # target of the point solvers' Newton polish and certifica
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
 _MAX_FP = 400          # cap on the damped fixed-point steps before the hand-off
+_MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
 _HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
 
@@ -324,11 +326,8 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     """Solve G = (Z - R(G))^{-1} for one matrix ensemble at one point.
 
     Chooses the branch by the stability of the holomorphic solution, then
-    solves the chosen branch with a damped fixed point that hands off to a
-    least-squares Newton polish once its update is below _HANDOFF (the
-    system has a one-parameter phase redundancy in b, so the Newton step is
-    computed in the minimal-norm sense).  iterations counts the damped steps
-    taken before the hand-off.
+    solves the nonholomorphic branch with _fixed_point; iterations counts its
+    damped steps.
     """
     phase_split(z)  # reject the origin up front
     try:
@@ -345,24 +344,13 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
                                correlator=eigenvector_correlator(q),
                                branch="holomorphic", residual=res)
 
-    def fp_step(q: QuaternionicGreen) -> QuaternionicGreen:
-        s = rmap.apply_q(q)
-        return qinv(QuaternionicGreen(z - s.a, -s.b))
-
-    q = QuaternionicGreen(0.0, 0.1)
-    iterations = 0
-    for iterations in range(1, _MAX_FP + 1):
-        nxt = fp_step(q)
-        step = max(abs(nxt.a - q.a), abs(nxt.b - q.b))
-        q = QuaternionicGreen(q.a + 0.5 * (nxt.a - q.a), q.b + 0.5 * (nxt.b - q.b))
-        if step < _HANDOFF:
-            break
-
-    def fp_values(c):
-        nxt = fp_step(QuaternionicGreen(*c))
+    def step(values):
+        s = rmap.apply_q(QuaternionicGreen(*values))
+        nxt = qinv(QuaternionicGreen(z - s.a, -s.b))
         return nxt.a, nxt.b
 
-    q = QuaternionicGreen(*_newton_polish(fp_values, (q.a, q.b), _TOL))
+    values, iterations = _fixed_point(step, (0.0, 0.1), _TOL)
+    q = QuaternionicGreen(*values)
     res = _single_residual(rmap, z, q)
     if res > max(_TOL * 10.0, 1e-10):
         raise ConvergenceError(f"single-matrix solve stalled at z = {z}", residual=res)
@@ -372,16 +360,24 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
                            branch=branch, residual=res, iterations=iterations)
 
 
-def _newton_polish(step, values, tol: float, max_newton: int = 40) -> list:
-    """Least-squares Newton for the fixed point values = step(values).
+def _fixed_point(step, values, tol: float):
+    """Fixed point values = step(values) of a sequence of complex unknowns.
 
-    values is a sequence of complex unknowns and step maps it to a sequence of
-    the same length.  Newton runs on the real and imaginary parts with a
-    forward-difference Jacobian; each step is the minimal-norm least-squares
-    solution, because the single and product systems carry a one-parameter
-    phase redundancy in b.  A breakdown of the least-squares solve (e.g. on
-    non-finite iterates) raises ConvergenceError.
+    A damped iteration (half-way to step(values)) carries the iterate into
+    Newton's basin; below a _HANDOFF update, or after _MAX_FP steps where the
+    multiplier is close to one, least-squares Newton takes over on the real
+    and imaginary parts (forward-difference Jacobian, minimal-norm steps for
+    the phase redundancy in b, at most _MAX_NEWTON steps) until the residual
+    is below 0.05 tol.  A breakdown of the least-squares solve (e.g. on
+    non-finite iterates) raises ConvergenceError.  Returns the values and
+    the number of damped steps taken.
     """
+    for iterations in range(1, _MAX_FP + 1):
+        nxt = step(values)
+        delta = max([abs(n - v) for n, v in zip(nxt, values)])
+        values = [v + 0.5 * (n - v) for n, v in zip(nxt, values)]
+        if delta < _HANDOFF:
+            break
 
     def pack(cs):
         return np.array([part for c in cs for part in (c.real, c.imag)])
@@ -394,7 +390,7 @@ def _newton_polish(step, values, tol: float, max_newton: int = 40) -> list:
 
     x = pack(values)
     n = len(x)
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         f = fval(x)
         if np.max(np.abs(f)) < 0.05 * tol:
             break
@@ -412,7 +408,7 @@ def _newton_polish(step, values, tol: float, max_newton: int = 40) -> list:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"least-squares Newton step failed: {exc}") from exc
         x = x - dx
-    return unpack(x)
+    return unpack(x), iterations
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +416,23 @@ def _newton_polish(step, values, tol: float, max_newton: int = 40) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _product_step(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex, psi: float,
-                  qa: QuaternionicGreen, qb: QuaternionicGreen):
-    """One sweep of the coupled product system; returns (ga', gb', gm)."""
-    u = cmath.exp(1j * psi)
-    sa = rmap_a.apply_q(qb)
-    sb = rmap_b.apply_q(qa)
+def _product_sweep(rmap_a, rmap_b, z, u, values):
+    """Sigma_A^L, Sigma_B^R and G_M of the coupled product system at the flat
+    values (a_A, b_A, a_B, b_B), with u = e^{i psi}."""
+    a_a, b_a, a_b, b_b = values
+    sa = rmap_a.apply_q(QuaternionicGreen(a_b, b_b))
+    sb = rmap_b.apply_q(QuaternionicGreen(a_a, b_a))
     sal = QuaternionicGreen(sa.a, sa.b * u)     # [Sigma_A]^L
     sbr = QuaternionicGreen(sb.a, sb.b / u)     # [Sigma_B]^R
     sm = qmul(sal, sbr)
-    gm = qinv(QuaternionicGreen(z - sm.a, -sm.b))
-    ga_raw = qmul(gm, sal)
-    gb_raw = qmul(sbr, gm)
-    ga = QuaternionicGreen(ga_raw.a, ga_raw.b * u)   # [G_M Sigma_A^L]^L
-    gb = QuaternionicGreen(gb_raw.a, gb_raw.b / u)   # [Sigma_B^R G_M]^R
-    return ga, gb, gm
+    return sal, sbr, qinv(QuaternionicGreen(z - sm.a, -sm.b))
+
+
+def _product_step(rmap_a, rmap_b, z, u, values):
+    """One sweep of the coupled product system on the flat values."""
+    sal, sbr, gm = _product_sweep(rmap_a, rmap_b, z, u, values)
+    ga, gb = qmul(gm, sal), qmul(sbr, gm)
+    return ga.a, ga.b * u, gb.a, gb.b / u  # [G_M Sigma_A^L]^L, [Sigma_B^R G_M]^R
 
 
 def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
@@ -484,14 +482,13 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     with the one-sided rotations taken at half the phase of z.  The branch is
     chosen by one call of _holomorphic_probe, whose holomorphic solution is
     also the result outside the support; a failed probe counts as inside.
-    Inside, a damped fixed point runs until its update is below _HANDOFF and
-    then hands off to a least-squares Newton polish, which converges the
-    nonholomorphic solution to _TOL; iterations counts the damped steps
-    taken before the hand-off.
+    Inside, _fixed_point converges the nonholomorphic solution to _TOL;
+    iterations counts its damped steps.
     branch ("nonholomorphic" or "holomorphic") skips the indicator probe when
     the caller already classified z, e.g. for the arms of a tight stencil
-    classified once at its center; a wrong "nonholomorphic" hint is caught by
-    the collapse detector, which falls back to the holomorphic branch.
+    classified once at its center.  Under a wrong "nonholomorphic" hint the
+    fixed point sinks to b = 0, and a correlator at or below _COLLAPSE
+    returns the holomorphic branch.
     """
     psi = phase_split(z).psi
     at_z = None  # the probe's result at z, once computed
@@ -505,39 +502,14 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     if not inside:
         return _holomorphic_product(rmap_a, rmap_b, z, at_z)
 
-    qa = QuaternionicGreen(0.0, 0.1)
-    qb = QuaternionicGreen(0.0, 0.1)
-    iterations = 0
-    collapsed = False
-    for iterations in range(1, _MAX_FP + 1):
-        na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
-        step = max(abs(na.a - qa.a), abs(na.b - qa.b),
-                   abs(nb.a - qb.a), abs(nb.b - qb.b))
-        qa = QuaternionicGreen(qa.a + 0.5 * (na.a - qa.a), qa.b + 0.5 * (na.b - qa.b))
-        qb = QuaternionicGreen(qb.a + 0.5 * (nb.a - qb.a), qb.b + 0.5 * (nb.b - qb.b))
-        if abs(qa.b) < 1e-9 and abs(qb.b) < 1e-9 and iterations > 20:
-            collapsed = True
-            break
-        if step < _HANDOFF:
-            break
-
-    if collapsed:
-        # the iteration sank to the holomorphic branch; either z is outside
-        # after all (indicator failed) or marginally inside, where the two
-        # branches coincide to solver precision
-        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
-
-    def pair_values(c):
-        na, nb, _ = _product_step(rmap_a, rmap_b, z, psi, QuaternionicGreen(c[0], c[1]),
-                                  QuaternionicGreen(c[2], c[3]))
-        return na.a, na.b, nb.a, nb.b
-
-    a_a, a_b, b_a, b_b = _newton_polish(pair_values, (qa.a, qa.b, qb.a, qb.b), _TOL)
-    qa, qb = QuaternionicGreen(a_a, a_b), QuaternionicGreen(b_a, b_b)
-    _, _, gm = _product_step(rmap_a, rmap_b, z, psi, qa, qb)
+    u = cmath.exp(1j * psi)
+    values, iterations = _fixed_point(
+        functools.partial(_product_step, rmap_a, rmap_b, z, u), (0.0, 0.1, 0.0, 0.1), _TOL)
+    qa, qb = QuaternionicGreen(*values[:2]), QuaternionicGreen(*values[2:])
+    gm = _product_sweep(rmap_a, rmap_b, z, u, values)[2]
     corr = abs(qa.b) * abs(qb.b)
     if corr <= _COLLAPSE:
-        # Newton landed on the holomorphic root
+        # the fixed point sank to the holomorphic root b = 0
         return _holomorphic_product(rmap_a, rmap_b, z, at_z)
     res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
     if res > max(10.0 * _TOL, 1e-10):
@@ -839,23 +811,30 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     not straddle z = 0; pick step accordingly near the origin.  The whole
     stencil reuses the branch decided at the center, so the derivative is
     one-sided rather than mixed when z sits close to the support boundary.
+    A holomorphic center takes all eight arms from one call of
+    _holomorphic_probe and raises ConvergenceError if any arm fails it.
     """
     if step is None:
         step = 1e-4 * max(1.0, abs(z))
         if abs(z) < 4.0 * step:
             step = abs(z) / 4.0  # keep the stencil clear of the origin
     h = float(step)
+    offsets = (-2 * h, -h, h, 2 * h)
+    arms = [z + dx for dx in offsets] + [z + 1j * dy for dy in offsets]
     side = solve_product(rmap_a, rmap_b, z).branch
-
-    def g_of(w: complex) -> complex:
-        return solve_product(rmap_a, rmap_b, w, branch=side).gm.a
+    if side == "holomorphic":
+        _, pg, ok = _holomorphic_probe(rmap_a, rmap_b)(np.array(arms))
+        if not ok.all():
+            raise ConvergenceError(f"no certified holomorphic solution near z = {z}")
+        g = pg.g.tolist()
+    else:
+        g = [solve_product(rmap_a, rmap_b, w, branch=side).gm.a for w in arms]
 
     def d4(values):
         m2, m1, p1, p2 = values
         return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
 
-    gx = [g_of(z + dx) for dx in (-2 * h, -h, h, 2 * h)]
-    gy = [g_of(z + 1j * dy) for dy in (-2 * h, -h, h, 2 * h)]
+    gx, gy = g[:4], g[4:]
     dgx_dx = d4([v.real for v in gx])
     dgy_dy = d4([-v.imag for v in gy])
     dgy_dx = d4([-v.imag for v in gx])
@@ -996,26 +975,15 @@ class IdentityReport:
     commutator_norm: float
 
 
-def _matrix_fixed_point(step, seed: Complex2x2, tol: float, max_iter: int = 600):
-    """Damped fixed point handed off to a least-squares Newton polish.
-
-    The damping carries the iterate into the contraction basin; Newton takes
-    over once the update is small, because the plain iteration can contract
-    arbitrarily slowly where the support pinches (multiplier close to one).
-    """
-    x = seed
-    for _ in range(max_iter):
-        nxt = step(x)
-        delta = (nxt - x).norm_max()
-        x = x + (nxt - x).scale(0.5)
-        if delta < _HANDOFF:
-            break
+def _matrix_fixed_point(step, seed: Complex2x2, tol: float):
+    """Fixed point of step on 2x2 matrices, by _fixed_point on the entries;
+    raises ConvergenceError unless its update is below tol."""
 
     def entries(m: Complex2x2):
         return m.q11, m.q12, m.q21, m.q22
 
-    x = Complex2x2(*_newton_polish(lambda c: entries(step(Complex2x2(*c))),
-                                   entries(x), tol))
+    values, _ = _fixed_point(lambda c: entries(step(Complex2x2(*c))), entries(seed), tol)
+    x = Complex2x2(*values)
     delta = (step(x) - x).norm_max()
     if delta < tol:
         return x

@@ -98,10 +98,29 @@ def test_elliptic_rmap_rejects_nonfinite(kwargs):
         elliptic_rmap(**kwargs)
 
 
-def test_newton_polish_rejects_nonfinite_step():
-    # the Jacobian guard stops it before LAPACK sees the values
+def test_fixed_point_rejects_nonfinite_step():
+    # the Jacobian guard stops Newton before LAPACK sees the values
     with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
-        nonhermitian._newton_polish(lambda c: [complex(math.inf, 0.0)], [0.5], 1e-12)
+        nonhermitian._fixed_point(lambda c: [complex(math.inf, 0.0)], [0.5], 1e-12)
+
+
+def test_fixed_point_converges_a_contraction():
+    # v -> m v + c with |m| = 0.5 has the fixed point c / (1 - m)
+    m, c = 0.3 + 0.4j, (1.0 - 2.0j, 0.5j)
+    values, iterations = nonhermitian._fixed_point(
+        lambda v: [m * vk + ck for vk, ck in zip(v, c)], (0.0, 0.0), 1e-12)
+    assert 0 < iterations < nonhermitian._MAX_FP
+    assert max(abs(v - ck / (1.0 - m)) for v, ck in zip(values, c)) <= 1e-12
+
+
+def test_fixed_point_hands_slow_contractions_to_newton():
+    # multiplier 1 - 1e-4: the damped update shrinks by 5e-5 per step and is
+    # still above _HANDOFF after _MAX_FP steps, so Newton converges the rest
+    m, c = 1.0 - 1e-4, 1e-4 * (1.0 + 1.0j)
+    values, iterations = nonhermitian._fixed_point(lambda v: [m * v[0] + c], (0.0,), 1e-12)
+    assert iterations == nonhermitian._MAX_FP
+    assert abs(m * values[0] + c - values[0]) <= 1e-12
+    assert abs(values[0] - (1.0 + 1.0j)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +446,20 @@ def test_hole_point_takes_the_stable_root():
     assert abs(sol.gm.a - (-0.0228 + 0.197j)) <= 1e-3
 
 
+@pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED), TAU_PAIR],
+                         ids=["ginibre2", "limacon", "tau"])
+def test_wrong_nonholomorphic_hint_returns_holomorphic_branch(pair):
+    # the fixed point sinks to b = 0 outside, and the correlator check after
+    # Newton hands the point to the holomorphic solution; also 1% past the edge
+    edge = boundary_curve(*pair, angles=[0.3]).points[0][0]
+    for z in (cmath.rect(1.01 * edge, 0.3), 3.5 + 0.5j, -3.0 + 1.0j, 0.5 - 4.0j, 5.0, 2.0j):
+        assert branch_indicator(*pair, z) < 0.0
+        sol = solve_product(*pair, z, branch="nonholomorphic")
+        assert sol.branch == "holomorphic"
+        assert sol.gm.a == solve_product(*pair, z).gm.a
+        assert sol.residual <= 1e-10
+
+
 def test_boundary_gue_square_is_unit_circle():
     res = boundary_curve(gue_rmap(1.0), gue_rmap(1.0), angular_samples=8)
     assert len(res.points) == 8 and not res.empty_rays
@@ -748,6 +781,15 @@ def test_density_at_respects_rotation():
     assert a.rho == pytest.approx(1.0 / math.pi, rel=1e-6)
 
 
+@pytest.mark.parametrize("pair", [(SHIFTED, SHIFTED), TAU_PAIR])
+def test_density_at_outside_probes_the_stencil_once(pair, monkeypatch):
+    handed = counting_probes(monkeypatch)
+    got = density_at(*pair, cmath.rect(3.5, 1.0))
+    # one probe call classifies the center, one takes all eight arms
+    assert [np.size(z) for z in handed] == [1, 8]
+    assert abs(got.rho) <= 1e-6 and abs(got.rot) <= 1e-6
+
+
 def test_density_field_closed_circular():
     grid = GridSpec("polar", ((0.2, 0.8), (-3.0, 3.0)), (7, 9))
     fld = density_field(GIN, GIN, grid)
@@ -855,6 +897,18 @@ def test_identities_centered_reports_undefined():
     assert rep.gm_residual <= 1e-9
     assert rep.ga_residual <= 1e-9
     assert rep.gb_residual <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="the seed 1/kappa1 leads the one-sided S fixed "
+                   "points to roots that do not factorize R_M^-1")
+def test_identities_factorize_on_tau_pair():
+    # Newton from random seeds finds one-sided S fixed points here whose
+    # factorization residual is 2e-15; from 1/kappa1 it is 1.107
+    sol = solve_product(*TAU_PAIR, -0.6 - 0.25j)
+    assert sol.branch == "nonholomorphic"
+    rep = residual_identities(sol, *TAU_PAIR)
+    assert rep.s_status == "converged"
+    assert rep.factorization_residual <= 1e-8
 
 
 def test_identities_commuting_case():
