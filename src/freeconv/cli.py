@@ -451,13 +451,13 @@ def cmd_solve_product(cfg: JobConfig) -> int:
     _, rmap_a = analytic_transforms(cfg.ensemble_a)
     _, rmap_b = analytic_transforms(cfg.ensemble_b)
     points = cfg.grid.points()
-    sols, g11 = nonhermitian._solve_nodes(rmap_a, rmap_b, points)
+    solved = nonhermitian._solve_nodes(rmap_a, rmap_b, points)
     n0, n1 = points.shape
-    failures = sols.count(None)
+    failures = solved.failed
 
     rot = None
     if min(cfg.grid.resolution) >= 5:
-        _, rot = nonhermitian._divergence_rho(cfg.grid, g11)
+        _, rot = nonhermitian._divergence_rho(cfg.grid, solved.g11)
 
     axis_names = ("x", "y") if cfg.grid.kind == "cartesian" else ("r", "phi")
     header = [axis_names[0], axis_names[1], "z_re", "z_im", "a_re", "a_im",
@@ -469,8 +469,8 @@ def cmd_solve_product(cfg: JobConfig) -> int:
     for i in range(n0):
         for j in range(n1):
             z = complex(points[i, j])
-            sol = sols[i * n1 + j]
-            if sol is None:
+            sol = solved.outcomes[i * n1 + j]
+            if not isinstance(sol, nonhermitian.NonHermSolution):
                 row = [float(axis0[i]), float(axis1[j]), z.real, z.imag,
                        None, None, None, None, "", None, None, "failed"]
             else:
@@ -482,7 +482,8 @@ def cmd_solve_product(cfg: JobConfig) -> int:
                 row.append(float(rot[i, j]))
             rows.append(row)
 
-    summary = {"points": n0 * n1, "failed": failures}
+    summary = {"points": n0 * n1, "failed": failures,
+               "capped": solved.capped, "collapsed": solved.collapsed}
     if rot is not None:
         summary["rot_residual"] = _json_cell(nonhermitian._rot_residual(rot))
     _write_table(cfg, summary, header, rows)

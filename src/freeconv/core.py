@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OriginError, SingularMatrixError
 
 _DET_FLOOR = 1e-300
@@ -101,10 +103,12 @@ class QuaternionicGreen:
 
 def qmul(x: QuaternionicGreen, y: QuaternionicGreen) -> QuaternionicGreen:
     """Product of two structured matrices, staying in (a, b) form."""
-    return QuaternionicGreen(
-        x.a * y.a - x.b * y.b.conjugate(),
-        x.a * y.b + x.b * y.a.conjugate(),
-    )
+    return QuaternionicGreen(*qmul_parts(x.a, x.b, y.a, y.b))
+
+
+def qmul_parts(xa, xb, ya, yb):
+    """qmul on the (a, b) parts, which may be numpy arrays of matching shape."""
+    return xa * ya - xb * yb.conjugate(), xa * yb + xb * ya.conjugate()
 
 
 def qinv(x: QuaternionicGreen) -> QuaternionicGreen:
@@ -112,6 +116,14 @@ def qinv(x: QuaternionicGreen) -> QuaternionicGreen:
     if d <= _DET_FLOOR:
         raise SingularMatrixError(d)
     return QuaternionicGreen(x.a.conjugate() / d, -x.b / d)
+
+
+def qinv_parts(a: np.ndarray, b: np.ndarray):
+    """qinv on (a, b) parts held in numpy arrays, elementwise; NaN instead of
+    SingularMatrixError where the determinant underflows."""
+    d = abs(a) ** 2 + abs(b) ** 2
+    d = np.where(d > _DET_FLOOR, d, np.nan)
+    return a.conjugate() / d, -b / d
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ collapse, which stays sharp arbitrarily close to the support edge.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -24,8 +23,8 @@ from .core import (
     QuaternionicGreen,
     invert,
     phase_split,
-    qinv,
-    qmul,
+    qinv_parts,
+    qmul_parts,
     rotate_left,
     rotate_right,
 )
@@ -34,6 +33,7 @@ from .errors import (
     ConvergenceError,
     FreeconvError,
     GridError,
+    OriginError,
 )
 from .grids import GridSpec
 from . import hermitian
@@ -42,7 +42,8 @@ from .hermitian import ScalarTransform
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
-_MAX_FP = 400          # cap on the damped fixed-point steps before the hand-off
+_MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
+_IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
 _HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
@@ -344,71 +345,129 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
                                correlator=eigenvector_correlator(q),
                                branch="holomorphic", residual=res)
 
-    def step(values):
-        s = rmap.apply_q(QuaternionicGreen(*values))
-        nxt = qinv(QuaternionicGreen(z - s.a, -s.b))
-        return nxt.a, nxt.b
+    def step(x, nodes):
+        sa, sb = _apply_q(rmap, *x)
+        return np.array(qinv_parts(z - sa, -sb))
 
-    values, iterations = _fixed_point(step, (0.0, 0.1), _TOL)
-    q = QuaternionicGreen(*values)
+    fp = _fixed_point(step, np.array([[0.0], [0.1]], dtype=complex), _TOL, _MAX_FP)
+    if fp.failed[0]:
+        raise ConvergenceError(f"single-matrix solve hit non-finite values at z = {z}")
+    q = QuaternionicGreen(*fp.values[:, 0].tolist())
     res = _single_residual(rmap, z, q)
     if res > max(_TOL * 10.0, 1e-10):
         raise ConvergenceError(f"single-matrix solve stalled at z = {z}", residual=res)
     corr = eigenvector_correlator(q)
     branch = "holomorphic" if corr <= _COLLAPSE else "nonholomorphic"
-    return NonHermSolution(z=z, gm=q, ga=q, gb=q, correlator=corr,
-                           branch=branch, residual=res, iterations=iterations)
+    return NonHermSolution(z=z, gm=q, ga=q, gb=q, correlator=corr, branch=branch,
+                           residual=res, iterations=int(fp.iterations[0]))
 
 
-def _fixed_point(step, values, tol: float):
-    """Fixed point values = step(values) of a sequence of complex unknowns.
+def _apply_q(rmap: MatrixRMap, a: np.ndarray, b: np.ndarray):
+    """rmap.apply_q on arrays of (a, b): an elliptic map takes the arrays
+    whole, any other map sees one point at a time."""
+    if rmap._elliptic():
+        out = rmap.apply_q(QuaternionicGreen(a, b))
+        return out.a, out.b
+    outs = [rmap.apply_q(QuaternionicGreen(*ab)) for ab in zip(a.tolist(), b.tolist())]
+    return (np.array([o.a for o in outs], dtype=complex),
+            np.array([o.b for o in outs], dtype=complex))
 
-    A damped iteration (half-way to step(values)) carries the iterate into
-    Newton's basin; below a _HANDOFF update, or after _MAX_FP steps where the
+
+class _FixedPoint(NamedTuple):
+    values: np.ndarray      # (k, N): k unknowns at each of N nodes
+    iterations: np.ndarray  # damped steps per node
+    capped: np.ndarray      # the damped loop ran to its cap before the hand-off
+    failed: np.ndarray      # a non-finite iterate or Jacobian stopped the node
+
+
+def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int) -> _FixedPoint:
+    """Fixed points x = step(x) of N independent systems, solved in lockstep.
+
+    values holds the seeds, k complex unknowns at each of N nodes as a (k, N)
+    array.  step(x, nodes) maps the columns x of the given nodes (an index
+    array into the N, possibly with repeats) to their next values, column by
+    column, so one node's result does not depend on which others share the
+    call.  A damped iteration (half-way to step(x)) carries each node into
+    Newton's basin; below a _HANDOFF update, or after max_fp steps where the
     multiplier is close to one, least-squares Newton takes over on the real
-    and imaginary parts (forward-difference Jacobian, minimal-norm steps for
-    the phase redundancy in b, at most _MAX_NEWTON steps) until the residual
-    is below 0.05 tol.  A breakdown of the least-squares solve (e.g. on
-    non-finite iterates) raises ConvergenceError.  Returns the values and
-    the number of damped steps taken.
+    and imaginary parts (forward-difference Jacobian from one step call on
+    2k perturbed copies of every node, minimal-norm steps for the phase
+    redundancy in b, at most _MAX_NEWTON steps) until the residual is below
+    0.05 tol.  Every node stops on its own.  A node whose iterate or
+    Jacobian turns non-finite is marked failed and dropped, so it fails
+    alone.
     """
-    for iterations in range(1, _MAX_FP + 1):
-        nxt = step(values)
-        delta = max([abs(n - v) for n, v in zip(nxt, values)])
-        values = [v + 0.5 * (n - v) for n, v in zip(nxt, values)]
-        if delta < _HANDOFF:
-            break
+    x = np.array(values, dtype=complex)
+    k, n = x.shape
+    iterations = np.zeros(n, dtype=int)
+    failed = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):  # non-finite nodes are caught by mask
+        active, cur = np.arange(n), x
+        for it in range(1, max_fp + 1):
+            if not active.size:
+                break
+            diff = step(cur, active) - cur
+            delta = abs(diff).max(axis=0)
+            cur = cur + 0.5 * diff
+            stop = ~(delta >= _HANDOFF)  # below the hand-off, or NaN
+            if stop.any():
+                done = active[stop]
+                x[:, done], iterations[done] = cur[:, stop], it
+                failed[done] = np.isnan(delta[stop])
+                active, cur = active[~stop], cur[:, ~stop]
+        capped = np.zeros(n, dtype=bool)
+        capped[active] = True
+        x[:, active], iterations[active] = cur, max_fp
 
-    def pack(cs):
-        return np.array([part for c in cs for part in (c.real, c.imag)])
+        m, h = 2 * k, 1e-7
+        real = np.empty((m, n))
+        real[0::2], real[1::2] = x.real, x.imag
 
-    def unpack(x):
-        return [complex(x[k], x[k + 1]) for k in range(0, len(x), 2)]
+        def residual(r, nodes):
+            c = np.empty((k, r.shape[1]), dtype=complex)
+            c.real, c.imag = r[0::2], r[1::2]
+            nxt = step(c, nodes)
+            return r - np.stack([nxt.real, nxt.imag], axis=1).reshape(r.shape)
 
-    def fval(x):
-        return x - pack(step(unpack(x)))
+        act = np.flatnonzero(~failed)
+        diag = np.arange(m)
+        for _ in range(_MAX_NEWTON):
+            if not act.size:
+                break
+            r = real[:, act]
+            f = residual(r, act)
+            going = ~(np.abs(f).max(axis=0) < 0.05 * tol)
+            act, r, f = act[going], r[:, going], f[:, going]
+            if not act.size:
+                break
+            # copy j perturbs unknown j: jac[node, i, j] = d f_i / d x_j
+            rp = np.repeat(r[:, None, :], m, axis=1)
+            rp[diag, diag] += h
+            fp = residual(rp.reshape(m, m * act.size), np.tile(act, m))
+            jac = ((fp.reshape(m, m, act.size) - f[:, None, :]) / h).transpose(2, 0, 1)
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            failed[act[~finite]] = True
+            act, r, f, jac = act[finite], r[:, finite], f[:, finite], jac[finite]
+            try:
+                real[:, act] = r - _min_norm_solve(jac, f.T).T
+            except np.linalg.LinAlgError:
+                # a batched SVD fails as a whole; LAPACK's does not fail on
+                # finite 2k x 2k input in practice
+                failed[act] = True
+                break
+        x.real, x.imag = real[0::2], real[1::2]
+    return _FixedPoint(x, iterations, capped, failed)
 
-    x = pack(values)
-    n = len(x)
-    for _ in range(_MAX_NEWTON):
-        f = fval(x)
-        if np.max(np.abs(f)) < 0.05 * tol:
-            break
-        jac = np.empty((n, n))
-        h = 1e-7
-        for k in range(n):
-            xp = x.copy()
-            xp[k] += h
-            jac[:, k] = (fval(xp) - f) / h
-        if not np.isfinite(jac).all():
-            # LAPACK would print to stderr, then raise LinAlgError
-            raise ConvergenceError("least-squares Newton hit non-finite values")
-        try:
-            dx, *_ = np.linalg.lstsq(jac, f, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"least-squares Newton step failed: {exc}") from exc
-        x = x - dx
-    return unpack(x), iterations
+
+def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimal-norm least-squares solutions of the stacked systems
+    a[i] x[i] = b[i], with lstsq's default cutoff: singular values at or
+    below eps * size * the largest count as zero."""
+    u, s, vt = np.linalg.svd(a)
+    keep = s > np.finfo(float).eps * a.shape[-1] * s[:, :1]
+    w = (u.transpose(0, 2, 1) @ b[..., None])[..., 0]
+    w = np.where(keep, w / np.where(keep, s, 1.0), 0.0)
+    return (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +475,25 @@ def _fixed_point(step, values, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _product_sweep(rmap_a, rmap_b, z, u, values):
-    """Sigma_A^L, Sigma_B^R and G_M of the coupled product system at the flat
-    values (a_A, b_A, a_B, b_B), with u = e^{i psi}."""
-    a_a, b_a, a_b, b_b = values
-    sa = rmap_a.apply_q(QuaternionicGreen(a_b, b_b))
-    sb = rmap_b.apply_q(QuaternionicGreen(a_a, b_a))
-    sal = QuaternionicGreen(sa.a, sa.b * u)     # [Sigma_A]^L
-    sbr = QuaternionicGreen(sb.a, sb.b / u)     # [Sigma_B]^R
-    sm = qmul(sal, sbr)
-    return sal, sbr, qinv(QuaternionicGreen(z - sm.a, -sm.b))
+def _product_sweep(rmap_a, rmap_b, z, u, x):
+    """Sigma_A^L, Sigma_B^R and G_M of the coupled product system, each as
+    (a, b) arrays over nodes, at the flat values x = (a_A, b_A, a_B, b_B) of
+    every node, with z and u = e^{i psi} per node.  G_M is NaN where
+    Z - Sigma_A^L Sigma_B^R is singular."""
+    a_a, b_a, a_b, b_b = x
+    sa_a, sa_b = _apply_q(rmap_a, a_b, b_b)
+    sb_a, sb_b = _apply_q(rmap_b, a_a, b_a)
+    sal, sbr = (sa_a, sa_b * u), (sb_a, sb_b / u)  # [Sigma_A]^L, [Sigma_B]^R
+    sm_a, sm_b = qmul_parts(*sal, *sbr)
+    return sal, sbr, qinv_parts(z - sm_a, -sm_b)
 
 
-def _product_step(rmap_a, rmap_b, z, u, values):
-    """One sweep of the coupled product system on the flat values."""
-    sal, sbr, gm = _product_sweep(rmap_a, rmap_b, z, u, values)
-    ga, gb = qmul(gm, sal), qmul(sbr, gm)
-    return ga.a, ga.b * u, gb.a, gb.b / u  # [G_M Sigma_A^L]^L, [Sigma_B^R G_M]^R
+def _product_step(rmap_a, rmap_b, z, u, x):
+    """One sweep of the coupled product system on the flat values of every node."""
+    sal, sbr, gm = _product_sweep(rmap_a, rmap_b, z, u, x)
+    (ga_a, ga_b), (gb_a, gb_b) = qmul_parts(*gm, *sal), qmul_parts(*sbr, *gm)
+    # [G_M Sigma_A^L]^L, [Sigma_B^R G_M]^R
+    return np.array([ga_a, ga_b * u, gb_a, gb_b / u])
 
 
 def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
@@ -453,23 +514,6 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     return sal, sbr, (r_gm, r_ga, r_gb)
 
 
-def _holomorphic_product(rmap_a, rmap_b, z, at_z=None):
-    """Holomorphic-branch solution from the probe's result at_z at z, which
-    is computed here when the caller has none."""
-    if at_z is None:
-        at_z = _holomorphic_probe(rmap_a, rmap_b)(z)
-    _, pg, ok = at_z
-    if not ok:
-        raise ConvergenceError(f"no certified holomorphic product solution at z = {z}")
-    gm = QuaternionicGreen(complex(pg.g), 0.0)
-    qa = QuaternionicGreen(complex(pg.g_a), 0.0)
-    qb = QuaternionicGreen(complex(pg.g_b), 0.0)
-    psi = phase_split(z).psi
-    res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
-    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=0.0,
-                           branch="holomorphic", residual=res)
-
-
 def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
                   branch: str = None) -> NonHermSolution:
     """Solve the free-product Green's system for M = A B at one point.
@@ -479,44 +523,119 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
         G_M = (Z - [R_A(G_B)]^L [R_B(G_A)]^R)^{-1},
         G_A = [G_M [R_A(G_B)]^L]^L,   G_B = [[R_B(G_A)]^R G_M]^R,
 
-    with the one-sided rotations taken at half the phase of z.  The branch is
-    chosen by one call of _holomorphic_probe, whose holomorphic solution is
-    also the result outside the support; a failed probe counts as inside.
-    Inside, _fixed_point converges the nonholomorphic solution to _TOL;
-    iterations counts its damped steps.
-    branch ("nonholomorphic" or "holomorphic") skips the indicator probe when
-    the caller already classified z, e.g. for the arms of a tight stencil
-    classified once at its center.  Under a wrong "nonholomorphic" hint the
-    fixed point sinks to b = 0, and a correlator at or below _COLLAPSE
-    returns the holomorphic branch.
+    with the one-sided rotations taken at half the phase of z.  This is the
+    one-point call of _solve_nodes: the branch is chosen by one call of
+    _holomorphic_probe, whose holomorphic solution is also the result
+    outside the support, and a failed probe counts as inside.  Inside,
+    _fixed_point converges the nonholomorphic solution to _TOL; iterations
+    counts its damped steps.  branch ("nonholomorphic" or "holomorphic")
+    skips the indicator probe when the caller already classified z.  Under a
+    wrong "nonholomorphic" hint the fixed point sinks to b = 0, and a
+    correlator at or below _COLLAPSE returns the holomorphic branch.
     """
-    psi = phase_split(z).psi
-    at_z = None  # the probe's result at z, once computed
-    if branch is not None:
-        inside = branch == "nonholomorphic"
+    phase_split(z)  # reject the origin up front
+    out = _solve_nodes(rmap_a, rmap_b, np.array([z]), branch).outcomes[0]
+    if isinstance(out, FreeconvError):
+        raise out
+    return out
+
+
+class _NodeSolves(NamedTuple):
+    outcomes: list     # per node: a NonHermSolution, or the FreeconvError that stopped it
+    g11: np.ndarray    # G_M's 11 entry shaped like the points, NaN where a solve failed
+    capped: int        # inside nodes whose damped loop ran to _MAX_FP before Newton
+    collapsed: int     # inside nodes whose fixed point sank to b = 0, returned holomorphic
+
+    @property
+    def failed(self) -> int:
+        return sum(isinstance(o, FreeconvError) for o in self.outcomes)
+
+
+def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = None,
+                 seed=None) -> _NodeSolves:
+    """The product solution at every node of points (in points.ravel() order).
+
+    One _holomorphic_probe call classifies the nodes, unless branch does as
+    in solve_product, and gives the outside nodes their solutions.  All
+    inside nodes share one _fixed_point call, started from seed
+    (a_A, b_A, a_B, b_B), by default (0, 0.1, 0, 0.1), at every node; the
+    arithmetic is elementwise, so a node's result does not depend on the
+    other nodes.  Each node is then certified by _product_equations, one at
+    a time.  A node that fails (the origin, a non-finite iterate, a missed
+    certificate) fails alone, with its FreeconvError as its outcome.
+    """
+    zs = np.asarray(points, dtype=complex).ravel()
+    z_list = zs.tolist()
+    outcomes = [OriginError() if z == 0 else None for z in z_list]
+    live = zs != 0
+    probe = _holomorphic_probe(rmap_a, rmap_b)
+    at = None  # the probe's result on zs, once computed
+    if branch is None:
+        at = probe(zs)
+        indicator, _, ok = at
+        inside = live & (~ok | (indicator > 0.0))
     else:
-        at_z = _holomorphic_probe(rmap_a, rmap_b)(z)
-        indicator, _, ok = at_z
-        inside = not ok or indicator > 0.0
+        inside = live & (branch == "nonholomorphic")
 
-    if not inside:
-        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
+    holomorphic = np.flatnonzero(live & ~inside).tolist()
+    capped = collapsed = 0
+    if inside.any():
+        nodes = np.flatnonzero(inside)
+        z = zs[nodes]
+        u = np.exp(0.5j * np.angle(z))
+        start = np.array((0.0, 0.1, 0.0, 0.1) if seed is None else seed, dtype=complex)
+        fp = _fixed_point(lambda x, k: _product_step(rmap_a, rmap_b, z[k], u[k], x),
+                          np.repeat(start[:, None], nodes.size, axis=1), _TOL, _MAX_FP)
+        capped = int(np.count_nonzero(fp.capped))
+        with np.errstate(all="ignore"):  # failed nodes' values may be non-finite
+            gm_a, gm_b = _product_sweep(rmap_a, rmap_b, z, u, fp.values)[2]
+        for node, values, gm, failed, iterations in zip(
+                nodes.tolist(), fp.values.T.tolist(), zip(gm_a.tolist(), gm_b.tolist()),
+                fp.failed.tolist(), fp.iterations.tolist()):
+            if failed:
+                outcomes[node] = ConvergenceError(
+                    f"product solve hit non-finite values at z = {z_list[node]}")
+            elif abs(values[1]) * abs(values[3]) <= _COLLAPSE:
+                # the fixed point sank to the holomorphic root b = 0
+                holomorphic.append(node)
+                collapsed += 1
+            else:
+                outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], values,
+                                            QuaternionicGreen(*gm), "nonholomorphic",
+                                            iterations)
 
-    u = cmath.exp(1j * psi)
-    values, iterations = _fixed_point(
-        functools.partial(_product_step, rmap_a, rmap_b, z, u), (0.0, 0.1, 0.0, 0.1), _TOL)
+    if holomorphic:
+        _, pg, ok = probe(zs) if at is None else at
+        for node in holomorphic:
+            g, ga, gb = (complex(v[node]) for v in pg[:3])
+            outcomes[node] = (_certified(rmap_a, rmap_b, z_list[node], (ga, 0.0, gb, 0.0),
+                                         QuaternionicGreen(g, 0.0), "holomorphic")
+                              if ok[node] else
+                              ConvergenceError("no certified holomorphic product "
+                                               f"solution at z = {z_list[node]}"))
+    g11 = np.array([o.gm.a if isinstance(o, NonHermSolution) else complex("nan")
+                    for o in outcomes], dtype=complex).reshape(np.shape(points))
+    return _NodeSolves(outcomes, g11, capped, collapsed)
+
+
+def _certified(rmap_a, rmap_b, z: complex, values, gm: QuaternionicGreen,
+               branch: str, iterations: int = 0):
+    """The NonHermSolution on branch at z for the flat values
+    (a_A, b_A, a_B, b_B) and G_M, with its _product_equations residual.  A
+    nonholomorphic one must meet the point solvers' bound; where the
+    certificate fails, the FreeconvError is returned instead."""
     qa, qb = QuaternionicGreen(*values[:2]), QuaternionicGreen(*values[2:])
-    gm = _product_sweep(rmap_a, rmap_b, z, u, values)[2]
-    corr = abs(qa.b) * abs(qb.b)
-    if corr <= _COLLAPSE:
-        # the fixed point sank to the holomorphic root b = 0
-        return _holomorphic_product(rmap_a, rmap_b, z, at_z)
-    res = max(_product_equations(rmap_a, rmap_b, z, psi, qa, qb, gm)[2])
+    try:
+        res = max(_product_equations(rmap_a, rmap_b, z, phase_split(z).psi, qa, qb, gm)[2])
+    except FreeconvError as exc:
+        return exc
+    if branch == "holomorphic":
+        return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=0.0,
+                               branch=branch, residual=res)
     if res > max(10.0 * _TOL, 1e-10):
-        raise ConvergenceError(f"product solve stalled at z = {z}", residual=res)
-    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr,
-                           branch="nonholomorphic", residual=res,
-                           iterations=iterations)
+        return ConvergenceError(f"product solve stalled at z = {z}", residual=res)
+    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=abs(qa.b) * abs(qb.b),
+                           branch=branch, residual=res, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +931,9 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     stencil reuses the branch decided at the center, so the derivative is
     one-sided rather than mixed when z sits close to the support boundary.
     A holomorphic center takes all eight arms from one call of
-    _holomorphic_probe and raises ConvergenceError if any arm fails it.
+    _holomorphic_probe and raises ConvergenceError if any arm fails it.  A
+    nonholomorphic center solves the eight arms as one _solve_nodes call,
+    seeded from the center's solution, and raises the first arm's failure.
     """
     if step is None:
         step = 1e-4 * max(1.0, abs(z))
@@ -821,14 +942,19 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     h = float(step)
     offsets = (-2 * h, -h, h, 2 * h)
     arms = [z + dx for dx in offsets] + [z + 1j * dy for dy in offsets]
-    side = solve_product(rmap_a, rmap_b, z).branch
-    if side == "holomorphic":
+    center = solve_product(rmap_a, rmap_b, z)
+    if center.branch == "holomorphic":
         _, pg, ok = _holomorphic_probe(rmap_a, rmap_b)(np.array(arms))
         if not ok.all():
             raise ConvergenceError(f"no certified holomorphic solution near z = {z}")
         g = pg.g.tolist()
     else:
-        g = [solve_product(rmap_a, rmap_b, w, branch=side).gm.a for w in arms]
+        seed = (center.ga.a, center.ga.b, center.gb.a, center.gb.b)
+        outcomes = _solve_nodes(rmap_a, rmap_b, np.array(arms), center.branch, seed).outcomes
+        for out in outcomes:
+            if isinstance(out, FreeconvError):
+                raise out
+        g = [out.gm.a for out in outcomes]
 
     def d4(values):
         m2, m1, p1, p2 = values
@@ -870,29 +996,14 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
                             rot=np.zeros(points.shape), rot_residual=0.0,
                             route=f"closed-form:{law.kind}")
 
-    sols, g11 = _solve_nodes(rmap_a, rmap_b, points)
-    holes = sols.count(None)
+    solved = _solve_nodes(rmap_a, rmap_b, points)
+    holes = solved.failed
     if holes > 0.05 * points.size:
         raise GridError(f"{holes} of {points.size} grid nodes failed to solve")
 
-    rho, rot = _divergence_rho(grid, g11)
-    return DensityField(grid=grid, rho=rho, g11=g11, rot=rot,
+    rho, rot = _divergence_rho(grid, solved.g11)
+    return DensityField(grid=grid, rho=rho, g11=solved.g11, rot=rot,
                         rot_residual=_rot_residual(rot), route="generic", holes=holes)
-
-
-def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points: np.ndarray):
-    """solve_product at every node of points: the solutions in points.ravel()
-    order, None where the solve failed, and g11 shaped like points, NaN there.
-    """
-    sols = []
-    for z in points.ravel().tolist():
-        try:
-            sols.append(solve_product(rmap_a, rmap_b, z))
-        except FreeconvError:
-            sols.append(None)
-    g11 = np.array([s.gm.a if s is not None else complex("nan") for s in sols],
-                   dtype=complex).reshape(points.shape)
-    return sols, g11
 
 
 def _rot_residual(rot: np.ndarray) -> float:
@@ -976,14 +1087,22 @@ class IdentityReport:
 
 
 def _matrix_fixed_point(step, seed: Complex2x2, tol: float):
-    """Fixed point of step on 2x2 matrices, by _fixed_point on the entries;
-    raises ConvergenceError unless its update is below tol."""
+    """Fixed point of step on 2x2 matrices, by _fixed_point on the entries
+    (one node, at most _IDENTITY_MAX_FP damped steps); raises
+    ConvergenceError unless its update is below tol."""
 
     def entries(m: Complex2x2):
         return m.q11, m.q12, m.q21, m.q22
 
-    values, _ = _fixed_point(lambda c: entries(step(Complex2x2(*c))), entries(seed), tol)
-    x = Complex2x2(*values)
+    def columns(x, nodes):
+        return np.array([entries(step(Complex2x2(*c))) for c in x.T.tolist()],
+                        dtype=complex).T
+
+    fp = _fixed_point(columns, np.array(entries(seed), dtype=complex)[:, None], tol,
+                      _IDENTITY_MAX_FP)
+    if fp.failed[0]:
+        raise ConvergenceError("matrix fixed point hit non-finite values")
+    x = Complex2x2(*fp.values[:, 0].tolist())
     delta = (step(x) - x).norm_max()
     if delta < tol:
         return x

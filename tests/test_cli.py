@@ -5,9 +5,10 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from freeconv import cli
+from freeconv import cli, nonhermitian
 from freeconv.errors import SpecValidationError
 
 GIN = {"kind": "ginibre", "n": 24}
@@ -134,7 +135,7 @@ def test_solve_product_csv(tmp_path):
         "output": str(out)})
     assert rc == 0
     _, summary, header, rows = read_csv(out)
-    assert summary == {"points": 9, "failed": 0}
+    assert summary == {"points": 9, "failed": 0, "capped": 0, "collapsed": 0}
     assert "rot" not in header               # needs >= 5 nodes per axis
     mid = dict(zip(header, rows[4]))         # r = 0.5, phi = 0
     assert float(mid["correlator"]) == pytest.approx(0.5, abs=1e-8)
@@ -151,11 +152,55 @@ def test_solve_product_partial_failure(tmp_path, capsys):
     assert rc == 2                           # the z = 0 node cannot be solved
     assert "failed" in capsys.readouterr().err
     _, summary, header, rows = read_csv(out)
-    assert summary == {"points": 9, "failed": 1}
+    assert summary == {"points": 9, "failed": 1, "capped": 0, "collapsed": 0}
     failed = [dict(zip(header, r)) for r in rows if r[-1] == "failed"]
     assert len(failed) == 1
     assert failed[0]["x"] == "0" and failed[0]["y"] == "0"
     assert failed[0]["a_re"] == ""           # numeric cells emptied
+
+
+EDGE_GRID = {"kind": "polar", "ranges": [[0.85, 1.15], [-0.3, 0.3]], "resolution": [6, 3]}
+
+
+def test_solve_product_counts_capped_nodes(tmp_path):
+    # the Ginibre^2 support edge r = 1 crosses the grid; the damped map's
+    # multiplier nears one there, and those nodes reach the cap before Newton
+    out = tmp_path / "edge.csv"
+    rc = run_cli(tmp_path, "solve-product", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "grid": EDGE_GRID, "output": str(out)})
+    assert rc == 0
+    _, summary, header, rows = read_csv(out)
+    table = [dict(zip(header, r)) for r in rows]
+    capped = [r for r in table if r["iterations"] == str(nonhermitian._MAX_FP)]
+    assert summary["capped"] == len(capped) > 0
+    assert all(r["branch"] == "nonholomorphic" and r["status"] == "ok" for r in capped)
+    assert summary["collapsed"] == 0
+
+
+def test_solve_product_counts_collapsed_nodes(tmp_path, monkeypatch):
+    # a probe that calls every node inside: the outside nodes' fixed points
+    # sink to b = 0 and come back holomorphic
+    real_probe = nonhermitian._holomorphic_probe
+
+    def everything_inside(rmap_a, rmap_b):
+        probe = real_probe(rmap_a, rmap_b)
+
+        def inside(z):
+            indicator, pg, ok = probe(z)
+            return np.ones_like(indicator), pg, ok
+
+        return inside
+
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", everything_inside)
+    out = tmp_path / "collapsed.csv"
+    rc = run_cli(tmp_path, "solve-product", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "grid": EDGE_GRID, "output": str(out)})
+    assert rc == 0
+    _, summary, header, rows = read_csv(out)
+    table = [dict(zip(header, r)) for r in rows]
+    outside = [r for r in table if float(r["r"]) > 1.0]
+    assert summary["collapsed"] == len(outside) > 0
+    assert all(r["branch"] == "holomorphic" and r["status"] == "ok" for r in outside)
 
 
 def test_density_json(tmp_path):
