@@ -21,7 +21,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,17 +38,7 @@ from .grids import GridSpec
 
 SCHEMA_VERSION = 1
 
-_COMMON_KEYS = ("ensemble_a", "output", "format", "profile", "seed", "workers")
-
-# config keys accepted per command; command-line flags mirror these one-to-one
-_KEYS = {
-    "transform": _COMMON_KEYS + ("variable", "start", "stop", "count", "epsilon"),
-    "solve-product": _COMMON_KEYS + ("ensemble_b", "grid"),
-    "boundary": _COMMON_KEYS + ("ensemble_b", "angular_samples", "r_max"),
-    "density": _COMMON_KEYS + ("ensemble_b", "grid"),
-    "sample": _COMMON_KEYS + ("ensemble_b", "trials"),
-    "compare": _COMMON_KEYS + ("ensemble_b", "grid", "trials", "bins", "epsilon"),
-}
+_COMMANDS = ("transform", "solve-product", "boundary", "density", "sample", "compare")
 
 # keys that do not affect the numbers and therefore stay out of provenance
 _VOLATILE_KEYS = ("output", "workers")
@@ -85,30 +76,62 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 
-def _as_int(raw, key, problems, minimum=None):
+def _integer(raw, key, problems, minimum):
     if isinstance(raw, bool) or not isinstance(raw, int):
         problems.append(f"{key} must be an integer, got {raw!r}")
         return None
-    if minimum is not None and raw < minimum:
+    if raw < minimum:
         problems.append(f"{key} must be >= {minimum}, got {raw}")
         return None
     return raw
 
 
-def _as_float(raw, key, problems):
+def _real(raw, key, problems, positive=False):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         problems.append(f"{key} must be a number, got {raw!r}")
         return None
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        problems.append(f"{key} must be finite, got {value}")
+        return None
+    if positive and value <= 0:
+        problems.append(f"{key} must be positive, got {value}")
+        return None
+    return value
 
 
-def _parse_ensemble(raw, key, problems):
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except ValueError as exc:
-            problems.append(f"{key} is not valid JSON: {exc}")
-            return None
+def _choice(raw, key, problems, choices):
+    if raw in choices:
+        return raw
+    problems.append(f"{key} must be {' or '.join(map(repr, choices))}, got {raw!r}")
+    return None
+
+
+def _path(raw, key, problems):
+    if isinstance(raw, str) and raw:
+        return raw
+    problems.append(f"{key} must be a non-empty path, got {raw!r}")
+    return None
+
+
+def _from_json(build):
+    """Parser for an object given inline (config) or as JSON text (flag)."""
+    def parse(raw, key, problems):
+        if isinstance(raw, str):
+            try:
+                raw = json.loads(raw)
+            except ValueError as exc:
+                problems.append(f"{key} is not valid JSON: {exc}")
+                return None
+        return build(raw, key, problems)
+    return parse
+
+
+@_from_json
+def _ensemble(raw, key, problems):
     try:
         return EnsembleSpec.from_json(raw)
     except SpecValidationError as exc:
@@ -116,13 +139,8 @@ def _parse_ensemble(raw, key, problems):
         return None
 
 
-def _parse_grid(raw, key, problems):
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except ValueError as exc:
-            problems.append(f"{key} is not valid JSON: {exc}")
-            return None
+@_from_json
+def _grid(raw, key, problems):
     if not isinstance(raw, dict):
         problems.append(f"{key} must be an object with kind/ranges/resolution")
         return None
@@ -133,8 +151,61 @@ def _parse_grid(raw, key, problems):
         return None
 
 
+class _Option(NamedTuple):
+    parse: Callable    # (raw, key, problems) -> value, or None after adding a problem
+    flag_type: type    # argparse type of the key's flag
+    help: str
+    commands: tuple    # the commands that accept the key
+
+
+# every config key, declared once; a command's flags mirror its keys one to one
+_OPTIONS = {
+    "ensemble_a": _Option(_ensemble, str, "ensemble A as JSON, e.g. "
+                          '\'{"kind":"ginibre","n":100}\'', _COMMANDS),
+    "ensemble_b": _Option(_ensemble, str, "ensemble B as JSON",
+                          ("solve-product", "boundary", "density", "sample", "compare")),
+    "grid": _Option(_grid, str, 'grid as JSON: {"kind","ranges","resolution"}',
+                    ("solve-product", "density", "compare")),
+    "output": _Option(_path, str, "output file path", _COMMANDS),
+    "format": _Option(partial(_choice, choices=("csv", "json")), str,
+                      "'csv' or 'json' (compare is always json)", _COMMANDS),
+    "profile": _Option(partial(_choice, choices=tuple(_PROFILE_TRIALS)), str,
+                       "'quick' or 'paper-scale'; sets the default trial count", _COMMANDS),
+    "seed": _Option(partial(_integer, minimum=0), int, "master RNG seed", _COMMANDS),
+    "workers": _Option(partial(_integer, minimum=1), int,
+                       "Monte Carlo threads for sample and compare (default: "
+                       "FREECONV_WORKERS or 1); never affects output bytes", _COMMANDS),
+    "trials": _Option(partial(_integer, minimum=1), int,
+                      "Monte Carlo trials (default from profile)", ("sample", "compare")),
+    "variable": _Option(partial(_choice, choices=("z", "y")), str,
+                        "tabulate against spectral 'z' or moment variable 'y'", ("transform",)),
+    "start": _Option(_real, float, "first value", ("transform",)),
+    "stop": _Option(_real, float, "last value", ("transform",)),
+    "count": _Option(partial(_integer, minimum=2), int, "number of values", ("transform",)),
+    "epsilon": _Option(partial(_real, positive=True), float,
+                       "transform: offset above the real axis; "
+                       "compare: half-width of the real-axis slice", ("transform", "compare")),
+    "angular_samples": _Option(partial(_integer, minimum=8), int, "number of rays (>= 8)",
+                               ("boundary",)),
+    "r_max": _Option(partial(_real, positive=True), float,
+                     "outer radius for the boundary search", ("boundary",)),
+    "bins": _Option(partial(_integer, minimum=4), int, "bins for radial/slice profiles",
+                    ("compare",)),
+}
+
+# config keys accepted per command, in _OPTIONS order
+_KEYS = {command: tuple(key for key, option in _OPTIONS.items() if command in option.commands)
+         for command in _COMMANDS}
+
+# keys that every command accepting them requires
+_REQUIRED = ("ensemble_a", "ensemble_b", "grid", "output")
+
+
 def build_job(command: str, merged: dict) -> JobConfig:
     """Validate a merged config mapping into a JobConfig.
+
+    Each key is parsed by its _OPTIONS entry; only the rules that involve
+    more than one key, the command, or the environment are written here.
 
     Args:
         command: one of the subcommand names.
@@ -147,103 +218,49 @@ def build_job(command: str, merged: dict) -> JobConfig:
         SpecValidationError: listing every violation found, not just the first.
     """
     problems = []
-    allowed = set(_KEYS[command]) | {"command"}
-    for key in sorted(set(merged) - allowed):
+    keys = _KEYS[command]
+    for key in sorted(set(merged) - set(keys) - {"command"}):
         problems.append(f"key {key!r} is not used by command {command!r}")
     if merged.get("command") not in (None, command):
         problems.append(
             f"config names command {merged['command']!r} but {command!r} was invoked")
+    for key in _REQUIRED:
+        if key in keys and key not in merged:
+            problems.append(f"{key} is required for command {command!r}")
 
-    cfg = JobConfig(command=command)
-    cfg.epsilon = _DEFAULT_EPSILON.get(command, 1e-6)
+    cfg = JobConfig(command=command, epsilon=_DEFAULT_EPSILON.get(command, 1e-6))
+    for key in keys:
+        if key in merged:
+            value = _OPTIONS[key].parse(merged[key], key, problems)
+            if value is not None:
+                setattr(cfg, key, value)
 
-    if "ensemble_a" in merged:
-        cfg.ensemble_a = _parse_ensemble(merged["ensemble_a"], "ensemble_a", problems)
-    else:
-        problems.append("ensemble_a is required")
-    needs_b = command != "transform"
-    if "ensemble_b" in merged:
-        cfg.ensemble_b = _parse_ensemble(merged["ensemble_b"], "ensemble_b", problems)
-    elif needs_b:
-        problems.append(f"ensemble_b is required for command {command!r}")
+    env = os.environ.get("FREECONV_WORKERS")
+    if "workers" not in merged and env is not None:
+        try:
+            env = int(env)
+        except ValueError:
+            pass                # the parser reports it as not an integer
+        value = _OPTIONS["workers"].parse(env, "FREECONV_WORKERS", problems)
+        if value is not None:
+            cfg.workers = value
 
-    needs_grid = command in ("solve-product", "density", "compare")
-    if "grid" in merged:
-        cfg.grid = _parse_grid(merged["grid"], "grid", problems)
-    elif needs_grid:
-        problems.append(f"grid is required for command {command!r}")
+    if "trials" in keys and "trials" not in merged:
+        cfg.trials = _PROFILE_TRIALS[cfg.profile]
+
     if cfg.grid is not None:
         if command == "compare" and cfg.grid.kind != "cartesian":
             problems.append("compare needs a cartesian grid (2d histogram cells)")
         if command in ("density", "compare") and cfg.grid.contains_origin():
             problems.append("grid contains z = 0; offset the ranges to avoid the origin")
-
-    if "seed" in merged:
-        value = _as_int(merged["seed"], "seed", problems, minimum=0)
-        if value is not None:
-            cfg.seed = value
-    if command in ("sample", "compare"):
-        profile = merged.get("profile", cfg.profile)
-        fallback = _PROFILE_TRIALS.get(profile, _PROFILE_TRIALS["quick"])
-        if "trials" in merged:
-            cfg.trials = _as_int(merged["trials"], "trials", problems, minimum=1)
-        else:
-            cfg.trials = fallback
-
-    output = merged.get("output")
-    if not output or not isinstance(output, str):
-        problems.append("output path is required")
-    else:
-        cfg.output = output
-
-    if "format" in merged:
-        if merged["format"] not in ("csv", "json"):
-            problems.append(f"format must be 'csv' or 'json', got {merged['format']!r}")
-        else:
-            cfg.format = merged["format"]
     if command == "compare":
         if merged.get("format", "json") != "json":
             problems.append("comparison reports are JSON only; drop format or set 'json'")
         cfg.format = "json"
 
-    if "profile" in merged:
-        if merged["profile"] not in ("quick", "paper-scale"):
-            problems.append(
-                f"profile must be 'quick' or 'paper-scale', got {merged['profile']!r}")
-        else:
-            cfg.profile = merged["profile"]
-
-    if "workers" in merged:
-        value = _as_int(merged["workers"], "workers", problems, minimum=1)
-        if value is not None:
-            cfg.workers = value
-    else:
-        env = os.environ.get("FREECONV_WORKERS")
-        if env is not None:
-            try:
-                cfg.workers = max(1, int(env))
-            except ValueError:
-                problems.append(f"FREECONV_WORKERS must be an integer, got {env!r}")
-
     if command == "transform":
-        if "variable" in merged:
-            if merged["variable"] not in ("z", "y"):
-                problems.append(f"variable must be 'z' or 'y', got {merged['variable']!r}")
-            else:
-                cfg.variable = merged["variable"]
-        for key in ("start", "stop", "epsilon"):
-            if key in merged:
-                value = _as_float(merged[key], key, problems)
-                if value is not None:
-                    setattr(cfg, key, value)
-        if "count" in merged:
-            value = _as_int(merged["count"], "count", problems, minimum=2)
-            if value is not None:
-                cfg.count = value
         if not cfg.stop > cfg.start:
             problems.append(f"need stop > start, got [{cfg.start}, {cfg.stop}]")
-        if not cfg.epsilon > 0:
-            problems.append(f"epsilon must be positive, got {cfg.epsilon}")
         if cfg.variable == "y":
             if cfg.start <= 0:
                 problems.append("variable 'y' needs start > 0 (S is sampled on y > 0)")
@@ -252,33 +269,6 @@ def build_job(command: str, merged: dict) -> JobConfig:
                                          and spec.shift.real != 0.0):
                 problems.append("variable 'y' needs a non-centered hermitian ensemble "
                                 "(tau = 1, real nonzero shift)")
-
-    if command == "boundary":
-        if "angular_samples" in merged:
-            value = _as_int(merged["angular_samples"], "angular_samples",
-                            problems, minimum=8)
-            if value is not None:
-                cfg.angular_samples = value
-        if "r_max" in merged:
-            value = _as_float(merged["r_max"], "r_max", problems)
-            if value is not None:
-                if value <= 0:
-                    problems.append(f"r_max must be positive, got {value}")
-                else:
-                    cfg.r_max = value
-
-    if command == "compare":
-        if "bins" in merged:
-            value = _as_int(merged["bins"], "bins", problems, minimum=4)
-            if value is not None:
-                cfg.bins = value
-        if "epsilon" in merged:
-            value = _as_float(merged["epsilon"], "epsilon", problems)
-            if value is not None:
-                if value <= 0:
-                    problems.append(f"epsilon must be positive, got {value}")
-                else:
-                    cfg.epsilon = value
 
     if problems:
         raise SpecValidationError(problems)
@@ -665,45 +655,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="JSON config file; flags below override its keys")
-    keys = _KEYS[command]
-    sub.add_argument("--ensemble-a", type=str, default=None,
-                     help='ensemble A as JSON, e.g. \'{"kind":"ginibre","n":100}\'')
-    if "ensemble_b" in keys:
-        sub.add_argument("--ensemble-b", type=str, default=None,
-                         help="ensemble B as JSON")
-    if "grid" in keys:
-        sub.add_argument("--grid", type=str, default=None,
-                         help='grid as JSON: {"kind","ranges","resolution"}')
-    sub.add_argument("--output", type=str, default=None, help="output file path")
-    sub.add_argument("--format", type=str, default=None,
-                     help="'csv' or 'json' (compare is always json)")
-    sub.add_argument("--profile", type=str, default=None,
-                     help="'quick' or 'paper-scale'; sets the default trial count")
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="Monte Carlo threads for sample and compare (default: "
-                          "FREECONV_WORKERS or 1); never affects output bytes")
-    if "trials" in keys:
-        sub.add_argument("--trials", type=int, default=None,
-                         help="Monte Carlo trials (default from profile)")
-    if "variable" in keys:
-        sub.add_argument("--variable", type=str, default=None,
-                         help="tabulate against spectral 'z' or moment variable 'y'")
-        sub.add_argument("--start", type=float, default=None, help="first value")
-        sub.add_argument("--stop", type=float, default=None, help="last value")
-        sub.add_argument("--count", type=int, default=None, help="number of values")
-    if "epsilon" in keys:
-        sub.add_argument("--epsilon", type=float, default=None,
-                         help="transform: offset above the real axis; "
-                              "compare: half-width of the real-axis slice")
-    if "angular_samples" in keys:
-        sub.add_argument("--angular-samples", type=int, default=None,
-                         help="number of rays (>= 8)")
-        sub.add_argument("--r-max", type=float, default=None,
-                         help="outer radius for the boundary search")
-    if "bins" in keys:
-        sub.add_argument("--bins", type=int, default=None,
-                         help="bins for radial/slice profiles")
+    for key in _KEYS[command]:
+        option = _OPTIONS[key]
+        sub.add_argument("--" + key.replace("_", "-"), type=option.flag_type,
+                         default=None, help=option.help)
 
 
 def _build_parser() -> _Parser:
@@ -711,7 +666,7 @@ def _build_parser() -> _Parser:
                      description="Spectral calculus for sums and products of "
                                  "free random matrices, with Monte Carlo checks.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command in _KEYS:
+    for command in _COMMANDS:
         sub = subs.add_parser(command, help=_DISPATCH[command].__doc__,
                               description=_DISPATCH[command].__doc__)
         _add_flags(sub, command)

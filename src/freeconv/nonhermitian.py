@@ -514,8 +514,7 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     return sal, sbr, (r_gm, r_ga, r_gb)
 
 
-def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-                  branch: str = None) -> NonHermSolution:
+def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHermSolution:
     """Solve the free-product Green's system for M = A B at one point.
 
     The coupled unknowns (G_M, G_A, G_B) satisfy
@@ -528,13 +527,10 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
     _holomorphic_probe, whose holomorphic solution is also the result
     outside the support, and a failed probe counts as inside.  Inside,
     _fixed_point converges the nonholomorphic solution to _TOL; iterations
-    counts its damped steps.  branch ("nonholomorphic" or "holomorphic")
-    skips the indicator probe when the caller already classified z.  Under a
-    wrong "nonholomorphic" hint the fixed point sinks to b = 0, and a
-    correlator at or below _COLLAPSE returns the holomorphic branch.
+    counts its damped steps.
     """
     phase_split(z)  # reject the origin up front
-    out = _solve_nodes(rmap_a, rmap_b, np.array([z]), branch).outcomes[0]
+    out = _solve_nodes(rmap_a, rmap_b, np.array([z])).outcomes[0]
     if isinstance(out, FreeconvError):
         raise out
     return out
@@ -555,8 +551,11 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = N
                  seed=None) -> _NodeSolves:
     """The product solution at every node of points (in points.ravel() order).
 
-    One _holomorphic_probe call classifies the nodes, unless branch does as
-    in solve_product, and gives the outside nodes their solutions.  All
+    One _holomorphic_probe call classifies the nodes, unless branch
+    ("nonholomorphic" or "holomorphic") says the caller already did, and
+    gives the outside nodes their solutions.  Under a wrong
+    "nonholomorphic" branch a node's fixed point sinks to b = 0, and a
+    correlator at or below _COLLAPSE returns the holomorphic branch.  All
     inside nodes share one _fixed_point call, started from seed
     (a_A, b_A, a_B, b_B), by default (0, 0.1, 0, 0.1), at every node; the
     arithmetic is elementwise, so a node's result does not depend on the

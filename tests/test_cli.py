@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process, no subprocess)."""
 
+import argparse
 import json
 import math
 import os
@@ -445,11 +446,23 @@ def test_unwritable_output_exits_cleanly(tmp_path, capsys, command, where):
     ("density", {"grid": {"kind": "cartesian", "ranges": [[0.1, math.inf], [0.1, 1.0]],
                           "resolution": [4, 4]}}),
     ("boundary", {"ensemble_b": {"kind": "ginibre", "n": 24, "shift": [math.nan, 0]}}),
-])
+] + [("boundary", {"r_max": v}) for v in (math.nan, math.inf, -math.inf)]
+  + [("transform", {key: v}) for key in ("start", "stop", "epsilon")
+     for v in (math.nan, math.inf, -math.inf)]
+  + [("transform", {"start": 10 ** 400})])   # an integer past the float range
 def test_nonfinite_input_rejected(tmp_path, capsys, command, overrides):
+    # each case twice: in the config file, and as flags over a config without it
     out = tmp_path / "o.csv"
-    config = dict({"ensemble_a": GIN, "ensemble_b": GIN, "output": str(out)}, **overrides)
-    assert run_cli(tmp_path, command, config) == 1
+    config = {"ensemble_a": GIN, "output": str(out)}
+    if command != "transform":
+        config["ensemble_b"] = GIN
+    assert run_cli(tmp_path, command, dict(config, **overrides)) == 1
+    assert "finite" in capsys.readouterr().err
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(config))
+    flags = [f"--{key.replace('_', '-')}={json.dumps(value)}"
+             for key, value in overrides.items()]
+    assert cli.main([command, "--config", str(path)] + flags) == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -540,9 +553,11 @@ def test_build_job_workers_env(monkeypatch):
     monkeypatch.setenv("FREECONV_WORKERS", "3")
     cfg = cli.build_job("transform", {"ensemble_a": GUE, "output": "o.csv"})
     assert cfg.workers == 3
-    monkeypatch.setenv("FREECONV_WORKERS", "many")
-    with pytest.raises(SpecValidationError):
-        cli.build_job("transform", {"ensemble_a": GUE, "output": "o.csv"})
+    for bad in ("many", "0", "-2"):   # held to the same rule as --workers
+        monkeypatch.setenv("FREECONV_WORKERS", bad)
+        with pytest.raises(SpecValidationError) as err:
+            cli.build_job("transform", {"ensemble_a": GUE, "output": "o.csv"})
+        assert any("FREECONV_WORKERS" in v for v in err.value.violations)
 
 
 def test_compare_rejects_polar_and_csv():
@@ -560,3 +575,39 @@ def test_missing_output_rejected():
     with pytest.raises(SpecValidationError) as err:
         cli.build_job("transform", {"ensemble_a": GUE})
     assert any("output" in v for v in err.value.violations)
+
+
+# a valid, mostly non-default value for every key each command accepts
+FULL_JOBS = {
+    "transform": {"ensemble_a": SHIFTED_GUE, "variable": "y", "start": 0.25,
+                  "stop": 1.5, "count": 5, "epsilon": 1e-3},
+    "solve-product": {"ensemble_a": GIN, "ensemble_b": GUE, "grid": EDGE_GRID},
+    "boundary": {"ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": 16,
+                 "r_max": 3.5},
+    "density": {"ensemble_a": GIN, "ensemble_b": GIN, "grid": EDGE_GRID},
+    "sample": {"ensemble_a": GIN, "ensemble_b": GUE, "trials": 7},
+    "compare": {"ensemble_a": GIN, "ensemble_b": GIN, "grid": COMPARE_GRID,
+                "trials": 7, "bins": 8, "epsilon": 0.05},
+}
+COMMON_JOB = {"output": "o.json", "format": "json", "profile": "paper-scale",
+              "seed": 3, "workers": 2}
+
+
+@pytest.mark.parametrize("command", list(FULL_JOBS))
+def test_flags_mirror_config_keys(tmp_path, command):
+    full = dict(FULL_JOBS[command], **COMMON_JOB)
+    keys = cli._KEYS[command]
+    assert set(full) == set(keys)
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in subs.choices[command]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == {"--config"} | {
+        "--" + key.replace("_", "-") for key in keys}
+    expected = cli.build_job(command, full)
+    for key, value in full.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+        text = json.dumps(value) if isinstance(value, dict) else str(value)
+        args = parser.parse_args(
+            [command, "--config", str(path), f"--{key.replace('_', '-')}={text}"])
+        assert cli.build_job(command, cli._merge_config(args)) == expected, key

@@ -476,7 +476,7 @@ def test_wrong_nonholomorphic_hint_returns_holomorphic_branch(pair):
     edge = boundary_curve(*pair, angles=[0.3]).points[0][0]
     for z in (cmath.rect(1.01 * edge, 0.3), 3.5 + 0.5j, -3.0 + 1.0j, 0.5 - 4.0j, 5.0, 2.0j):
         assert branch_indicator(*pair, z) < 0.0
-        sol = solve_product(*pair, z, branch="nonholomorphic")
+        sol = nonhermitian._solve_nodes(*pair, np.array([z]), "nonholomorphic").outcomes[0]
         assert sol.branch == "holomorphic"
         assert sol.gm.a == solve_product(*pair, z).gm.a
         assert sol.residual <= 1e-10
