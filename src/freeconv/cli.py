@@ -269,6 +269,10 @@ def build_job(command: str, merged: dict) -> JobConfig:
                                          and spec.shift.real != 0.0):
                 problems.append("variable 'y' needs a non-centered hermitian ensemble "
                                 "(tau = 1, real nonzero shift)")
+        elif (cfg.ensemble_a is not None and analytic_transforms(cfg.ensemble_a)[0] is None
+              and 0.0 in np.linspace(cfg.start, cfg.stop, cfg.count)):
+            problems.append("the z values contain z = 0, where the non-hermitian "
+                            "section is undefined; change start, stop or count")
 
     if problems:
         raise SpecValidationError(problems)
@@ -577,11 +581,7 @@ def _point_density(rmap_a, rmap_b, z: complex) -> Optional[float]:
 
 
 def cmd_compare(cfg: JobConfig) -> int:
-    """Sample, histogram, and compare against the analytic field in one run."""
-    cloud = montecarlo.product_eigenvalues(cfg.ensemble_a, cfg.ensemble_b,
-                                           cfg.trials, cfg.seed,
-                                           workers=cfg.workers)
-    empirical = montecarlo.histogram2d(cloud, cfg.grid)
+    """Compare the analytic field with a sampled histogram in one run."""
     _, rmap_a = analytic_transforms(cfg.ensemble_a)
     _, rmap_b = analytic_transforms(cfg.ensemble_b)
     try:
@@ -589,6 +589,12 @@ def cmd_compare(cfg: JobConfig) -> int:
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # no cell left at the largest possible total means none after sampling
+    montecarlo.comparison_cells(analytic, cfg.trials * cfg.ensemble_a.n)
+    cloud = montecarlo.product_eigenvalues(cfg.ensemble_a, cfg.ensemble_b,
+                                           cfg.trials, cfg.seed,
+                                           workers=cfg.workers)
+    empirical = montecarlo.histogram2d(cloud, cfg.grid)
     report = montecarlo.compare_density(empirical, analytic)
     radial = montecarlo.radial_profile(cloud, bins=cfg.bins)
 

@@ -7,15 +7,18 @@ The central solver tracks the decaying branch g ~ 1/z of
 by a geometric homotopy in |z|: start far out where the fixed point is a
 contraction around 1/z, certify the asymptotic normalization there, then walk
 the scale down to the requested point, polishing with Newton at every stage.
+Every stage, and the S transform's S = 1/R(y S), is one call of
+_scalar_fixed_point.
 
 Transforms that declare themselves exactly affine, R(g) = c + alpha g (the
 constant, Gaussian and shifted Gaussian transforms here, and the diagonal
-sections of elliptic matrix maps), multiply in closed form: the auxiliary
-pair of the product law is a linear 2x2 system, so the product R transform
-and its derivative are rational in x.  When that product is itself constant
-(alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor
-pair with tau = 0) it declares affine = (c_A c_B, 0), and a constant R has the
-unique root g = 1/(z - c), which replaces the ladder.  Every other transform
+sections of elliptic matrix maps, all built by _affine_transform), multiply
+in closed form: the auxiliary pair of the product law is a linear 2x2
+system, so the product R transform and its derivative are rational in x.
+When that product is itself constant (alpha_A alpha_B = 0 and
+alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor pair with tau = 0) it
+declares affine = (c_A c_B, 0), and a constant R has the unique root
+g = 1/(z - c), which replaces the ladder.  Every other transform
 takes the generic route (damped fixed point plus Newton for the auxiliary
 pair, a central difference for the derivative), which stays as the test
 oracle for the affine one.  Both feed the same homotopy ladder.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BranchUndecidedError,
@@ -34,6 +37,11 @@ from .errors import (
     ConvergenceError,
     FreeconvError,
 )
+
+_TOL = 1e-12         # Green's ladder stages, product certificate, S fixed point
+_AUX_TOL = 1e-13     # the generic auxiliary pair of the product law
+_MOMENT_TOL = 1e-11  # s_from_green's moment-map inversion
+_ROUTE_TOL = 1e-8    # agreement of the S and R routes in assert_s_r_consistency
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -65,40 +73,27 @@ class ScalarTransform:
         return (self.r_eval(g + h) - self.r_eval(g - h)) / (2.0 * h)
 
 
+def _affine_transform(name: str, c: complex, alpha: complex) -> ScalarTransform:
+    """The transform declared exactly affine: R(g) = c + alpha g."""
+    return ScalarTransform(name=name, r_eval=lambda g: c + alpha * g,
+                           r_deriv=lambda g: alpha, kappa1=c, affine=(c, alpha))
+
+
 def constant_transform(c: complex, name: str = None) -> ScalarTransform:
     """Deterministic matrix c * I: R(g) = c identically."""
-    return ScalarTransform(
-        name=name or f"const({c})",
-        r_eval=lambda g: c,
-        r_deriv=lambda g: 0.0,
-        kappa1=c,
-        affine=(c, 0.0),
-    )
+    return _affine_transform(name or f"const({c})", c, 0.0)
 
 
 def gaussian_transform(sigma: float = 1.0, name: str = None) -> ScalarTransform:
     """Centered hermitian Gaussian with variance sigma^2: R(g) = sigma^2 g."""
-    s2 = float(sigma) ** 2
-    return ScalarTransform(
-        name=name or f"gaussian({sigma})",
-        r_eval=lambda g: s2 * g,
-        r_deriv=lambda g: s2,
-        kappa1=0.0,
-        affine=(0.0, s2),
-    )
+    return _affine_transform(name or f"gaussian({sigma})", 0.0, float(sigma) ** 2)
 
 
 def shifted_gaussian_transform(shift: complex = 1.0, sigma: float = 1.0,
                                name: str = None) -> ScalarTransform:
     """Hermitian Gaussian plus shift * I: R(g) = shift + sigma^2 g."""
-    s2 = float(sigma) ** 2
-    return ScalarTransform(
-        name=name or f"gaussian({sigma})+{shift}",
-        r_eval=lambda g: shift + s2 * g,
-        r_deriv=lambda g: s2,
-        kappa1=shift,
-        affine=(shift, s2),
-    )
+    return _affine_transform(name or f"gaussian({sigma})+{shift}", shift,
+                             float(sigma) ** 2)
 
 
 def free_add(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTransform:
@@ -133,34 +128,43 @@ class HolomorphicGreen:
     branch_certificate: tuple
 
 
-def _stage_solve(r_eval, deriv, zs: complex, g: complex, tol: float):
-    """Damped fixed point followed by Newton, at one fixed value zs."""
-    for _ in range(200):
-        denom = zs - r_eval(g)
+def _scalar_fixed_point(r, dr, c: complex, x: complex, max_damped: int) -> complex:
+    """The fixed point x = 1/(c - r(x)) near the seed x; dr is r's derivative.
+
+    Damped steps x <- (x + 1/(c - r(x))) / 2, nudged by _TOL off a pole,
+    until the step is below _TOL / 4 (at most max_damped), then at most 60
+    Newton steps on x (c - r(x)) - 1.  The caller certifies the result.
+    """
+    for _ in range(max_damped):
+        denom = c - r(x)
         if denom == 0:
-            g += tol  # nudge off the pole and keep going
+            x += _TOL  # nudge off the pole and keep going
             continue
-        step = 1.0 / denom - g
-        g += 0.5 * step
-        if abs(step) < 0.25 * tol:
+        step = 1.0 / denom - x
+        x += 0.5 * step
+        if abs(step) < 0.25 * _TOL:
             break
-    # Newton on f(g) = g (zs - R(g)) - 1, whose roots are exactly the fixed points
     for _ in range(60):
-        rg = r_eval(g)
-        f = g * (zs - rg) - 1.0
-        if abs(f) < 1e-3 * tol:
+        rx = r(x)
+        f = x * (c - rx) - 1.0
+        if abs(f) < 1e-3 * _TOL:
             break
-        fp = zs - rg - g * deriv(g)
+        fp = c - rx - x * dr(x)
         if fp == 0:
             break
-        g -= f / fp
+        x -= f / fp
+    return x
+
+
+def _stage_solve(r_eval, deriv, zs: complex, g: complex):
+    """One ladder stage: the fixed point g = 1/(zs - R(g)) near g, and its residual."""
+    g = _scalar_fixed_point(r_eval, deriv, zs, g, 200)
     denom = zs - r_eval(g)
     residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
     return g, residual
 
 
-def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
-                         tol: float = 1e-12):
+def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex):
     """Solve g = 1/(z - R(g)) on the branch with g ~ 1/z at infinity.
 
     Returns (g, residual, certificate).  Raises BranchUndecidedError when the
@@ -173,8 +177,8 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     # certify the decaying branch at the top of the ladder, growing if needed
     for _ in range(14):
         z_top = s_top * z
-        g_top, res_top = _stage_solve(r_eval, deriv, z_top, 1.0 / z_top, tol)
-        if res_top <= tol and abs(g_top - 1.0 / z_top) <= 10.0 / abs(z_top) ** 2:
+        g_top, res_top = _stage_solve(r_eval, deriv, z_top, 1.0 / z_top)
+        if res_top <= _TOL and abs(g_top - 1.0 / z_top) <= 10.0 / abs(z_top) ** 2:
             break
         s_top *= 4.0
     else:
@@ -187,8 +191,8 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     g = g_top
     for k in range(1, n_stages + 1):
         scale = s_top ** (1.0 - k / n_stages)
-        g, res = _stage_solve(r_eval, deriv, scale * z, g, tol)
-        if not res <= tol:
+        g, res = _stage_solve(r_eval, deriv, scale * z, g)
+        if not res <= _TOL:
             raise ConvergenceError(
                 f"homotopy stage at scale {scale:.3g} stalled for z = {z}",
                 residual=res)
@@ -196,7 +200,7 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex,
     return g, certificate[-1][1], tuple(certificate)
 
 
-def _constant_green(transform: ScalarTransform, z: complex, tol: float):
+def _constant_green(transform: ScalarTransform, z: complex):
     """g = 1/(z - c) for R = c, certified by the residual against r_eval.
 
     g (z - c) = 1 has this one root, so there is no branch to choose; the
@@ -208,15 +212,14 @@ def _constant_green(transform: ScalarTransform, z: complex, tol: float):
     g = 1.0 / denom
     denom = z - transform.r_eval(g)
     residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
-    if not residual <= tol:
+    if not residual <= _TOL:
         raise ConvergenceError(
             f"constant R transform disagrees with its declaration at z = {z}",
             residual=residual)
     return g, residual, ((1.0, residual),)
 
 
-def green_from_r(transform: ScalarTransform, z: complex,
-                 tol: float = 1e-12) -> HolomorphicGreen:
+def green_from_r(transform: ScalarTransform, z: complex) -> HolomorphicGreen:
     """Evaluate the Green's function of the measure with the given R transform.
 
     A transform declared constant (affine alpha = 0) takes the exact root;
@@ -225,10 +228,10 @@ def green_from_r(transform: ScalarTransform, z: complex,
     if z == 0:
         raise ConvergenceError("scalar Green's function needs z != 0")
     if transform.affine is not None and transform.affine[1] == 0:
-        g, residual, certificate = _constant_green(transform, z, tol)
+        g, residual, certificate = _constant_green(transform, z)
     else:
         g, residual, certificate = _scalar_green_ladder(
-            transform.r_eval, transform.deriv, transform.kappa1, z, tol)
+            transform.r_eval, transform.deriv, transform.kappa1, z)
     return HolomorphicGreen(z=z, g=g, residual=residual,
                             branch_certificate=certificate)
 
@@ -275,8 +278,7 @@ def _affine_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex):
     return ca + x * aa * cb, cb + x * ab * ca, d
 
 
-def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex,
-                 tol: float = 1e-13):
+def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex):
     """Solve the auxiliary pair g_a = x R_A(g_b), g_b = x R_B(g_a)."""
     if ta.affine is not None and tb.affine is not None:
         p, q, d = _affine_aux(ta, tb, x)
@@ -289,13 +291,13 @@ def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex,
         step = max(abs(na - ga), abs(nb - gb))
         ga += 0.6 * (na - ga)
         gb += 0.6 * (nb - gb)
-        if step < 0.1 * tol:
+        if step < 0.1 * _AUX_TOL:
             break
     # 2x2 Newton; exact in one step for affine R maps
     for _ in range(50):
         f1 = ga - x * ta.r_eval(gb)
         f2 = gb - x * tb.r_eval(ga)
-        if max(abs(f1), abs(f2)) < 0.1 * tol:
+        if max(abs(f1), abs(f2)) < 0.1 * _AUX_TOL:
             break
         j12 = -x * ta.deriv(gb)
         j21 = -x * tb.deriv(ga)
@@ -308,7 +310,7 @@ def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex,
         ga -= da
         gb -= db
     res = max(abs(ga - x * ta.r_eval(gb)), abs(gb - x * tb.r_eval(ga)))
-    if not res <= max(tol, 1e-11 * max(1.0, abs(x))):
+    if not res <= max(_AUX_TOL, 1e-11 * max(1.0, abs(x))):
         raise ConvergenceError(
             f"auxiliary product system stalled at x = {x}", residual=res)
     return ga, gb
@@ -352,22 +354,22 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
     )
 
 
-def multiply_r_system(ta: ScalarTransform, tb: ScalarTransform, z: complex,
-                      tol: float = 1e-12) -> ProductGreens:
+def multiply_r_system(ta: ScalarTransform, tb: ScalarTransform,
+                      z: complex) -> ProductGreens:
     """Green's function of the product AB plus the auxiliary resolvents.
 
     Solves the coupled system g = 1/(z - R_A(g_b) R_B(g_a)), g_a = g R_A(g_b),
     g_b = g R_B(g_a) on the decaying branch and reports the worst residual of
     the three equations.
     """
-    g = green_from_r(product_r_transform(ta, tb), z, tol).g
+    g = green_from_r(product_r_transform(ta, tb), z).g
     ga, gb = _product_aux(ta, tb, g)
     denom = z - ta.r_eval(gb) * tb.r_eval(ga)
     r1 = abs(g - 1.0 / denom) if denom != 0 else math.inf
     r2 = abs(ga - g * ta.r_eval(gb))
     r3 = abs(gb - g * tb.r_eval(ga))
     residual = max(r1, r2, r3)
-    if not residual <= 10.0 * tol:
+    if not residual <= 10.0 * _TOL:
         raise ConvergenceError(
             f"product system residuals did not close at z = {z}", residual=residual)
     return ProductGreens(g=g, g_a=ga, g_b=gb, residual=residual)
@@ -378,39 +380,25 @@ def multiply_r_system(ta: ScalarTransform, tb: ScalarTransform, z: complex,
 # ---------------------------------------------------------------------------
 
 
-def s_from_r(transform: ScalarTransform, y: complex, tol: float = 1e-12) -> complex:
+def s_from_r(transform: ScalarTransform, y: complex) -> complex:
     """S transform from the functional equation S = 1 / R(y S).
 
-    Seeded at 1/kappa1 and damped; undefined for centered transforms.
+    Solved by _scalar_fixed_point seeded at 1/kappa1 (at most 400 damped
+    steps); undefined for centered transforms.
     """
     if transform.kappa1 == 0:
         raise CenteredTransformError()
-    s = 1.0 / transform.kappa1
-    for _ in range(400):
-        r = transform.r_eval(y * s)
-        if r == 0:
-            raise ConvergenceError(f"R(y S) hit zero during S iteration at y = {y}")
-        step = 1.0 / r - s
-        s += 0.5 * step
-        if abs(step) < 0.1 * tol:
-            break
-    for _ in range(50):
-        r = transform.r_eval(y * s)
-        f = s * r - 1.0
-        if abs(f) < 1e-3 * tol:
-            break
-        fp = r + s * y * transform.deriv(y * s)
-        if fp == 0:
-            break
-        s -= f / fp
-    r = transform.r_eval(y * s)
-    residual = abs(s * r - 1.0)
-    if residual > tol:
+    # S = 1/R(y S) is the fixed point x = 1/(c - r(x)) with c = 0, r(x) = -R(y x)
+    s = _scalar_fixed_point(lambda x: -transform.r_eval(y * x),
+                            lambda x: -y * transform.deriv(y * x),
+                            0.0, 1.0 / transform.kappa1, 400)
+    residual = abs(s * transform.r_eval(y * s) - 1.0)
+    if not residual <= _TOL:
         raise ConvergenceError(f"S iteration stalled at y = {y}", residual=residual)
     return s
 
 
-def s_from_green(transform: ScalarTransform, y: complex, tol: float = 1e-11) -> complex:
+def s_from_green(transform: ScalarTransform, y: complex) -> complex:
     """S transform recovered from the Green's function alone.
 
     Inverts the moment map z -> z g(z) - 1 at y, then uses
@@ -441,7 +429,7 @@ def s_from_green(transform: ScalarTransform, y: complex, tol: float = 1e-11) -> 
             rg = transform.r_eval(g)
             f1 = g * (z - rg) - 1.0
             f2 = z * g - 1.0 - yk
-            if max(abs(f1), abs(f2)) < tol:
+            if max(abs(f1), abs(f2)) < _MOMENT_TOL:
                 return z, g, True
             a11 = g                                # dF1/dz
             a12 = z - rg - g * transform.deriv(g)  # dF1/dg
@@ -454,7 +442,7 @@ def s_from_green(transform: ScalarTransform, y: complex, tol: float = 1e-11) -> 
             dg = (a11 * f2 - f1 * a21) / det
             z -= dz
             g -= dg
-        return z, g, max(abs(f1), abs(f2)) < 1e3 * tol
+        return z, g, max(abs(f1), abs(f2)) < 1e3 * _MOMENT_TOL
 
     steps = 48
     ratio = y / y0
@@ -474,17 +462,17 @@ def multiply_via_s(ta: ScalarTransform, tb: ScalarTransform, y: complex) -> comp
     return s_from_r(ta, y) * s_from_r(tb, y)
 
 
-def assert_s_r_consistency(ta: ScalarTransform, tb: ScalarTransform, y: complex,
-                           tol: float = 1e-8) -> complex:
+def assert_s_r_consistency(ta: ScalarTransform, tb: ScalarTransform,
+                           y: complex) -> complex:
     """Check the S route against the R route for the product at one point.
 
     Returns the common S_AB(y) value; raises FreeconvError if the two routes
-    disagree beyond tol.
+    disagree beyond _ROUTE_TOL.
     """
     via_s = multiply_via_s(ta, tb, y)
     via_r = s_from_green(product_r_transform(ta, tb), y)
     diff = abs(via_s - via_r)
-    if diff > tol:
+    if diff > _ROUTE_TOL:
         raise FreeconvError(
             f"S/R routes disagree at y = {y}: |{via_s} - {via_r}| = {diff:.3e}")
     return via_s

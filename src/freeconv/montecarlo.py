@@ -210,26 +210,15 @@ def _dilate(mask: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
-def compare_density(empirical: DensityField, analytic: DensityField,
-                    exclusions: Exclusions = Exclusions()) -> ComparisonReport:
-    """Masked L1 and max deviation between an empirical and an analytic field.
-
-    Both fields must live on the identical grid.  The comparison region drops
-    the origin core, a collar of cells around the analytic support boundary,
-    and cells with expected count below min_expected (computed from the
-    empirical total); what remains is where the central limit theorem makes
-    the cell densities trustworthy.
-    """
-    if empirical.grid != analytic.grid:
-        raise GridError("empirical and analytic fields live on different grids")
-    if empirical.counts is None:
-        raise FreeconvError("empirical field lacks raw counts; use histogram2d")
-    grid = empirical.grid
-    points = grid.points()
+def comparison_cells(analytic: DensityField, total: float,
+                     exclusions: Exclusions = Exclusions()):
+    """(included, expected, excluded): the cells of analytic.grid left after
+    dropping the origin core, a collar around the analytic support boundary
+    and the cells expecting fewer than min_expected of total samples; the
+    expected counts; the size of each dropped set.  Only the last set depends
+    on total, shrinking as it grows.  Raises GridError when no cell is left."""
+    grid = analytic.grid
     hx, hy = grid.steps()
-    area = hx * hy
-    total = float(empirical.counts.sum())
-
     inside = analytic.rho > 1e-12
     boundary = np.zeros_like(inside)
     boundary[:-1, :] |= inside[:-1, :] != inside[1:, :]
@@ -238,20 +227,38 @@ def compare_density(empirical: DensityField, analytic: DensityField,
     boundary[:, 1:] |= inside[:, 1:] != inside[:, :-1]
     collar = _dilate(boundary, exclusions.collar_cells)
 
-    core = np.abs(points) < exclusions.core_radius
-    expected = analytic.rho * area * total
+    core = np.abs(grid.points()) < exclusions.core_radius
+    expected = analytic.rho * (hx * hy) * total
     low = expected < exclusions.min_expected
 
     included = ~(core | collar | low)
     if not included.any():
         raise GridError("exclusions removed every cell; nothing to compare")
+    return included, expected, {"core": int(core.sum()), "collar": int(collar.sum()),
+                                "low_count": int(low.sum())}
+
+
+def compare_density(empirical: DensityField, analytic: DensityField,
+                    exclusions: Exclusions = Exclusions()) -> ComparisonReport:
+    """Masked L1 and max deviation between an empirical and an analytic field.
+
+    Both fields must live on the identical grid.  The comparison keeps the
+    comparison_cells at the empirical total, where the central limit theorem
+    makes the cell densities trustworthy.
+    """
+    if empirical.grid != analytic.grid:
+        raise GridError("empirical and analytic fields live on different grids")
+    if empirical.counts is None:
+        raise FreeconvError("empirical field lacks raw counts; use histogram2d")
+    hx, hy = empirical.grid.steps()
+    total = float(empirical.counts.sum())
+    included, expected, excluded = comparison_cells(analytic, total, exclusions)
     diff = np.abs(empirical.rho - analytic.rho)[included]
     report = ComparisonReport(
-        l1_distance=float(np.sum(diff) * area),
+        l1_distance=float(np.sum(diff) * (hx * hy)),
         max_deviation=float(np.max(diff)),
         included_cells=int(included.sum()),
-        excluded={"core": int(core.sum()), "collar": int(collar.sum()),
-                  "low_count": int(low.sum())},
+        excluded=excluded,
         sample_counts={"total": int(total),
                        "included_expected_min": float(expected[included].min()),
                        "included_expected_median": float(np.median(expected[included])),

@@ -80,18 +80,11 @@ class MatrixRMap:
 
     def diagonal_section(self) -> ScalarTransform:
         """Restriction to diagonal arguments, as a scalar R transform."""
-        affine = r_deriv = None
+        name, m = f"{self.name}|diag", self.meta
         if self._elliptic():
-            alpha = self.meta["tau"] * self.meta["sigma"] ** 2
-            affine = (self.meta["shift"], alpha)
-            r_deriv = lambda x: alpha
-        return ScalarTransform(
-            name=f"{self.name}|diag",
-            r_eval=lambda x: self.apply_q(QuaternionicGreen(x, 0.0)).a,
-            kappa1=self.kappa1,
-            r_deriv=r_deriv,
-            affine=affine,
-        )
+            return hermitian._affine_transform(name, m["shift"], m["tau"] * m["sigma"] ** 2)
+        return ScalarTransform(name=name, kappa1=self.kappa1,
+                               r_eval=lambda x: self.apply_q(QuaternionicGreen(x, 0.0)).a)
 
     def b_coupling(self, a_value: complex) -> complex:
         """d(off-diagonal out)/d(off-diagonal in) at b = 0, diagonal a_value."""
@@ -299,7 +292,7 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
         for k, zk in np.ndenumerate(z):
             zk = complex(zk)
             try:
-                pg = hermitian.multiply_r_system(ta, tb, zk, _TOL)
+                pg = hermitian.multiply_r_system(ta, tb, zk)
             except (ConvergenceError, BranchUndecidedError):
                 continue
             indicator[k] = _stability_radius(
@@ -333,7 +326,7 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     phase_split(z)  # reject the origin up front
     try:
         # stability of the holomorphic solution: L |g|^2 - 1 > 0 means inside
-        g = hermitian.green_from_r(rmap.diagonal_section(), z, _TOL).g
+        g = hermitian.green_from_r(rmap.diagonal_section(), z).g
         unstable = abs(rmap.b_coupling(g)) * abs(g) ** 2 - 1.0 > 0.0
     except (ConvergenceError, BranchUndecidedError):
         unstable = True
@@ -540,7 +533,7 @@ class _NodeSolves(NamedTuple):
     outcomes: list     # per node: a NonHermSolution, or the FreeconvError that stopped it
     g11: np.ndarray    # G_M's 11 entry shaped like the points, NaN where a solve failed
     capped: int        # inside nodes whose damped loop ran to _MAX_FP before Newton
-    collapsed: int     # inside nodes whose fixed point sank to b = 0, returned holomorphic
+    collapsed: int     # inside nodes whose fixed point sank to b = 0 (holomorphic)
 
     @property
     def failed(self) -> int:
@@ -553,15 +546,16 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = N
 
     One _holomorphic_probe call classifies the nodes, unless branch
     ("nonholomorphic" or "holomorphic") says the caller already did, and
-    gives the outside nodes their solutions.  Under a wrong
-    "nonholomorphic" branch a node's fixed point sinks to b = 0, and a
-    correlator at or below _COLLAPSE returns the holomorphic branch.  All
-    inside nodes share one _fixed_point call, started from seed
-    (a_A, b_A, a_B, b_B), by default (0, 0.1, 0, 0.1), at every node; the
-    arithmetic is elementwise, so a node's result does not depend on the
-    other nodes.  Each node is then certified by _product_equations, one at
-    a time.  A node that fails (the origin, a non-finite iterate, a missed
-    certificate) fails alone, with its FreeconvError as its outcome.
+    gives the outside nodes their solutions.  All inside nodes share one
+    _fixed_point call, started from seed (a_A, b_A, a_B, b_B), by default
+    (0, 0.1, 0, 0.1), at every node; the arithmetic is elementwise, so a
+    node's result does not depend on the other nodes.  Each node is then
+    certified by _product_equations, one at a time.  A node whose fixed
+    point sinks to b = 0 (correlator at or below _COLLAPSE) keeps the
+    probe's root where the probe finds it certified and stable (a wrong
+    "nonholomorphic" branch), else its own root with b = 0: z is in a hole
+    of the support.  A node that fails (the origin, a non-finite iterate, a
+    missed certificate) fails alone, with its FreeconvError as its outcome.
     """
     zs = np.asarray(points, dtype=complex).ravel()
     z_list = zs.tolist()
@@ -594,21 +588,24 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = N
             if failed:
                 outcomes[node] = ConvergenceError(
                     f"product solve hit non-finite values at z = {z_list[node]}")
-            elif abs(values[1]) * abs(values[3]) <= _COLLAPSE:
-                # the fixed point sank to the holomorphic root b = 0
-                holomorphic.append(node)
+                continue
+            if abs(values[1]) * abs(values[3]) <= _COLLAPSE:
+                # the fixed point sank to a holomorphic root, b = 0
                 collapsed += 1
-            else:
-                outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], values,
-                                            QuaternionicGreen(*gm), "nonholomorphic",
-                                            iterations)
+                at = probe(zs) if at is None else at
+                if at[2][node] and at[0][node] <= 0.0:
+                    holomorphic.append(node)  # the probe's root
+                    continue
+                values, gm = (values[0], 0.0, values[2], 0.0), (gm[0], 0.0)
+            outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], values,
+                                        QuaternionicGreen(*gm), iterations)
 
     if holomorphic:
         _, pg, ok = probe(zs) if at is None else at
         for node in holomorphic:
             g, ga, gb = (complex(v[node]) for v in pg[:3])
             outcomes[node] = (_certified(rmap_a, rmap_b, z_list[node], (ga, 0.0, gb, 0.0),
-                                         QuaternionicGreen(g, 0.0), "holomorphic")
+                                         QuaternionicGreen(g, 0.0))
                               if ok[node] else
                               ConvergenceError("no certified holomorphic product "
                                                f"solution at z = {z_list[node]}"))
@@ -618,23 +615,22 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = N
 
 
 def _certified(rmap_a, rmap_b, z: complex, values, gm: QuaternionicGreen,
-               branch: str, iterations: int = 0):
-    """The NonHermSolution on branch at z for the flat values
-    (a_A, b_A, a_B, b_B) and G_M, with its _product_equations residual.  A
-    nonholomorphic one must meet the point solvers' bound; where the
+               iterations: int = None):
+    """The NonHermSolution at z for the flat values (a_A, b_A, a_B, b_B) and
+    G_M, with its _product_equations residual.  A root of _fixed_point (its
+    damped step count given) must meet the point solvers' bound; where the
     certificate fails, the FreeconvError is returned instead."""
     qa, qb = QuaternionicGreen(*values[:2]), QuaternionicGreen(*values[2:])
     try:
         res = max(_product_equations(rmap_a, rmap_b, z, phase_split(z).psi, qa, qb, gm)[2])
     except FreeconvError as exc:
         return exc
-    if branch == "holomorphic":
-        return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=0.0,
-                               branch=branch, residual=res)
-    if res > max(10.0 * _TOL, 1e-10):
+    if iterations is not None and res > max(10.0 * _TOL, 1e-10):
         return ConvergenceError(f"product solve stalled at z = {z}", residual=res)
-    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=abs(qa.b) * abs(qb.b),
-                           branch=branch, residual=res, iterations=iterations)
+    corr = abs(qa.b) * abs(qb.b)
+    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr,
+                           branch="holomorphic" if corr <= _COLLAPSE else "nonholomorphic",
+                           residual=res, iterations=iterations or 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from freeconv import cli, nonhermitian
-from freeconv.errors import SpecValidationError
+from freeconv.errors import ConvergenceError, SpecValidationError
 
 GIN = {"kind": "ginibre", "n": 24}
 GUE = {"kind": "gue", "n": 24}
 SHIFTED_GUE = {"kind": "elliptic", "n": 24, "tau": 1.0, "shift": 1.0}
+ELLIPTIC = {"kind": "elliptic", "n": 24, "tau": 0.3, "shift": [0.5, 0.2]}
 # even node counts keep z = 0 off the grid; wide enough for finite-n outliers
 COMPARE_GRID = {"kind": "cartesian", "ranges": [[-1.6, 1.6], [-1.6, 1.6]],
                 "resolution": [18, 18]}
@@ -113,13 +114,45 @@ def test_transform_matrix_section(tmp_path):
     assert outside["branch"] == "holomorphic"
 
 
-def test_transform_failure_is_total(tmp_path, capsys):
-    # the scan hits z = 0 exactly, where no phase split exists
+def test_transform_failure_is_total(tmp_path, capsys, monkeypatch):
+    def stalled(rmap, z):
+        raise ConvergenceError(f"single-matrix solve stalled at z = {z}")
+
+    monkeypatch.setattr(nonhermitian, "solve_single", stalled)
     rc = run_cli(tmp_path, "transform", {
-        "ensemble_a": GIN, "start": -1.0, "stop": 1.0, "count": 3,
+        "ensemble_a": GIN, "start": 0.5, "stop": 1.0, "count": 3,
         "output": str(tmp_path / "x.csv")})
     assert rc == 3
     assert "transform failed" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("ensemble", [GIN, ELLIPTIC])
+def test_transform_origin_rejected_before_work(tmp_path, capsys, monkeypatch, ensemble):
+    # the matrix section has no solution at z = 0: 201 values over [-4, 4]
+    # contain it, so the job fails validation before any solve
+    def unexpected(rmap, z):
+        raise AssertionError("solved before validation")
+
+    monkeypatch.setattr(nonhermitian, "solve_single", unexpected)
+    out = tmp_path / "t.csv"
+    rc = run_cli(tmp_path, "transform", {
+        "ensemble_a": ensemble, "start": -4.0, "stop": 4.0, "count": 201,
+        "output": str(out)})
+    assert rc == 1
+    assert "z = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_origin_rule_spares_other_jobs(tmp_path):
+    # 200 values over [-4, 4] miss z = 0; a hermitian ensemble takes z + i eps
+    for ensemble, count in ((ELLIPTIC, 200), (SHIFTED_GUE, 201)):
+        out = tmp_path / "t.csv"
+        rc = run_cli(tmp_path, "transform", {
+            "ensemble_a": ensemble, "start": -4.0, "stop": 4.0, "count": count,
+            "output": str(out)})
+        assert rc == 0
+        assert read_csv(out)[1]["points"] == count
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +591,24 @@ def test_build_job_workers_env(monkeypatch):
         with pytest.raises(SpecValidationError) as err:
             cli.build_job("transform", {"ensemble_a": GUE, "output": "o.csv"})
         assert any("FREECONV_WORKERS" in v for v in err.value.violations)
+
+
+def test_compare_empty_comparison_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    # every cell of this grid falls to the core, the collar or the low-count
+    # mask even at the largest possible sample total, trials x n
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sampled before the comparison mask was checked")
+
+    monkeypatch.setattr(cli.montecarlo, "product_eigenvalues", unexpected)
+    out = tmp_path / "cmp.json"
+    rc = run_cli(tmp_path, "compare", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "trials": 20,
+        "grid": {"kind": "cartesian", "ranges": [[-1.6, 1.6], [-1.6, 1.6]],
+                 "resolution": [10, 10]},
+        "output": str(out)})
+    assert rc == 1
+    assert "removed every cell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_rejects_polar_and_csv():

@@ -14,6 +14,7 @@ from freeconv.montecarlo import (
     EigenCloud,
     Exclusions,
     compare_density,
+    comparison_cells,
     histogram2d,
     product_eigenvalues,
     radial_profile,
@@ -248,6 +249,24 @@ def test_compare_collar_growth_shrinks_region():
     large = compare_density(empirical, analytic, Exclusions(collar_cells=3))
     assert large.included_cells < small.included_cells
     assert large.excluded["collar"] > small.excluded["collar"]
+
+
+def test_comparison_cells_grow_with_the_total():
+    # the report's mask is comparison_cells at the empirical total, and only
+    # the low-count mask depends on the total, shrinking as it grows
+    empirical, analytic = _circular_pair(trials=20)
+    report = compare_density(empirical, analytic)
+    total = float(empirical.counts.sum())
+    included, _, excluded = comparison_cells(analytic, total)
+    assert np.array_equal(included, report.included_mask)
+    assert excluded == report.excluded
+    more, _, more_excluded = comparison_cells(analytic, 10.0 * total)
+    assert not (included & ~more).any()
+    assert more_excluded["core"] == excluded["core"]
+    assert more_excluded["collar"] == excluded["collar"]
+    assert more_excluded["low_count"] < excluded["low_count"]
+    with pytest.raises(GridError):
+        comparison_cells(analytic, 1.0)
 
 
 def test_compare_grid_mismatch():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv import hermitian, nonhermitian
+from freeconv.ensembles import EnsembleSpec, sample
 from freeconv.errors import FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
 from freeconv.hermitian import gaussian_transform, green_from_r
@@ -457,15 +458,69 @@ def test_constant_pairs_skip_the_ladder(pair, stage_count):
     assert not stage_count
 
 
-@pytest.mark.xfail(strict=True, reason="z lies in a hole of the support, where the "
-                   "physical root is not the ladder's continuation from infinity")
+# (sigma, tau, shift) of A and B, and a z in a hole of the support of AB
+HOLE = ((1.728, 0.812, -1.394 - 1.317j), (1.729, -0.914, -0.679 - 1.148j), -0.583 - 0.102j)
+HOLE_PAIR, HOLE_Z = (elliptic_rmap(*HOLE[0]), elliptic_rmap(*HOLE[1])), HOLE[2]
+
+
 def test_hole_point_takes_the_stable_root():
     # Monte Carlo (N = 400, 10 trials) gives (1/N) tr (z - AB)^-1 = -0.02326+0.19692i
     # +- 0.00036 here; the ladder's root -1.596+0.027i has indicator 4.85
-    a = elliptic_rmap(1.728, 0.812, -1.394 - 1.317j)
-    b = elliptic_rmap(1.729, -0.914, -0.679 - 1.148j)
-    sol = solve_product(a, b, -0.583 - 0.102j)
+    sol = solve_product(*HOLE_PAIR, HOLE_Z)
     assert abs(sol.gm.a - (-0.0228 + 0.197j)) <= 1e-3
+
+
+def test_hole_point_resolvent_matches_samples():
+    # mean of (1/N) tr (z - AB)^-1 over independent trials against G11, per
+    # component, within 5 standard errors fixed in advance; the ladder's
+    # root -1.596+0.027i lies thousands of standard errors away
+    n, trials = 200, 20
+    spec_a, spec_b = (EnsembleSpec("elliptic", n, *params) for params in HOLE[:2])
+    eye = np.eye(n)
+    traces = np.array([
+        np.trace(np.linalg.inv(HOLE_Z * eye - sample(spec_a, 0xA, t).matrix
+                               @ sample(spec_b, 0xB, t).matrix)) / n
+        for t in range(trials)])
+    g = solve_product(*HOLE_PAIR, HOLE_Z).gm.a
+    for part in (np.real, np.imag):
+        se = part(traces).std(ddof=1) / math.sqrt(trials)
+        assert abs(part(traces).mean() - part(g)) <= 5.0 * se
+
+
+# draws 11, 87 and 417 of the 16 in a 600-point sample (random.Random(5),
+# elliptic pairs with sigma in [0.3, 2], tau in [-1, 1], shifts in the box
+# +-1.5 +-1.5i) where the probe calls z inside but the fixed point sinks to b = 0
+COLLAPSED = [
+    ((0.35562607394776885, -0.012871603158335576, 1.0152878435043968 - 1.10828451854064j),
+     (1.54382951974035, 0.8995971252437975, 0.3911978802791838 + 0.8640286493410709j),
+     0.43191294590630247 - 0.18834032820150523j),
+    ((1.0025341792494495, 0.7484156761117036, 0.9770492039400702 + 1.2460666872150727j),
+     (0.9435168886582603, 0.998100605840305, 0.7687383629361189 + 1.1753378735129107j),
+     -0.12266855126380577 + 0.6235067732364095j),
+    ((1.4906267502159827, 0.7935119982516607, 0.738587354044518 - 1.3726904244861244j),
+     (1.7176925414418152, 0.5374200780322977, 0.29303541364196883 - 1.3768375944441824j),
+     -0.3684531340339739 - 0.017352918537383737j),
+]
+
+
+@pytest.mark.parametrize("pa,pb,z", COLLAPSED + [HOLE],
+                         ids=["sample11", "sample87", "sample417", "found"])
+def test_collapsed_node_returns_its_own_stable_root(pa, pb, z):
+    a, b = elliptic_rmap(*pa), elliptic_rmap(*pb)
+    indicator, probed, ok = nonhermitian._holomorphic_probe(a, b)(z)
+    assert ok and indicator > 0.0  # the probe's root is unstable here
+    solved = nonhermitian._solve_nodes(a, b, np.array([z, z]))
+    assert solved.collapsed == 2
+    sol = solved.outcomes[0]
+    assert sol.branch == "holomorphic" and sol.correlator == 0.0
+    assert sol.gm.a == solved.outcomes[1].gm.a == solve_product(a, b, z).gm.a
+    assert abs(sol.gm.a - complex(probed.g)) > 1e-3
+    assert sol.residual <= 1e-10
+    ta, tb = a.diagonal_section(), b.diagonal_section()
+    radius = nonhermitian._stability_radius(
+        z, sol.gm.a, ta.r_eval(sol.gb.a), tb.r_eval(sol.ga.a),
+        a.b_coupling(sol.gb.a), b.b_coupling(sol.ga.a))
+    assert radius < 0.0
 
 
 @pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED), TAU_PAIR],
