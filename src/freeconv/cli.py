@@ -253,6 +253,10 @@ def build_job(command: str, merged: dict) -> JobConfig:
             problems.append("compare needs a cartesian grid (2d histogram cells)")
         if command in ("density", "compare") and cfg.grid.contains_origin():
             problems.append("grid contains z = 0; offset the ranges to avoid the origin")
+    if (command in ("sample", "compare") and cfg.ensemble_a is not None
+            and cfg.ensemble_b is not None and cfg.ensemble_a.n != cfg.ensemble_b.n):
+        problems.append(f"ensemble_a and ensemble_b must have the same n, got "
+                        f"{cfg.ensemble_a.n} and {cfg.ensemble_b.n}")
     if command == "compare":
         if merged.get("format", "json") != "json":
             problems.append("comparison reports are JSON only; drop format or set 'json'")
@@ -448,16 +452,11 @@ def cmd_solve_product(cfg: JobConfig) -> int:
     solved = nonhermitian._solve_nodes(rmap_a, rmap_b, points)
     n0, n1 = points.shape
     failures = solved.failed
-
-    rot = None
-    if min(cfg.grid.resolution) >= 5:
-        _, rot = nonhermitian._divergence_rho(cfg.grid, solved.g11)
+    rot, rot_residual = nonhermitian._curl(nonhermitian._dbar_g11(rmap_a, rmap_b, solved))
 
     axis_names = ("x", "y") if cfg.grid.kind == "cartesian" else ("r", "phi")
     header = [axis_names[0], axis_names[1], "z_re", "z_im", "a_re", "a_im",
-              "b_abs", "correlator", "branch", "residual", "iterations", "status"]
-    if rot is not None:
-        header.append("rot")
+              "b_abs", "correlator", "branch", "residual", "iterations", "rot", "status"]
     axis0, axis1 = cfg.grid.axes()
     rows = []
     for i in range(n0):
@@ -466,20 +465,17 @@ def cmd_solve_product(cfg: JobConfig) -> int:
             sol = solved.outcomes[i * n1 + j]
             if not isinstance(sol, nonhermitian.NonHermSolution):
                 row = [float(axis0[i]), float(axis1[j]), z.real, z.imag,
-                       None, None, None, None, "", None, None, "failed"]
+                       None, None, None, None, "", None, None, None, "failed"]
             else:
                 row = [float(axis0[i]), float(axis1[j]), z.real, z.imag,
                        sol.gm.a.real, sol.gm.a.imag, abs(sol.gm.b),
                        sol.correlator, sol.branch, sol.residual,
-                       sol.iterations, "ok"]
-            if rot is not None:
-                row.append(float(rot[i, j]))
+                       sol.iterations, float(rot[i, j]), "ok"]
             rows.append(row)
 
     summary = {"points": n0 * n1, "failed": failures,
-               "capped": solved.capped, "collapsed": solved.collapsed}
-    if rot is not None:
-        summary["rot_residual"] = _json_cell(nonhermitian._rot_residual(rot))
+               "capped": solved.capped, "collapsed": solved.collapsed,
+               "rot_residual": _json_cell(rot_residual)}
     _write_table(cfg, summary, header, rows)
     if failures == n0 * n1:
         print(f"error: all {failures} grid points failed to solve", file=sys.stderr)
@@ -525,7 +521,6 @@ def cmd_density(cfg: JobConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rot = fld.rot
     axis0, axis1 = cfg.grid.axes()
     hx, hy = cfg.grid.steps()
     points = cfg.grid.points()
@@ -544,7 +539,7 @@ def cmd_density(cfg: JobConfig) -> int:
             z = complex(points[i, j])
             g = complex(fld.g11[i, j])
             rows.append([float(axis0[i]), float(axis1[j]), z.real, z.imag,
-                         float(fld.rho[i, j]), g.real, g.imag, float(rot[i, j])])
+                         float(fld.rho[i, j]), g.real, g.imag, float(fld.rot[i, j])])
     summary = {"route": fld.route, "rot_residual": _json_cell(fld.rot_residual),
                "holes": fld.holes, "mass": mass}
     _write_table(cfg, summary, header, rows)

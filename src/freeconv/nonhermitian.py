@@ -45,8 +45,11 @@ _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a cros
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
+_X_STEP = 1e-6         # _real_jacobian's step in the unknowns, Newton's and _dbar_g11's
+_Z_STEP = 1e-5         # _dbar_g11's step in Re z and Im z, relative to |z|
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
 _HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
+_PRODUCT_PHASE = (0, 1, 0, 1)  # b_A and b_B of (a_A, b_A, a_B, b_B) share a free phase
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +62,13 @@ class MatrixRMap:
     """Matrix-valued R transform acting on quaternionic Green's functions.
 
     apply_q is the structured fast path (a, b) -> (a', b') used by the
-    solvers; apply embeds its result as a full 2x2 matrix.  apply_matrix, when
-    available, extends the map to arbitrary 2x2 arguments as required by the
-    left/right S-transform machinery.  meta carries the parameters of known
-    families so closed-form density routes can recognize them; elliptic meta
-    also makes the diagonal section exactly affine and the b-coupling exact.
+    solvers, which rely on it commuting with a phase rotation of b (as every
+    quaternionic R transform does); apply embeds its result as a full 2x2
+    matrix.  apply_matrix, when available, extends the map to arbitrary 2x2
+    arguments as required by the left/right S-transform machinery.  meta
+    carries the parameters of known families so closed-form density routes
+    can recognize them; elliptic meta also makes the diagonal section exactly
+    affine and the b-coupling exact.
     """
 
     name: str
@@ -342,7 +347,8 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
         sa, sb = _apply_q(rmap, *x)
         return np.array(qinv_parts(z - sa, -sb))
 
-    fp = _fixed_point(step, np.array([[0.0], [0.1]], dtype=complex), _TOL, _MAX_FP)
+    fp = _fixed_point(step, np.array([[0.0], [0.1]], dtype=complex), _TOL, _MAX_FP,
+                      phase=(0, 1))
     if fp.failed[0]:
         raise ConvergenceError(f"single-matrix solve hit non-finite values at z = {z}")
     q = QuaternionicGreen(*fp.values[:, 0].tolist())
@@ -373,7 +379,8 @@ class _FixedPoint(NamedTuple):
     failed: np.ndarray      # a non-finite iterate or Jacobian stopped the node
 
 
-def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int) -> _FixedPoint:
+def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int,
+                 phase=None) -> _FixedPoint:
     """Fixed points x = step(x) of N independent systems, solved in lockstep.
 
     values holds the seeds, k complex unknowns at each of N nodes as a (k, N)
@@ -383,12 +390,13 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int) -> _FixedPoi
     call.  A damped iteration (half-way to step(x)) carries each node into
     Newton's basin; below a _HANDOFF update, or after max_fp steps where the
     multiplier is close to one, least-squares Newton takes over on the real
-    and imaginary parts (forward-difference Jacobian from one step call on
-    2k perturbed copies of every node, minimal-norm steps for the phase
-    redundancy in b, at most _MAX_NEWTON steps) until the residual is below
-    0.05 tol.  Every node stops on its own.  A node whose iterate or
-    Jacobian turns non-finite is marked failed and dropped, so it fails
-    alone.
+    and imaginary parts (_real_jacobian with steps _X_STEP, minimal-norm
+    steps, at most _MAX_NEWTON steps) until the residual is below 0.05 tol.
+    phase, a 0/1 mask over the k unknowns, marks those whose common phase
+    rotation maps step to itself (the b parts); _drop_phase takes that
+    redundant direction out of every Newton step.  Every node stops on its
+    own.  A node whose iterate or Jacobian turns non-finite is marked failed
+    and dropped, so it fails alone.
     """
     x = np.array(values, dtype=complex)
     k, n = x.shape
@@ -412,18 +420,12 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int) -> _FixedPoi
         capped[active] = True
         x[:, active], iterations[active] = cur, max_fp
 
-        m, h = 2 * k, 1e-7
-        real = np.empty((m, n))
-        real[0::2], real[1::2] = x.real, x.imag
+        real = _as_real(x)
 
         def residual(r, nodes):
-            c = np.empty((k, r.shape[1]), dtype=complex)
-            c.real, c.imag = r[0::2], r[1::2]
-            nxt = step(c, nodes)
-            return r - np.stack([nxt.real, nxt.imag], axis=1).reshape(r.shape)
+            return r - _as_real(step(_as_complex(r), nodes))
 
         act = np.flatnonzero(~failed)
-        diag = np.arange(m)
         for _ in range(_MAX_NEWTON):
             if not act.size:
                 break
@@ -433,34 +435,81 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int) -> _FixedPoi
             act, r, f = act[going], r[:, going], f[:, going]
             if not act.size:
                 break
-            # copy j perturbs unknown j: jac[node, i, j] = d f_i / d x_j
-            rp = np.repeat(r[:, None, :], m, axis=1)
-            rp[diag, diag] += h
-            fp = residual(rp.reshape(m, m * act.size), np.tile(act, m))
-            jac = ((fp.reshape(m, m, act.size) - f[:, None, :]) / h).transpose(2, 0, 1)
+            jac = _real_jacobian(residual, r, act, _X_STEP)
             finite = np.isfinite(jac).all(axis=(1, 2))
             failed[act[~finite]] = True
             act, r, f, jac = act[finite], r[:, finite], f[:, finite], jac[finite]
+            if phase is not None:
+                jac = _drop_phase(jac, _as_complex(r), phase)
             try:
-                real[:, act] = r - _min_norm_solve(jac, f.T).T
+                real[:, act] = r - _min_norm_solve(jac, f.T[..., None])[..., 0].T
             except np.linalg.LinAlgError:
                 # a batched SVD fails as a whole; LAPACK's does not fail on
                 # finite 2k x 2k input in practice
                 failed[act] = True
                 break
-        x.real, x.imag = real[0::2], real[1::2]
+        x = _as_complex(real)
     return _FixedPoint(x, iterations, capped, failed)
+
+
+def _as_real(x: np.ndarray) -> np.ndarray:
+    """(k, n) complex rows as (2k, n) real rows: Re x_0, Im x_0, Re x_1, ..."""
+    return np.stack([x.real, x.imag], axis=1).reshape(2 * x.shape[0], x.shape[1])
+
+
+def _as_complex(r: np.ndarray) -> np.ndarray:
+    """The inverse of _as_real."""
+    return np.ascontiguousarray(r.T).view(complex).T
+
+
+def _real_jacobian(fun, r: np.ndarray, nodes: np.ndarray, h) -> np.ndarray:
+    """Central-difference Jacobian jac[node, i, j] = d fun_i / d r_j.
+
+    r holds p real unknowns at each of the given nodes as a (p, n) array,
+    and fun(r, nodes) maps such columns to their (q, n) values, column by
+    column.  One fun call takes all 2p perturbed copies of every node, with
+    r_j moved by +-h_j, h broadcasting against r.
+    """
+    p, n = r.shape
+    h = np.broadcast_to(h, (p, n))
+    diag = np.arange(p)
+    # copy j moves unknown j up, copy p + j moves it down
+    rp = np.repeat(r[:, None, :], 2 * p, axis=1)
+    rp[diag, diag] += h
+    rp[diag, p + diag] -= h
+    f = fun(rp.reshape(p, 2 * p * n), np.tile(nodes, 2 * p)).reshape(-1, 2 * p, n)
+    # node-major and C-contiguous, see _min_norm_solve
+    return np.ascontiguousarray(((f[:, :p] - f[:, p:]) / (2.0 * h)).transpose(2, 0, 1))
+
+
+def _drop_phase(jac: np.ndarray, x: np.ndarray, phase) -> np.ndarray:
+    """The Jacobians jac[node] (q rows, one column per real part of the k
+    unknowns x[:, node]) with the direction d = i x * phase projected out of
+    their columns.
+
+    Where a common phase rotation of the unknowns that phase marks maps the
+    equations to themselves, d is a null direction of the exact Jacobian at
+    a solution; difference noise leaves it a small nonzero singular value
+    that a minimal-norm solve would amplify.  Where d is 0 nothing is dropped.
+    """
+    d = np.ascontiguousarray(_as_real(1j * x * np.asarray(phase)[:, None]).T)
+    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), np.finfo(float).tiny)
+    return jac - np.einsum("nij,nj->ni", jac, d)[..., None] * d[:, None, :]
 
 
 def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimal-norm least-squares solutions of the stacked systems
-    a[i] x[i] = b[i], with lstsq's default cutoff: singular values at or
-    below eps * size * the largest count as zero."""
+    a[i] x[i] = b[i], each b[i] an (m, c) matrix, with lstsq's default
+    cutoff: singular values at or below eps * size * the largest count as
+    zero.  The products are einsum's on C-contiguous stacks, not matmul's:
+    matmul rounds a stack of one differently from a longer stack, and einsum
+    a strided operand differently from a contiguous one, and a node's result
+    must not depend on the batch it shares."""
     u, s, vt = np.linalg.svd(a)
-    keep = s > np.finfo(float).eps * a.shape[-1] * s[:, :1]
-    w = (u.transpose(0, 2, 1) @ b[..., None])[..., 0]
-    w = np.where(keep, w / np.where(keep, s, 1.0), 0.0)
-    return (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
+    keep = (s > np.finfo(float).eps * a.shape[-1] * s[:, :1])[..., None]
+    w = np.einsum("nji,njc->nic", u, np.ascontiguousarray(b))
+    w = np.where(keep, w / np.where(keep, s[..., None], 1.0), 0.0)
+    return np.einsum("nji,njc->nic", vt, w)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +571,6 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHerm
     _fixed_point converges the nonholomorphic solution to _TOL; iterations
     counts its damped steps.
     """
-    phase_split(z)  # reject the origin up front
     out = _solve_nodes(rmap_a, rmap_b, np.array([z])).outcomes[0]
     if isinstance(out, FreeconvError):
         raise out
@@ -540,45 +588,35 @@ class _NodeSolves(NamedTuple):
         return sum(isinstance(o, FreeconvError) for o in self.outcomes)
 
 
-def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = None,
-                 seed=None) -> _NodeSolves:
+def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     """The product solution at every node of points (in points.ravel() order).
 
-    One _holomorphic_probe call classifies the nodes, unless branch
-    ("nonholomorphic" or "holomorphic") says the caller already did, and
-    gives the outside nodes their solutions.  All inside nodes share one
-    _fixed_point call, started from seed (a_A, b_A, a_B, b_B), by default
-    (0, 0.1, 0, 0.1), at every node; the arithmetic is elementwise, so a
-    node's result does not depend on the other nodes.  Each node is then
-    certified by _product_equations, one at a time.  A node whose fixed
-    point sinks to b = 0 (correlator at or below _COLLAPSE) keeps the
-    probe's root where the probe finds it certified and stable (a wrong
-    "nonholomorphic" branch), else its own root with b = 0: z is in a hole
-    of the support.  A node that fails (the origin, a non-finite iterate, a
-    missed certificate) fails alone, with its FreeconvError as its outcome.
+    One _holomorphic_probe call classifies the nodes and gives the outside
+    nodes their solutions.  All inside nodes share one _fixed_point call,
+    started from (a_A, b_A, a_B, b_B) = (0, 0.1, 0, 0.1) at every node; the
+    arithmetic is elementwise, so a node's result does not depend on the
+    other nodes.  Each node is then certified by _product_equations, one at
+    a time.  A node whose fixed point sinks to b = 0 (correlator at or below
+    _COLLAPSE) keeps its own root with b = 0: z is in a hole of the support,
+    where the probe's root is unstable.  A node that fails (the origin, a
+    non-finite iterate, a missed certificate) fails alone, with its
+    FreeconvError as its outcome.  _dbar_g11 differentiates the result.
     """
     zs = np.asarray(points, dtype=complex).ravel()
     z_list = zs.tolist()
     outcomes = [OriginError() if z == 0 else None for z in z_list]
     live = zs != 0
-    probe = _holomorphic_probe(rmap_a, rmap_b)
-    at = None  # the probe's result on zs, once computed
-    if branch is None:
-        at = probe(zs)
-        indicator, _, ok = at
-        inside = live & (~ok | (indicator > 0.0))
-    else:
-        inside = live & (branch == "nonholomorphic")
+    indicator, pg, ok = _holomorphic_probe(rmap_a, rmap_b)(zs)
+    inside = live & (~ok | (indicator > 0.0))
 
-    holomorphic = np.flatnonzero(live & ~inside).tolist()
     capped = collapsed = 0
     if inside.any():
         nodes = np.flatnonzero(inside)
         z = zs[nodes]
         u = np.exp(0.5j * np.angle(z))
-        start = np.array((0.0, 0.1, 0.0, 0.1) if seed is None else seed, dtype=complex)
+        start = np.repeat([[0.0], [0.1], [0.0], [0.1]], nodes.size, axis=1)
         fp = _fixed_point(lambda x, k: _product_step(rmap_a, rmap_b, z[k], u[k], x),
-                          np.repeat(start[:, None], nodes.size, axis=1), _TOL, _MAX_FP)
+                          start, _TOL, _MAX_FP, _PRODUCT_PHASE)
         capped = int(np.count_nonzero(fp.capped))
         with np.errstate(all="ignore"):  # failed nodes' values may be non-finite
             gm_a, gm_b = _product_sweep(rmap_a, rmap_b, z, u, fp.values)[2]
@@ -592,26 +630,66 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points, branch: str = N
             if abs(values[1]) * abs(values[3]) <= _COLLAPSE:
                 # the fixed point sank to a holomorphic root, b = 0
                 collapsed += 1
-                at = probe(zs) if at is None else at
-                if at[2][node] and at[0][node] <= 0.0:
-                    holomorphic.append(node)  # the probe's root
-                    continue
                 values, gm = (values[0], 0.0, values[2], 0.0), (gm[0], 0.0)
             outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], values,
                                         QuaternionicGreen(*gm), iterations)
 
-    if holomorphic:
-        _, pg, ok = probe(zs) if at is None else at
-        for node in holomorphic:
-            g, ga, gb = (complex(v[node]) for v in pg[:3])
-            outcomes[node] = (_certified(rmap_a, rmap_b, z_list[node], (ga, 0.0, gb, 0.0),
-                                         QuaternionicGreen(g, 0.0))
-                              if ok[node] else
-                              ConvergenceError("no certified holomorphic product "
-                                               f"solution at z = {z_list[node]}"))
+    # the probe certified every node it calls outside
+    for node in np.flatnonzero(live & ~inside).tolist():
+        g, ga, gb = (complex(v[node]) for v in pg[:3])
+        outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], (ga, 0.0, gb, 0.0),
+                                    QuaternionicGreen(g, 0.0))
     g11 = np.array([o.gm.a if isinstance(o, NonHermSolution) else complex("nan")
                     for o in outcomes], dtype=complex).reshape(np.shape(points))
     return _NodeSolves(outcomes, g11, capped, collapsed)
+
+
+def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np.ndarray:
+    """d G11 / d conj(z) at every node of a _solve_nodes result, shaped like
+    its points; NaN at failed nodes and wherever the derivative is not finite.
+
+    Holomorphic nodes, outside the support or in a hole of it, give exactly
+    0.  At a nonholomorphic node the flat unknowns x = (a_A, b_A, a_B, b_B)
+    solve F(x, z) = x - _product_step(x; z) = 0, so by the implicit function
+    theorem dx/dz_j = -(dF/dx)^+ dF/dz_j for z_j = Re z, Im z, and the chain
+    rule through _product_sweep's G_M gives dG11/dz_j.  One _real_jacobian
+    call on the real parts of (x, z) gives dF and dG11 together (steps
+    _X_STEP in x, _Z_STEP |z| in z), and _drop_phase takes the common phase
+    of b_A and b_B, which leaves G11 alone, out of dF/dx.  A perturbed z
+    takes the phase u = e^{i arg(z) / 2} continued from the node's own, so
+    no difference straddles the cut of arg on the negative axis.
+    """
+    dbar = np.where(np.isfinite(solved.g11.ravel()), 0j, complex("nan"))
+    nodes = [k for k, o in enumerate(solved.outcomes)
+             if isinstance(o, NonHermSolution) and o.branch == "nonholomorphic"]
+    if nodes:
+        sols = [solved.outcomes[k] for k in nodes]
+        z0 = np.array([s.z for s in sols])
+        u0 = np.exp(0.5j * np.angle(z0))
+        x = np.array([(s.ga.a, s.ga.b, s.gb.a, s.gb.b) for s in sols]).T
+
+        def equations(r, k):
+            # rows: the 8 real parts of F, then Re G11 and Im G11
+            xk, z = _as_complex(r[:8]), r[8] + 1j * r[9]
+            u = u0[k] * np.exp(0.5j * np.angle(z / z0[k]))
+            g11 = _product_sweep(rmap_a, rmap_b, z, u, xk)[2][0]
+            return np.concatenate([r[:8] - _as_real(_product_step(rmap_a, rmap_b, z, u, xk)),
+                                   [g11.real, g11.imag]])
+
+        r = np.concatenate([_as_real(x), [z0.real, z0.imag]])
+        h = np.concatenate([np.full((8, len(nodes)), _X_STEP), [_Z_STEP * abs(z0)] * 2])
+        with np.errstate(all="ignore"):  # a non-finite node fails alone
+            jac = _real_jacobian(equations, r, np.arange(len(nodes)), h)
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            # d(Re G11, Im G11) / d(Re z, Im z)
+            dg = np.full((len(nodes), 2, 2), math.nan)
+            if finite.any():
+                jac = jac[finite]
+                fx = _drop_phase(jac[:, :8, :8], x[:, finite], _PRODUCT_PHASE)
+                dx = _min_norm_solve(fx, -jac[:, :8, 8:])
+                dg[finite] = jac[:, 8:, 8:] + np.einsum("nij,njc->nic", jac[:, 8:, :8], dx)
+            dbar[nodes] = 0.5 * ((dg[:, 0, 0] - dg[:, 1, 1]) + 1j * (dg[:, 1, 0] + dg[:, 0, 1]))
+    return dbar.reshape(solved.g11.shape)
 
 
 def _certified(rmap_a, rmap_b, z: complex, values, gm: QuaternionicGreen,
@@ -799,10 +877,11 @@ class DensityField:
     """Eigenvalue density (and Green's data) sampled on a grid.
 
     For analytic routes g11 holds the 11 entry of G_M at every node, rot the
-    per-node finite-difference curl of the Green's vector field, and
-    rot_residual the worst |rot| over nodes with full central stencils
-    (identically zero for closed forms).  Empirical histograms reuse the type
-    with g11/rot/rot_residual None.
+    curl -2 Im dG11/dconj(z) of the Green's vector field at every node (its
+    own exact derivative, NaN at holes), and rot_residual the worst finite
+    |rot| over all nodes (identically zero for closed forms).  holes counts
+    the nodes without a density.  Empirical histograms reuse the type with
+    g11/rot/rot_residual None.
     """
 
     grid: GridSpec
@@ -915,54 +994,23 @@ class PointDensity(NamedTuple):
     rot: float
 
 
-def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-               step: float = None) -> PointDensity:
-    """Pointwise density of M = A B from the divergence of the Green's field.
+def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> PointDensity:
+    """Pointwise density of M = A B by the Gauss law rho = (1/pi) d G11 / d conj(z).
 
-    Uses fourth-order central differences of G = (Re g11, -Im g11) on a local
-    cross stencil; rho = div G / (2 pi) and rot = curl G is returned as a
-    consistency diagnostic (it vanishes for exact fields).  The stencil must
-    not straddle z = 0; pick step accordingly near the origin.  The whole
-    stencil reuses the branch decided at the center, so the derivative is
-    one-sided rather than mixed when z sits close to the support boundary.
-    A holomorphic center takes all eight arms from one call of
-    _holomorphic_probe and raises ConvergenceError if any arm fails it.  A
-    nonholomorphic center solves the eight arms as one _solve_nodes call,
-    seeded from the center's solution, and raises the first arm's failure.
+    One _solve_nodes call at z, differentiated exactly by _dbar_g11:
+    rho = Re dG11/dconj(z) / pi, and rot = -2 Im dG11/dconj(z), the curl
+    of the Green's vector field (Re g11, -Im g11), is returned as a
+    consistency diagnostic (it vanishes for exact fields).  Outside the
+    support both are exactly 0.  Raises the solve's FreeconvError where it
+    fails, and ConvergenceError where the derivative is not finite.
     """
-    if step is None:
-        step = 1e-4 * max(1.0, abs(z))
-        if abs(z) < 4.0 * step:
-            step = abs(z) / 4.0  # keep the stencil clear of the origin
-    h = float(step)
-    offsets = (-2 * h, -h, h, 2 * h)
-    arms = [z + dx for dx in offsets] + [z + 1j * dy for dy in offsets]
-    center = solve_product(rmap_a, rmap_b, z)
-    if center.branch == "holomorphic":
-        _, pg, ok = _holomorphic_probe(rmap_a, rmap_b)(np.array(arms))
-        if not ok.all():
-            raise ConvergenceError(f"no certified holomorphic solution near z = {z}")
-        g = pg.g.tolist()
-    else:
-        seed = (center.ga.a, center.ga.b, center.gb.a, center.gb.b)
-        outcomes = _solve_nodes(rmap_a, rmap_b, np.array(arms), center.branch, seed).outcomes
-        for out in outcomes:
-            if isinstance(out, FreeconvError):
-                raise out
-        g = [out.gm.a for out in outcomes]
-
-    def d4(values):
-        m2, m1, p1, p2 = values
-        return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
-
-    gx, gy = g[:4], g[4:]
-    dgx_dx = d4([v.real for v in gx])
-    dgy_dy = d4([-v.imag for v in gy])
-    dgy_dx = d4([-v.imag for v in gx])
-    dgx_dy = d4([v.real for v in gy])
-    rho = (dgx_dx + dgy_dy) / (2.0 * math.pi)
-    rot = dgy_dx - dgx_dy
-    return PointDensity(rho=rho, rot=rot)
+    solved = _solve_nodes(rmap_a, rmap_b, np.array([z]))
+    if isinstance(solved.outcomes[0], FreeconvError):
+        raise solved.outcomes[0]
+    dbar = _dbar_g11(rmap_a, rmap_b, solved)
+    if not np.isfinite(dbar[0]):
+        raise ConvergenceError(f"non-finite density derivative at z = {z}")
+    return PointDensity(rho=float(dbar.real[0]) / math.pi, rot=float(_curl(dbar)[0][0]))
 
 
 def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
@@ -971,10 +1019,11 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
 
     Registered pairs (centered elliptic x centered elliptic; unit-shift
     Ginibre squares) evaluate their closed forms.  Everything else solves the
-    product system at every node and applies the divergence law with central
-    finite differences (fourth order where the stencil allows, second order
-    otherwise, one-sided at edges).  Nodes where the solver fails are holes;
-    more than 5% holes aborts with GridError.
+    product system at every node with _solve_nodes and applies the Gauss law
+    at each node on its own, with _dbar_g11's exact derivative:
+    rho = Re dG11/dconj(z) / pi and rot = -2 Im dG11/dconj(z).  Nodes where
+    the solver fails or the derivative is not finite are holes (NaN rho and
+    rot); more than 5% holes aborts with GridError.
     """
     points = grid.points()
     if grid.contains_origin():
@@ -992,66 +1041,21 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
                             route=f"closed-form:{law.kind}")
 
     solved = _solve_nodes(rmap_a, rmap_b, points)
-    holes = solved.failed
+    dbar = _dbar_g11(rmap_a, rmap_b, solved)
+    holes = int(np.count_nonzero(~np.isfinite(dbar)))
     if holes > 0.05 * points.size:
-        raise GridError(f"{holes} of {points.size} grid nodes failed to solve")
-
-    rho, rot = _divergence_rho(grid, solved.g11)
-    return DensityField(grid=grid, rho=rho, g11=solved.g11, rot=rot,
-                        rot_residual=_rot_residual(rot), route="generic", holes=holes)
-
-
-def _rot_residual(rot: np.ndarray) -> float:
-    """Worst finite |rot| off the grid's edge rows, which use one-sided
-    stencils; inf when there is none."""
-    core = rot[1:-1, 1:-1]
-    finite = core[np.isfinite(core)]
-    return float(np.max(np.abs(finite))) if finite.size else math.inf
+        raise GridError(f"{holes} of {points.size} grid nodes have no density")
+    rot, rot_residual = _curl(dbar)
+    return DensityField(grid=grid, rho=dbar.real / math.pi, g11=solved.g11, rot=rot,
+                        rot_residual=rot_residual, route="generic", holes=holes)
 
 
-def _axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """d/du along one grid axis: 4th-order central in the deep interior,
-    2nd-order central one node from the edge, one-sided 2nd order at edges."""
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
-    out = np.full_like(v, np.nan, dtype=float)
-    if n >= 5:
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    # fill the remaining interior (and 4th-order slots broken by holes)
-    # with 2nd-order central values
-    out[1:-1] = np.where(np.isnan(out[1:-1]),
-                         (v[2:] - v[:-2]) / (2.0 * h), out[1:-1])
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _divergence_rho(grid: GridSpec, g11: np.ndarray):
-    """Gauss-law density and curl diagnostic from g11 on the grid."""
-    gx = np.real(g11)
-    gy = -np.imag(g11)
-    h0, h1 = grid.steps()
-    if grid.kind == "cartesian":
-        dgx_dx = _axis_derivative(gx, h0, 0)
-        dgx_dy = _axis_derivative(gx, h1, 1)
-        dgy_dx = _axis_derivative(gy, h0, 0)
-        dgy_dy = _axis_derivative(gy, h1, 1)
-    else:
-        r_ax, phi_ax = grid.axes()
-        r = r_ax[:, None]
-        cos_p = np.cos(phi_ax)[None, :]
-        sin_p = np.sin(phi_ax)[None, :]
-        gx_r = _axis_derivative(gx, h0, 0)
-        gx_p = _axis_derivative(gx, h1, 1)
-        gy_r = _axis_derivative(gy, h0, 0)
-        gy_p = _axis_derivative(gy, h1, 1)
-        dgx_dx = cos_p * gx_r - sin_p / r * gx_p
-        dgx_dy = sin_p * gx_r + cos_p / r * gx_p
-        dgy_dx = cos_p * gy_r - sin_p / r * gy_p
-        dgy_dy = sin_p * gy_r + cos_p / r * gy_p
-    rho = (dgx_dx + dgy_dy) / (2.0 * math.pi)
-    rot = dgy_dx - dgx_dy
-    return rho, rot
+def _curl(dbar: np.ndarray):
+    """rot = -2 Im dG11/dconj(z) at every node (+0.0, not -0.0, where dbar is
+    0), and the worst finite |rot|, inf when there is none."""
+    rot = 0.0 - 2.0 * dbar.imag
+    finite = np.abs(rot[np.isfinite(rot)])
+    return rot, float(finite.max()) if finite.size else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,11 @@ def test_criterion_2_limacon_point_values():
     closed_3 = nonhermitian.limacon_reference(3.0, 0.0).rho
     rel_c0 = abs(closed_0 - six_pi) / six_pi
     rel_c3 = abs(closed_3 - RHO_EDGE) / RHO_EDGE
-    # generic route: solver + finite differences at proxies just off the
+    # generic route: solver + exact derivative at proxies just off the
     # special points (z = 0 is excluded by the phase split, z = 3 is the
-    # boundary); the stencil near the origin must stay well inside the cusp
+    # boundary)
     r0 = 1e-5
-    gen_0 = nonhermitian.density_at(SHIFTED, SHIFTED, complex(r0, 0.0),
-                                    step=r0 / 16.0).rho
+    gen_0 = nonhermitian.density_at(SHIFTED, SHIFTED, complex(r0, 0.0)).rho
     gen_3 = nonhermitian.density_at(SHIFTED, SHIFTED, complex(3.0 - 1e-3, 0.0)).rho
     rel_g0 = abs(gen_0 - six_pi) / six_pi
     rel_g3 = abs(gen_3 - RHO_EDGE) / RHO_EDGE
@@ -230,6 +229,11 @@ def test_criterion_7_property_suite(tmp_path, monkeypatch):
             "ensemble_a": gin_spec, "ensemble_b": gin_spec,
             "grid": {"kind": "polar", "ranges": [[0.2, 0.8], [-3.0, 3.0]],
                      "resolution": [4, 5]}}),
+        _run_cli_twice(tmp_path, "density", {
+            "ensemble_a": {"kind": "ginibre", "n": 16, "sigma": 2.0, "shift": 2.0},
+            "ensemble_b": {"kind": "ginibre", "n": 16, "sigma": 2.0, "shift": 2.0},
+            "grid": {"kind": "cartesian", "ranges": [[-3.0, 9.0], [-5.0, 5.0]],
+                     "resolution": [6, 5]}}),
         _run_cli_twice(tmp_path, "sample", {
             "ensemble_a": {"kind": "ginibre", "n": 8},
             "ensemble_b": {"kind": "ginibre", "n": 8}, "trials": 2}),

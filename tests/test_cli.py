@@ -169,9 +169,11 @@ def test_solve_product_csv(tmp_path):
         "output": str(out)})
     assert rc == 0
     _, summary, header, rows = read_csv(out)
+    assert summary.pop("rot_residual") <= 1e-6
     assert summary == {"points": 9, "failed": 0, "capped": 0, "collapsed": 0}
-    assert "rot" not in header               # needs >= 5 nodes per axis
-    mid = dict(zip(header, rows[4]))         # r = 0.5, phi = 0
+    table = [dict(zip(header, r)) for r in rows]
+    assert all(abs(float(r["rot"])) <= 1e-6 for r in table)  # per node, any grid size
+    mid = table[4]                           # r = 0.5, phi = 0
     assert float(mid["correlator"]) == pytest.approx(0.5, abs=1e-8)
     assert mid["status"] == "ok"
 
@@ -186,11 +188,12 @@ def test_solve_product_partial_failure(tmp_path, capsys):
     assert rc == 2                           # the z = 0 node cannot be solved
     assert "failed" in capsys.readouterr().err
     _, summary, header, rows = read_csv(out)
+    assert summary.pop("rot_residual") <= 1e-6
     assert summary == {"points": 9, "failed": 1, "capped": 0, "collapsed": 0}
     failed = [dict(zip(header, r)) for r in rows if r[-1] == "failed"]
     assert len(failed) == 1
     assert failed[0]["x"] == "0" and failed[0]["y"] == "0"
-    assert failed[0]["a_re"] == ""           # numeric cells emptied
+    assert failed[0]["a_re"] == failed[0]["rot"] == ""  # numeric cells emptied
 
 
 EDGE_GRID = {"kind": "polar", "ranges": [[0.85, 1.15], [-0.3, 0.3]], "resolution": [6, 3]}
@@ -620,6 +623,23 @@ def test_compare_rejects_polar_and_csv():
                      "resolution": [8, 8]}})
     text = "\n".join(err.value.violations)
     assert "cartesian" in text and "JSON only" in text
+
+
+@pytest.mark.parametrize("command", ["sample", "compare"])
+def test_unequal_sizes_rejected_before_work(tmp_path, capsys, monkeypatch, command):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("worked before the sizes were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "product_eigenvalues", unexpected)
+    monkeypatch.setattr(cli.nonhermitian, "density_field", unexpected)
+    out = tmp_path / "out"
+    config = {"ensemble_a": {"kind": "ginibre", "n": 8},
+              "ensemble_b": {"kind": "ginibre", "n": 12}, "trials": 2, "output": str(out)}
+    if command == "compare":
+        config["grid"] = COMPARE_GRID
+    assert run_cli(tmp_path, command, config) == 1
+    assert "same n, got 8 and 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_output_rejected():

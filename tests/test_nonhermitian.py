@@ -526,14 +526,13 @@ def test_collapsed_node_returns_its_own_stable_root(pa, pb, z):
 @pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED), TAU_PAIR],
                          ids=["ginibre2", "limacon", "tau"])
 def test_wrong_nonholomorphic_hint_returns_holomorphic_branch(pair):
-    # the fixed point sinks to b = 0 outside, and the correlator check after
-    # Newton hands the point to the holomorphic solution; also 1% past the edge
+    # outside points, among them one 1% past the edge, solve on the
+    # holomorphic branch and meet the certificate
     edge = boundary_curve(*pair, angles=[0.3]).points[0][0]
     for z in (cmath.rect(1.01 * edge, 0.3), 3.5 + 0.5j, -3.0 + 1.0j, 0.5 - 4.0j, 5.0, 2.0j):
         assert branch_indicator(*pair, z) < 0.0
-        sol = nonhermitian._solve_nodes(*pair, np.array([z]), "nonholomorphic").outcomes[0]
+        sol = solve_product(*pair, z)
         assert sol.branch == "holomorphic"
-        assert sol.gm.a == solve_product(*pair, z).gm.a
         assert sol.residual <= 1e-10
 
 
@@ -876,12 +875,12 @@ def test_density_at_respects_rotation():
 
 
 @pytest.mark.parametrize("pair", [(SHIFTED, SHIFTED), TAU_PAIR])
-def test_density_at_outside_probes_the_stencil_once(pair, monkeypatch):
+def test_density_at_outside_probes_once(pair, monkeypatch):
     handed = counting_probes(monkeypatch)
     got = density_at(*pair, cmath.rect(3.5, 1.0))
-    # one probe call classifies the center, one takes all eight arms
-    assert [np.size(z) for z in handed] == [1, 8]
-    assert abs(got.rho) <= 1e-6 and abs(got.rot) <= 1e-6
+    # one probe call classifies z, and the holomorphic branch has no density
+    assert [np.size(z) for z in handed] == [1]
+    assert got == (0.0, 0.0)
 
 
 def test_density_field_closed_circular():
@@ -909,8 +908,7 @@ def test_density_field_generic_matches_closed():
     generic = density_field(GIN, GIN, grid, force_generic=True)
     assert generic.route == "generic"
     assert generic.holes == 0
-    core = np.s_[2:-2, 2:-2]
-    assert np.max(np.abs(generic.rho[core] - closed.rho[core])) <= 5e-4
+    assert np.max(np.abs(generic.rho - closed.rho)) <= 5e-4
     assert generic.rot_residual <= 1e-4
     assert generic.rot.shape == grid.points().shape
 
@@ -972,22 +970,35 @@ def test_grid_origin_node_fails_up_front():
     assert solved.capped == solved.collapsed == 0
 
 
-def test_density_at_inside_solves_the_stencil_once(monkeypatch):
+def test_density_at_inside_solves_once(monkeypatch):
     calls = []
     real = nonhermitian._solve_nodes
 
-    def recording(rmap_a, rmap_b, points, branch=None, seed=None):
-        calls.append((np.size(points), branch, seed))
-        return real(rmap_a, rmap_b, points, branch, seed)
+    def recording(rmap_a, rmap_b, points):
+        calls.append(np.size(points))
+        return real(rmap_a, rmap_b, points)
 
     monkeypatch.setattr(nonhermitian, "_solve_nodes", recording)
-    z = cmath.rect(0.6, 0.8)
-    got = density_at(GIN, GIN, z)
-    center = solve_product(GIN, GIN, z)
-    # the center, then all eight arms in one call seeded from the center
-    assert calls[:2] == [(1, None, None), (8, "nonholomorphic", (
-        center.ga.a, center.ga.b, center.gb.a, center.gb.b))]
+    got = density_at(GIN, GIN, cmath.rect(0.6, 0.8))
+    # one solve at z; the derivative needs no further solves
+    assert calls == [1]
     assert got.rho == pytest.approx(1.0 / (2.0 * math.pi * 0.6), rel=1e-6)
+
+
+def test_density_field_nodes_equal_point_densities():
+    # each node's density is its own exact derivative: no solved node loses
+    # its density to a failed neighbour, and every node equals density_at
+    rmap = nan_inside_map(0.8)
+    grid = GridSpec("cartesian", ((-1.5, 2.0), (-1.2, 1.3)), (12, 11))
+    fld = density_field(rmap, rmap, grid)
+    solved = np.isfinite(fld.g11)
+    assert 0 < fld.holes == np.count_nonzero(~solved)
+    assert np.isfinite(fld.rho[solved]).all() and np.isfinite(fld.rot[solved]).all()
+    for z, rho, rot in zip(grid.points()[solved].tolist(), fld.rho[solved].tolist(),
+                           fld.rot[solved].tolist()):
+        got = density_at(rmap, rmap, z)
+        assert got.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
+        assert got.rot == pytest.approx(rot, rel=1e-12, abs=0.0)
 
 
 def test_density_field_rejects_origin_grid():
@@ -1009,11 +1020,11 @@ def test_density_field_tolerates_few_holes(monkeypatch):
     monkeypatch.setattr(nonhermitian, "_product_equations", flaky)
     fld = density_field(GIN, GIN, grid, force_generic=True)
     assert fld.holes == 1
-    # the hole's own node is recoverable (central stencils skip the center),
-    # but the four axis neighbors lose their stencils
-    assert int(np.sum(~np.isfinite(fld.rho))) == 4
-    assert fld.rho[3, 3] == pytest.approx(
-        1.0 / (2.0 * math.pi * abs(grid.points()[3, 3])), rel=1e-3)
+    # the hole is the failed node alone: its neighbours keep their densities
+    assert np.flatnonzero(~np.isfinite(fld.rho)).tolist() == [3 * 7 + 3]
+    expected = 1.0 / (2.0 * math.pi * np.abs(grid.points()))
+    assert np.allclose(fld.rho[np.isfinite(fld.rho)], expected[np.isfinite(fld.rho)],
+                       rtol=1e-6, atol=0.0)
 
 
 def test_density_field_aborts_on_many_holes(monkeypatch):
