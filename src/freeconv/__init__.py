@@ -10,8 +10,6 @@ from .core import (
     QuaternionicGreen,
     invert,
     phase_split,
-    qinv,
-    qmul,
     rotate_left,
     rotate_right,
 )

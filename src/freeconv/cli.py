@@ -426,14 +426,15 @@ def cmd_transform(cfg: JobConfig) -> int:
         header = ["z_re", "z_im", "a_re", "a_im", "b_abs", "correlator", "branch",
                   "r11_re", "r11_im", "r12_re", "r12_im",
                   "r21_re", "r21_im", "r22_re", "r22_im", "s"]
-        for x in values:
-            z = complex(float(x))
-            try:
-                sol = nonhermitian.solve_single(matrix, z)
-            except FreeconvError as exc:
-                raise FreeconvError(f"transform failed at z = {z}: {exc}") from exc
+        # one batched solve of each z as the product with the identity
+        solved = nonhermitian._solve_nodes(matrix, nonhermitian._IDENTITY_FACTOR,
+                                           values.astype(complex))
+        for x, out in zip(values.tolist(), solved.outcomes):
+            if isinstance(out, FreeconvError):
+                raise FreeconvError(f"transform failed at z = {complex(x)}: {out}") from out
+            sol = nonhermitian._single_view(out)
             sig = matrix.apply(sol.gm)
-            rows.append([z.real, z.imag, sol.gm.a.real, sol.gm.a.imag,
+            rows.append([x, 0.0, sol.gm.a.real, sol.gm.a.imag,
                          abs(sol.gm.b), sol.correlator, sol.branch,
                          sig.q11.real, sig.q11.imag, sig.q12.real, sig.q12.imag,
                          sig.q21.real, sig.q21.imag, sig.q22.real, sig.q22.imag,

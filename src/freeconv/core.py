@@ -54,10 +54,6 @@ class Complex2x2:
     def det(self) -> complex:
         return self.q11 * self.q22 - self.q12 * self.q21
 
-    @property
-    def trace(self) -> complex:
-        return self.q11 + self.q22
-
     def norm_max(self) -> float:
         """Entrywise max-abs norm, used for residual reporting."""
         return max(abs(self.q11), abs(self.q12), abs(self.q21), abs(self.q22))
@@ -90,37 +86,17 @@ class QuaternionicGreen:
         return Complex2x2(self.a, 1j * self.b,
                           1j * self.b.conjugate(), self.a.conjugate())
 
-    @staticmethod
-    def extract(m: Complex2x2) -> "QuaternionicGreen":
-        """Read (a, b) back off an embedded matrix.  Exact inverse of embed()."""
-        return QuaternionicGreen(m.q11, -1j * m.q12)
-
-    @property
-    def det(self) -> float:
-        # det of the embedded matrix; always real and >= 0 for this structure.
-        return abs(self.a) ** 2 + abs(self.b) ** 2
-
-
-def qmul(x: QuaternionicGreen, y: QuaternionicGreen) -> QuaternionicGreen:
-    """Product of two structured matrices, staying in (a, b) form."""
-    return QuaternionicGreen(*qmul_parts(x.a, x.b, y.a, y.b))
-
 
 def qmul_parts(xa, xb, ya, yb):
-    """qmul on the (a, b) parts, which may be numpy arrays of matching shape."""
+    """The (a, b) parts of the product of two structured matrices given by
+    their (a, b) parts, which may be numpy arrays of matching shape."""
     return xa * ya - xb * yb.conjugate(), xa * yb + xb * ya.conjugate()
 
 
-def qinv(x: QuaternionicGreen) -> QuaternionicGreen:
-    d = x.det
-    if d <= _DET_FLOOR:
-        raise SingularMatrixError(d)
-    return QuaternionicGreen(x.a.conjugate() / d, -x.b / d)
-
-
 def qinv_parts(a: np.ndarray, b: np.ndarray):
-    """qinv on (a, b) parts held in numpy arrays, elementwise; NaN instead of
-    SingularMatrixError where the determinant underflows."""
+    """The (a, b) parts of the inverse of the structured matrices given by
+    their (a, b) parts held in numpy arrays, elementwise; NaN where the
+    determinant |a|^2 + |b|^2 (real and >= 0 for this structure) underflows."""
     d = abs(a) ** 2 + abs(b) ** 2
     d = np.where(d > _DET_FLOOR, d, np.nan)
     return a.conjugate() / d, -b / d

@@ -37,8 +37,8 @@ class GridSpec:
                     problems.append(f"axis {axis}: range ({lo}, {hi}) is empty")
             if self.kind == "polar" and self.ranges[0][0] <= 0:
                 problems.append("polar grids need r > 0")
-        if len(self.resolution) != 2 or any(int(n) < 3 for n in self.resolution):
-            problems.append("need at least 3 points per axis for finite differences")
+        if len(self.resolution) != 2 or any(int(n) < 2 for n in self.resolution):
+            problems.append("need at least 2 points per axis (steps() divides by n - 1)")
         if problems:
             raise GridError("; ".join(problems))
         # normalize to plain tuples of floats/ints so equality is structural

@@ -181,10 +181,12 @@ def shifted_rmap(base: MatrixRMap, shift: complex, name: str = None) -> MatrixRM
 class NonHermSolution:
     """One point solution of a single-matrix or product Green's system.
 
-    correlator is |b|^2 for a single matrix and |b_A| |b_B| for a product;
-    branch is "holomorphic" exactly when correlator <= 1e-8.  residual is the
-    worst max-entry residual of the defining matrix equations, computed with
-    full 2x2 algebra independent of the structured solver arithmetic.
+    correlator is |b_A| |b_B| for a product, and |b|^2 for a single matrix,
+    which is solved as the product with the identity (solve_single) and
+    reports b as |b|; branch is "holomorphic" exactly when
+    correlator <= 1e-8.  residual is the worst max-entry residual of the
+    product's defining matrix equations, computed with full 2x2 algebra
+    independent of the structured solver arithmetic.
     """
 
     z: complex
@@ -200,6 +202,10 @@ class NonHermSolution:
 def eigenvector_correlator(g: QuaternionicGreen) -> float:
     """Off-diagonal weight |b|^2 of a single resolvent block."""
     return abs(g.b) ** 2
+
+
+def _branch(correlator: float) -> str:
+    return "holomorphic" if correlator <= _COLLAPSE else "nonholomorphic"
 
 
 # ---------------------------------------------------------------------------
@@ -316,49 +322,36 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
 # ---------------------------------------------------------------------------
 
 
-def _single_residual(rmap: MatrixRMap, z: complex, g: QuaternionicGreen) -> float:
-    zmat = Complex2x2.diagonal(z, z.conjugate())
-    return (g.embed() - invert(zmat - rmap.apply(g))).norm_max()
+_IDENTITY_FACTOR = constant_rmap(1.0, name="identity")
 
 
 def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     """Solve G = (Z - R(G))^{-1} for one matrix ensemble at one point.
 
-    Chooses the branch by the stability of the holomorphic solution, then
-    solves the nonholomorphic branch with _fixed_point; iterations counts its
-    damped steps.
+    A single matrix A is the product A 1 with the deterministic identity,
+    whose R map is the constant 1: there Sigma_B = 1, and the product's G_M
+    equation is exactly this one, so the product certificate covers it.
+    This is the one-point call of _solve_nodes with _IDENTITY_FACTOR, read
+    by _single_view; iterations counts the product's damped steps.
     """
-    phase_split(z)  # reject the origin up front
-    try:
-        # stability of the holomorphic solution: L |g|^2 - 1 > 0 means inside
-        g = hermitian.green_from_r(rmap.diagonal_section(), z).g
-        unstable = abs(rmap.b_coupling(g)) * abs(g) ** 2 - 1.0 > 0.0
-    except (ConvergenceError, BranchUndecidedError):
-        unstable = True
+    out = _solve_nodes(rmap, _IDENTITY_FACTOR, np.array([z])).outcomes[0]
+    if isinstance(out, FreeconvError):
+        raise out
+    return _single_view(out)
 
-    if not unstable:
-        q = QuaternionicGreen(g, 0.0)
-        res = _single_residual(rmap, z, q)
-        return NonHermSolution(z=z, gm=q, ga=q, gb=q,
-                               correlator=eigenvector_correlator(q),
-                               branch="holomorphic", residual=res)
 
-    def step(x, nodes):
-        sa, sb = _apply_q(rmap, *x)
-        return np.array(qinv_parts(z - sa, -sb))
+def _single_view(sol: NonHermSolution) -> NonHermSolution:
+    """The single-matrix solution of A, from the product solution of A 1.
 
-    fp = _fixed_point(step, np.array([[0.0], [0.1]], dtype=complex), _TOL, _MAX_FP,
-                      phase=(0, 1))
-    if fp.failed[0]:
-        raise ConvergenceError(f"single-matrix solve hit non-finite values at z = {z}")
-    q = QuaternionicGreen(*fp.values[:, 0].tolist())
-    res = _single_residual(rmap, z, q)
-    if res > max(_TOL * 10.0, 1e-10):
-        raise ConvergenceError(f"single-matrix solve stalled at z = {z}", residual=res)
-    corr = eigenvector_correlator(q)
-    branch = "holomorphic" if corr <= _COLLAPSE else "nonholomorphic"
-    return NonHermSolution(z=z, gm=q, ga=q, gb=q, correlator=corr, branch=branch,
-                           residual=res, iterations=int(fp.iterations[0]))
+    G = G_M with its b replaced by |b|: a common phase of b maps solutions to
+    solutions, and |b| fixes the gauge.  ga = gb = G, the correlator is
+    |b|^2, and the residual and iterations are the product's.
+    """
+    gm = QuaternionicGreen(sol.gm.a, abs(sol.gm.b))
+    corr = eigenvector_correlator(gm)
+    return NonHermSolution(z=sol.z, gm=gm, ga=gm, gb=gm, correlator=corr,
+                           branch=_branch(corr), residual=sol.residual,
+                           iterations=sol.iterations)
 
 
 def _apply_q(rmap: MatrixRMap, a: np.ndarray, b: np.ndarray):
@@ -706,8 +699,7 @@ def _certified(rmap_a, rmap_b, z: complex, values, gm: QuaternionicGreen,
     if iterations is not None and res > max(10.0 * _TOL, 1e-10):
         return ConvergenceError(f"product solve stalled at z = {z}", residual=res)
     corr = abs(qa.b) * abs(qb.b)
-    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr,
-                           branch="holomorphic" if corr <= _COLLAPSE else "nonholomorphic",
+    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr, branch=_branch(corr),
                            residual=res, iterations=iterations or 0)
 
 

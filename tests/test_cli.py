@@ -115,10 +115,15 @@ def test_transform_matrix_section(tmp_path):
 
 
 def test_transform_failure_is_total(tmp_path, capsys, monkeypatch):
-    def stalled(rmap, z):
-        raise ConvergenceError(f"single-matrix solve stalled at z = {z}")
+    # the batched solve returns one stalled node among solved ones
+    solve_nodes = nonhermitian._solve_nodes
 
-    monkeypatch.setattr(nonhermitian, "solve_single", stalled)
+    def stalled(rmap_a, rmap_b, points):
+        solved = solve_nodes(rmap_a, rmap_b, points)
+        solved.outcomes[1] = ConvergenceError(f"product solve stalled at z = {points[1]}")
+        return solved
+
+    monkeypatch.setattr(nonhermitian, "_solve_nodes", stalled)
     rc = run_cli(tmp_path, "transform", {
         "ensemble_a": GIN, "start": 0.5, "stop": 1.0, "count": 3,
         "output": str(tmp_path / "x.csv")})
@@ -131,10 +136,10 @@ def test_transform_failure_is_total(tmp_path, capsys, monkeypatch):
 def test_transform_origin_rejected_before_work(tmp_path, capsys, monkeypatch, ensemble):
     # the matrix section has no solution at z = 0: 201 values over [-4, 4]
     # contain it, so the job fails validation before any solve
-    def unexpected(rmap, z):
+    def unexpected(rmap_a, rmap_b, points):
         raise AssertionError("solved before validation")
 
-    monkeypatch.setattr(nonhermitian, "solve_single", unexpected)
+    monkeypatch.setattr(nonhermitian, "_solve_nodes", unexpected)
     out = tmp_path / "t.csv"
     rc = run_cli(tmp_path, "transform", {
         "ensemble_a": ensemble, "start": -4.0, "stop": 4.0, "count": 201,
@@ -142,6 +147,26 @@ def test_transform_origin_rejected_before_work(tmp_path, capsys, monkeypatch, en
     assert rc == 1
     assert "z = 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_transform_matrix_section_gauge(tmp_path):
+    # b is reported as |b|, so Sigma = R(G) has q12 = q21 = i sigma^2 |b|
+    sigma = 1.3
+    out = tmp_path / "e.csv"
+    rc = run_cli(tmp_path, "transform", {
+        "ensemble_a": {"kind": "elliptic", "n": 24, "sigma": sigma, "tau": 0.5,
+                       "shift": [0.3, 0.2]},
+        "start": -4.0, "stop": 4.0, "count": 200, "output": str(out)})
+    assert rc == 0
+    _, _, header, rows = read_csv(out)
+    inside = 0
+    for r in rows:
+        row = {k: float(v) for k, v in zip(header, r) if k not in ("branch", "s")}
+        inside += row["b_abs"] > 0
+        for key in ("r12", "r21"):
+            assert abs(row[f"{key}_re"]) <= 1e-12
+            assert abs(row[f"{key}_im"] - sigma ** 2 * row["b_abs"]) <= 1e-12
+    assert inside > 0
 
 
 def test_transform_origin_rule_spares_other_jobs(tmp_path):
@@ -268,6 +293,23 @@ def test_density_origin_grid_rejected(tmp_path, capsys):
         "output": str(tmp_path / "d.csv")})
     assert rc == 1
     assert "z = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution,code", [([2, 2], 0), ([1, 4], 1), ([4, 1], 1)])
+def test_density_grid_needs_two_points_per_axis(tmp_path, capsys, resolution, code):
+    out = tmp_path / "d.csv"
+    rc = run_cli(tmp_path, "density", {
+        "ensemble_a": ELLIPTIC, "ensemble_b": GIN,
+        "grid": {"kind": "polar", "ranges": [[0.5, 1.0], [0.0, 1.0]],
+                 "resolution": resolution},
+        "output": str(out)})
+    assert rc == code
+    if code:
+        assert "at least 2 points per axis" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        _, summary, _, rows = read_csv(out)
+        assert summary["holes"] == 0 and len(rows) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,25 @@ def test_solution_is_quaternionic_structured():
     assert m.q21 == pytest.approx(1j * (-1j * m.q12).conjugate(), abs=1e-15)
 
 
+def test_elliptic_law_inside():
+    # Sommers, Crisanti, Sompolinsky & Stein (PRL 60, 1895, 1988): inside the
+    # ellipse with semi-axes (1 + tau) sigma and (1 - tau) sigma around the
+    # shift c, G11 = (Re w / (1 + tau) - i Im w / (1 - tau)) / sigma^2, w = z - c
+    rng = np.random.default_rng(1988)
+    worst = 0.0
+    for _ in range(300):
+        tau, sigma = rng.uniform(-0.9, 0.9), rng.uniform(0.4, 2.0)
+        shift = complex(*rng.uniform(0.0, 1.0, 2))
+        frac, theta = 0.95 * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
+        w = complex((1.0 + tau) * sigma * frac * math.cos(theta),
+                    (1.0 - tau) * sigma * frac * math.sin(theta))
+        sol = solve_single(elliptic_rmap(sigma, tau, shift), shift + w)
+        assert sol.branch == "nonholomorphic"
+        want = complex(w.real / (1.0 + tau), -w.imag / (1.0 - tau)) / sigma ** 2
+        worst = max(worst, abs(sol.gm.a - want))
+    assert worst <= 1e-10
+
+
 def test_solve_at_origin_raises():
     with pytest.raises(OriginError):
         solve_single(GIN, 0.0)
@@ -999,6 +1018,22 @@ def test_density_field_nodes_equal_point_densities():
         got = density_at(rmap, rmap, z)
         assert got.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
         assert got.rot == pytest.approx(rot, rel=1e-12, abs=0.0)
+
+
+def test_two_node_grid_densities_equal_point_densities():
+    # no route differences across nodes, so two nodes per axis make a grid
+    grid = GridSpec("polar", ((0.5, 1.0), (0.0, 1.0)), (2, 2))
+    fld = density_field(*TAU_PAIR, grid)
+    assert fld.route == "generic" and fld.holes == 0
+    assert (fld.rho > 0).any()
+    for z, rho in zip(grid.points().ravel().tolist(), fld.rho.ravel().tolist()):
+        assert density_at(*TAU_PAIR, z).rho == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("resolution", [(1, 2), (2, 1)])
+def test_grid_needs_two_points_per_axis(resolution):
+    with pytest.raises(GridError, match="at least 2 points per axis"):
+        GridSpec("polar", ((0.5, 1.0), (0.0, 1.0)), resolution)
 
 
 def test_density_field_rejects_origin_grid():
