@@ -552,7 +552,8 @@ def cmd_sample(cfg: JobConfig) -> int:
     cloud = montecarlo.product_eigenvalues(cfg.ensemble_a, cfg.ensemble_b,
                                            cfg.trials, cfg.seed,
                                            workers=cfg.workers)
-    kept = [t for t in range(cfg.trials) if t not in set(cloud.skipped)]
+    skipped = set(cloud.skipped)
+    kept = [t for t in range(cfg.trials) if t not in skipped]
     n = cloud.n
     header = ["trial", "re", "im"]
     rows = []

@@ -14,6 +14,9 @@ from .nonhermitian import DensityField
 
 _MASK64 = (1 << 64) - 1
 _RETRY_OFFSET = 1 << 32  # trial index shift for the one retry per failed trial
+# numpy's linalg gufuncs release the GIL only when stack size * n > 500;
+# trials are stacked k = ceil(_GIL_ITEMS / n) at a time to clear that
+_GIL_ITEMS = 512
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -42,11 +45,15 @@ def product_eigenvalues(spec_a: EnsembleSpec, spec_b: EnsembleSpec, trials: int,
     """Sample eigenvalues of A B over independent trials.
 
     The two factors use sub-seeds mixed from (seed, factor slot) so identical
-    specs still draw independent matrices.  A trial whose eigensolve fails is
-    retried once with a displaced trial index; trials failing twice are
-    skipped, and more than 1% skipped trials raises SampleFailureError.
-    Output is deterministic in (specs, trials, seed) and independent of
-    workers: trials are assembled in index order.
+    specs still draw independent matrices.  Trials are solved in contiguous
+    stacks of k = ceil(512 / n), one batched eigvals call per stack: numpy's
+    linalg releases the interpreter lock only when stack size times n exceeds
+    500, so only stacks let the `workers` threads overlap in LAPACK.  When a
+    stacked call fails, each of its trials is solved on its own, and a trial
+    whose eigensolve fails is retried once with a displaced trial index;
+    trials failing twice are skipped, and more than 1% skipped trials raises
+    SampleFailureError.  Output is deterministic in (specs, trials, seed) and
+    independent of workers: trials are assembled in index order.
     """
     if spec_a.n != spec_b.n:
         raise FreeconvError(
@@ -66,15 +73,31 @@ def product_eigenvalues(spec_a: EnsembleSpec, spec_b: EnsembleSpec, trials: int,
                 continue
         return None
 
+    n = spec_a.n
+    k = -(-_GIL_ITEMS // n)
+
+    def one_stack(start: int):
+        stack = range(start, min(start + k, trials))
+        products = np.empty((len(stack), n, n), dtype=complex)
+        for i, t in enumerate(stack):
+            np.matmul(sample(spec_a, seed_a, t).matrix,
+                      sample(spec_b, seed_b, t).matrix, out=products[i])
+        try:
+            return list(np.linalg.eigvals(products))
+        except np.linalg.LinAlgError:
+            return [one_trial(t) for t in stack]
+
+    starts = range(0, trials, k)
     if workers > 1:
         # imported here, so that commands without a pool do not load its
         # modules (about 0.4 MB of resident memory)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
+            stacks = list(pool.map(one_stack, starts))
     else:
-        results = [one_trial(t) for t in range(trials)]
+        stacks = [one_stack(start) for start in starts]
+    results = [r for stack in stacks for r in stack]
 
     skipped = tuple(t for t, r in enumerate(results) if r is None)
     if len(skipped) > 0.01 * trials:
@@ -82,7 +105,7 @@ def product_eigenvalues(spec_a: EnsembleSpec, spec_b: EnsembleSpec, trials: int,
             f"{len(skipped)} of {trials} trials failed the eigensolve twice")
     kept = [r for r in results if r is not None]
     eigenvalues = np.concatenate(kept) if kept else np.empty(0, dtype=complex)
-    return EigenCloud(eigenvalues=eigenvalues, n=spec_a.n, trials=trials,
+    return EigenCloud(eigenvalues=eigenvalues, n=n, trials=trials,
                       seed=seed, spec_a=spec_a, spec_b=spec_b, skipped=skipped)
 
 

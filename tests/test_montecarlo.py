@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.ensembles import EnsembleSpec
-from freeconv.errors import EmptyCloudError, FreeconvError, GridError
+from freeconv.ensembles import EnsembleSpec, sample
+from freeconv.errors import (EmptyCloudError, FreeconvError, GridError,
+                             SampleFailureError)
 from freeconv.grids import GridSpec
 from freeconv.montecarlo import (
+    _RETRY_OFFSET,
     EigenCloud,
     Exclusions,
+    _mix,
     compare_density,
     comparison_cells,
     histogram2d,
@@ -47,11 +50,77 @@ def test_cloud_deterministic_bitwise():
     assert np.array_equal(c1.eigenvalues, c2.eigenvalues)
 
 
+def _product(spec, seed, t):
+    return (sample(spec, _mix(seed, 0xA), t).matrix
+            @ sample(spec, _mix(seed, 0xB), t).matrix)
+
+
 def test_cloud_independent_of_workers():
-    spec = EnsembleSpec("ginibre", 12)
-    serial = product_eigenvalues(spec, spec, trials=8, seed=9, workers=1)
-    threaded = product_eigenvalues(spec, spec, trials=8, seed=9, workers=4)
-    assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
+    # trials are eigensolved in stacks of ceil(512 / n): n = 12 makes one
+    # stack of 8 trials, n = 128 stacks of 4, 4 and a short last one of 2;
+    # at any worker count the cloud is the per-trial eigenvalues, bit for bit
+    for n, trials in ((12, 8), (128, 10)):
+        spec = EnsembleSpec("ginibre", n)
+        expected = np.concatenate([np.linalg.eigvals(_product(spec, 9, t))
+                                   for t in range(trials)])
+        for workers in (1, 3):
+            cloud = product_eigenvalues(spec, spec, trials=trials, seed=9,
+                                        workers=workers)
+            assert cloud.skipped == ()
+            assert np.array_equal(cloud.eigenvalues, expected)
+
+
+def _failing_eigvals(monkeypatch, failing):
+    """Patch np.linalg.eigvals to raise on any stack holding one of the
+    `failing` matrices and on those matrices alone; returns the call log."""
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def fake(x):
+        calls.append(x.shape)
+        if any(np.array_equal(m, f) for m in x.reshape(-1, *x.shape[-2:])
+               for f in failing):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return eigvals(x)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fake)
+    return calls
+
+
+def test_failed_stack_falls_back_to_per_trial_retry(monkeypatch):
+    # n = 64 stacks 8 trials: trial 11 sits in the second of three stacks
+    spec = EnsembleSpec("ginibre", 64)
+    calls = _failing_eigvals(monkeypatch, [_product(spec, 5, 11)])
+    cloud = product_eigenvalues(spec, spec, trials=20, seed=5)
+    # the stacks of trials 0-7 and 16-19 solve whole; trials 8-15 one by
+    # one, trial 11 twice
+    assert calls == [(8, 64, 64), (8, 64, 64)] + [(64, 64)] * 9 + [(4, 64, 64)]
+    assert cloud.skipped == ()
+    retried = np.linalg.eigvals(_product(spec, 5, 11 + _RETRY_OFFSET))
+    assert np.array_equal(cloud.eigenvalues[11 * 64:12 * 64], retried)
+    others = [t for t in range(20) if t != 11]
+    assert np.array_equal(
+        np.delete(cloud.eigenvalues.reshape(20, 64), 11, axis=0),
+        np.array([np.linalg.eigvals(_product(spec, 5, t)) for t in others]))
+
+
+def test_twice_failed_trials_are_skipped(monkeypatch):
+    # n = 8 stacks 64 trials; trial 70 fails both draws and is skipped, one
+    # skip in 100 trials is within the 1% allowance, two are not
+    spec = EnsembleSpec("ginibre", 8)
+    twice = [_product(spec, 3, 70), _product(spec, 3, 70 + _RETRY_OFFSET)]
+    _failing_eigvals(monkeypatch, twice)
+    cloud = product_eigenvalues(spec, spec, trials=100, seed=3, workers=2)
+    assert cloud.skipped == (70,)
+    assert cloud.eigenvalues.size == 99 * 8
+    assert np.array_equal(cloud.eigenvalues[70 * 8:71 * 8],
+                          np.linalg.eigvals(_product(spec, 3, 71)))
+
+    monkeypatch.undo()
+    _failing_eigvals(monkeypatch, twice + [_product(spec, 3, 5),
+                                           _product(spec, 3, 5 + _RETRY_OFFSET)])
+    with pytest.raises(SampleFailureError):
+        product_eigenvalues(spec, spec, trials=100, seed=3)
 
 
 def test_identical_specs_draw_independent_factors():
