@@ -476,6 +476,7 @@ def cmd_solve_product(cfg: JobConfig) -> int:
 
     summary = {"points": n0 * n1, "failed": failures,
                "capped": solved.capped, "collapsed": solved.collapsed,
+               "retried": solved.retried,
                "rot_residual": _json_cell(rot_residual)}
     _write_table(cfg, summary, header, rows)
     if failures == n0 * n1:
@@ -542,7 +543,7 @@ def cmd_density(cfg: JobConfig) -> int:
             rows.append([float(axis0[i]), float(axis1[j]), z.real, z.imag,
                          float(fld.rho[i, j]), g.real, g.imag, float(fld.rot[i, j])])
     summary = {"route": fld.route, "rot_residual": _json_cell(fld.rot_residual),
-               "holes": fld.holes, "mass": mass}
+               "holes": fld.holes, "retried": fld.retried, "mass": mass}
     _write_table(cfg, summary, header, rows)
     return 0
 

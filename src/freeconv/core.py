@@ -55,8 +55,10 @@ class Complex2x2:
         return self.q11 * self.q22 - self.q12 * self.q21
 
     def norm_max(self) -> float:
-        """Entrywise max-abs norm, used for residual reporting."""
-        return max(abs(self.q11), abs(self.q12), abs(self.q21), abs(self.q22))
+        """Entrywise max-abs norm, used for residual reporting; NaN if any
+        entry is NaN.  Entries may be numpy arrays of matching shape."""
+        return np.maximum(np.maximum(abs(self.q11), abs(self.q12)),
+                          np.maximum(abs(self.q21), abs(self.q22)))
 
     @staticmethod
     def identity() -> "Complex2x2":

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (
+    _DET_FLOOR,
     Complex2x2,
     QuaternionicGreen,
     invert,
@@ -34,6 +35,7 @@ from .errors import (
     FreeconvError,
     GridError,
     OriginError,
+    SingularMatrixError,
 )
 from .grids import GridSpec
 from . import hermitian
@@ -48,7 +50,9 @@ _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
 _X_STEP = 1e-6         # _real_jacobian's step in the unknowns, Newton's and _dbar_g11's
 _Z_STEP = 1e-5         # _dbar_g11's step in Re z and Im z, relative to |z|
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
-_HANDOFF = 1e-6   # damped fixed points hand off to Newton below this update
+_HANDOFF = 1e-3   # damped fixed points hand off to Newton below this update
+_GUARD_HANDOFF = 1e-6  # the same for the re-solves that guard an early hand-off
+_FACTORIZES = 1e-8  # residual_identities' S pair factorizes R_M^-1 to this
 _PRODUCT_PHASE = (0, 1, 0, 1)  # b_A and b_B of (a_A, b_A, a_B, b_B) share a free phase
 
 
@@ -372,7 +376,7 @@ class _FixedPoint(NamedTuple):
     failed: np.ndarray      # a non-finite iterate or Jacobian stopped the node
 
 
-def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int,
+def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int, handoff: float,
                  phase=None) -> _FixedPoint:
     """Fixed points x = step(x) of N independent systems, solved in lockstep.
 
@@ -380,11 +384,17 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int,
     array.  step(x, nodes) maps the columns x of the given nodes (an index
     array into the N, possibly with repeats) to their next values, column by
     column, so one node's result does not depend on which others share the
-    call.  A damped iteration (half-way to step(x)) carries each node into
-    Newton's basin; below a _HANDOFF update, or after max_fp steps where the
-    multiplier is close to one, least-squares Newton takes over on the real
-    and imaginary parts (_real_jacobian with steps _X_STEP, minimal-norm
-    steps, at most _MAX_NEWTON steps) until the residual is below 0.05 tol.
+    call.  A damped iteration (half-way to step(x)) carries each node until
+    it has picked its root; below a handoff update (the callers pass
+    _HANDOFF = 1e-3), or after max_fp steps where the multiplier is close
+    to one, least-squares Newton takes over on the real and imaginary parts
+    (_real_jacobian with steps _X_STEP, minimal-norm steps, at most
+    _MAX_NEWTON steps) until the residual is below 0.05 tol.  From an update
+    of 1e-3 Newton needs about two steps, each costing about as much as five
+    damped ones.  An early hand-off can let Newton reach a root that the
+    damped path would have left, such as b = 0 for the product system; the
+    callers check their roots and solve again with the hand-off at
+    _GUARD_HANDOFF = 1e-6 where the check fails.
     phase, a 0/1 mask over the k unknowns, marks those whose common phase
     rotation maps step to itself (the b parts); _drop_phase takes that
     redundant direction out of every Newton step.  Every node stops on its
@@ -403,7 +413,7 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int,
             diff = step(cur, active) - cur
             delta = abs(diff).max(axis=0)
             cur = cur + 0.5 * diff
-            stop = ~(delta >= _HANDOFF)  # below the hand-off, or NaN
+            stop = ~(delta >= handoff)  # below the hand-off, or NaN
             if stop.any():
                 done = active[stop]
                 x[:, done], iterations[done] = cur[:, stop], it
@@ -531,22 +541,36 @@ def _product_step(rmap_a, rmap_b, z, u, x):
     return np.array([ga_a, ga_b * u, gb_a, gb_b / u])
 
 
-def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex,
-                       psi: float, qa: QuaternionicGreen, qb: QuaternionicGreen,
-                       gm: QuaternionicGreen):
-    """Sigma_A^L, Sigma_B^R and the (G_M, G_A, G_B) defining-equation residuals.
+def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
+                       u: np.ndarray, x: np.ndarray, gm: np.ndarray):
+    """Sigma_A^L and Sigma_B^R, the (G_M, G_A, G_B) defining-equation
+    residuals and |det (Z - Sigma_A^L Sigma_B^R)| at every node.
 
-    Recomputed with dense 2x2 algebra, independent of the structured solver
-    arithmetic.
+    The arguments are as for _product_step, with G_M's (a, b) parts gm
+    added; the results are arrays over the nodes (the Sigma's dense
+    Complex2x2's of them).  Recomputed with dense 2x2 algebra, independent
+    of the structured solver arithmetic (qmul_parts, qinv_parts), and
+    elementwise, so a node's residuals do not depend on the other nodes.
+    The G_M residual is NaN where the determinant is 0.
     """
-    sal = rotate_left(rmap_a.apply(qb), psi)
-    sbr = rotate_right(rmap_b.apply(qa), psi)
-    zmat = Complex2x2.diagonal(z, z.conjugate())
-    gm_full = gm.embed()
-    r_gm = (gm_full - invert(zmat - sal @ sbr)).norm_max()
-    r_ga = (qa.embed() - rotate_left(gm_full @ sal, psi)).norm_max()
-    r_gb = (qb.embed() - rotate_right(sbr @ gm_full, psi)).norm_max()
-    return sal, sbr, (r_gm, r_ga, r_gb)
+    qa, qb = QuaternionicGreen(*x[:2]).embed(), QuaternionicGreen(*x[2:]).embed()
+    sal = _turn(QuaternionicGreen(*_apply_q(rmap_a, x[2], x[3])).embed(), u)
+    sbr = _turn(QuaternionicGreen(*_apply_q(rmap_b, x[0], x[1])).embed(), u.conjugate())
+    m = Complex2x2.diagonal(z, z.conjugate()) - sal @ sbr
+    det = m.det
+    gm_full = QuaternionicGreen(*gm).embed()
+    with np.errstate(all="ignore"):  # a singular node's G_M residual is NaN
+        inverse = Complex2x2(m.q22 / det, -m.q12 / det, -m.q21 / det, m.q11 / det)
+    r_gm = (gm_full - inverse).norm_max()
+    r_ga = (qa - _turn(gm_full @ sal, u)).norm_max()
+    r_gb = (qb - _turn(sbr @ gm_full, u.conjugate())).norm_max()
+    return sal, sbr, (r_gm, r_ga, r_gb), abs(det)
+
+
+def _turn(m: Complex2x2, u) -> Complex2x2:
+    """[m]^L for u = e^{i psi}, and [m]^R for u = e^{-i psi}: q12 times u,
+    q21 over u.  The entries and u may be arrays."""
+    return Complex2x2(m.q11, u * m.q12, m.q21 / u, m.q22)
 
 
 def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHermSolution:
@@ -575,6 +599,7 @@ class _NodeSolves(NamedTuple):
     g11: np.ndarray    # G_M's 11 entry shaped like the points, NaN where a solve failed
     capped: int        # inside nodes whose damped loop ran to _MAX_FP before Newton
     collapsed: int     # inside nodes whose fixed point sank to b = 0 (holomorphic)
+    retried: int       # inside nodes re-solved on the slow schedule after sinking to b = 0
 
     @property
     def failed(self) -> int:
@@ -588,53 +613,81 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     nodes their solutions.  All inside nodes share one _fixed_point call,
     started from (a_A, b_A, a_B, b_B) = (0, 0.1, 0, 0.1) at every node; the
     arithmetic is elementwise, so a node's result does not depend on the
-    other nodes.  Each node is then certified by _product_equations, one at
-    a time.  A node whose fixed point sinks to b = 0 (correlator at or below
-    _COLLAPSE) keeps its own root with b = 0: z is in a hole of the support,
-    where the probe's root is unstable.  A node that fails (the origin, a
-    non-finite iterate, a missed certificate) fails alone, with its
-    FreeconvError as its outcome.  _dbar_g11 differentiates the result.
+    other nodes.  That call hands off to Newton at a _HANDOFF update, early
+    enough that Newton may take the holomorphic root b = 0 near a node's
+    nonholomorphic one.  So a node whose fixed point sinks to b = 0
+    (correlator at or below _COLLAPSE) is retried: solved again from the
+    same seed with the hand-off at _GUARD_HANDOFF, and its iterations and
+    capped flag are the retry's.  Only a node that sinks again is collapsed:
+    z is in a hole of the support, where the probe's root is unstable, and
+    the node keeps its own root with b = 0.  Every node is then certified in
+    one array pass of _product_equations; an inside node must meet the
+    point solvers' bound.  A node that fails (the origin, a non-finite
+    iterate, a singular Z - Sigma_A^L Sigma_B^R, a missed certificate) fails
+    alone, with its FreeconvError as its outcome.  _dbar_g11 differentiates
+    the result.
     """
     zs = np.asarray(points, dtype=complex).ravel()
-    z_list = zs.tolist()
-    outcomes = [OriginError() if z == 0 else None for z in z_list]
     live = zs != 0
     indicator, pg, ok = _holomorphic_probe(rmap_a, rmap_b)(zs)
     inside = live & (~ok | (indicator > 0.0))
+    u = np.exp(0.5j * np.angle(zs))
+    # outside nodes keep the probe's root, (g_a, 0, g_b, 0) with G_M = (g, 0)
+    zero = np.zeros(zs.size, dtype=complex)
+    x = np.array([pg.g_a, zero, pg.g_b, zero], dtype=complex)
+    gm = np.array([pg.g, zero], dtype=complex)
+    iterations = np.zeros(zs.size, dtype=int)
+    capped, failed, retried = (np.zeros(zs.size, dtype=bool) for _ in range(3))
 
-    capped = collapsed = 0
-    if inside.any():
-        nodes = np.flatnonzero(inside)
-        z = zs[nodes]
-        u = np.exp(0.5j * np.angle(z))
+    def solve(nodes, handoff):
+        """Solve the given nodes from the cold seed; the ones that sank to b = 0."""
+        z, un = zs[nodes], u[nodes]
         start = np.repeat([[0.0], [0.1], [0.0], [0.1]], nodes.size, axis=1)
-        fp = _fixed_point(lambda x, k: _product_step(rmap_a, rmap_b, z[k], u[k], x),
-                          start, _TOL, _MAX_FP, _PRODUCT_PHASE)
-        capped = int(np.count_nonzero(fp.capped))
+        fp = _fixed_point(lambda v, k: _product_step(rmap_a, rmap_b, z[k], un[k], v),
+                          start, _TOL, _MAX_FP, handoff, _PRODUCT_PHASE)
+        x[:, nodes], iterations[nodes], capped[nodes], failed[nodes] = fp
         with np.errstate(all="ignore"):  # failed nodes' values may be non-finite
-            gm_a, gm_b = _product_sweep(rmap_a, rmap_b, z, u, fp.values)[2]
-        for node, values, gm, failed, iterations in zip(
-                nodes.tolist(), fp.values.T.tolist(), zip(gm_a.tolist(), gm_b.tolist()),
-                fp.failed.tolist(), fp.iterations.tolist()):
-            if failed:
-                outcomes[node] = ConvergenceError(
-                    f"product solve hit non-finite values at z = {z_list[node]}")
-                continue
-            if abs(values[1]) * abs(values[3]) <= _COLLAPSE:
-                # the fixed point sank to a holomorphic root, b = 0
-                collapsed += 1
-                values, gm = (values[0], 0.0, values[2], 0.0), (gm[0], 0.0)
-            outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], values,
-                                        QuaternionicGreen(*gm), iterations)
+            gm[:, nodes] = _product_sweep(rmap_a, rmap_b, z, un, fp.values)[2]
+        return nodes[~fp.failed & (abs(fp.values[1]) * abs(fp.values[3]) <= _COLLAPSE)]
 
-    # the probe certified every node it calls outside
-    for node in np.flatnonzero(live & ~inside).tolist():
-        g, ga, gb = (complex(v[node]) for v in pg[:3])
-        outcomes[node] = _certified(rmap_a, rmap_b, z_list[node], (ga, 0.0, gb, 0.0),
-                                    QuaternionicGreen(g, 0.0))
-    g11 = np.array([o.gm.a if isinstance(o, NonHermSolution) else complex("nan")
-                    for o in outcomes], dtype=complex).reshape(np.shape(points))
-    return _NodeSolves(outcomes, g11, capped, collapsed)
+    sunk = solve(np.flatnonzero(inside), _HANDOFF) if inside.any() else np.array([], int)
+    if sunk.size:
+        retried[sunk] = True
+        sunk = solve(sunk, _GUARD_HANDOFF)
+    x[1, sunk] = x[3, sunk] = gm[1, sunk] = 0.0
+
+    # certify every node in one pass; only the inside nodes are held to the
+    # bound, since the probe certified the outside ones
+    nodes = np.flatnonzero(live & ~failed)
+    residual, det = np.full(zs.size, np.nan), np.zeros(zs.size)
+    _, _, residuals, det[nodes] = _product_equations(rmap_a, rmap_b, zs[nodes], u[nodes],
+                                                     x[:, nodes], gm[:, nodes])
+    residual[nodes] = np.maximum.reduce(residuals)
+    singular = ~(det > _DET_FLOOR)
+    stalled = inside & ~(residual <= max(10.0 * _TOL, 1e-10))
+    outcomes = []
+    for z, on, bad, sing, stall, res, d, it, (a_a, b_a, a_b, b_b), (g, g_b) in zip(
+            zs.tolist(), live.tolist(), failed.tolist(), singular.tolist(), stalled.tolist(),
+            residual.tolist(), det.tolist(), iterations.tolist(), x.T.tolist(),
+            gm.T.tolist()):
+        if not on:
+            outcomes.append(OriginError())
+        elif bad:
+            outcomes.append(ConvergenceError(f"product solve hit non-finite values at z = {z}"))
+        elif sing:
+            outcomes.append(SingularMatrixError(d))
+        elif stall:
+            outcomes.append(ConvergenceError(f"product solve stalled at z = {z}", residual=res))
+        else:
+            corr = abs(b_a) * abs(b_b)
+            outcomes.append(NonHermSolution(
+                z=z, gm=QuaternionicGreen(g, g_b), ga=QuaternionicGreen(a_a, b_a),
+                gb=QuaternionicGreen(a_b, b_b), correlator=corr, branch=_branch(corr),
+                residual=res, iterations=it))
+    solved = live & ~failed & ~singular & ~stalled
+    g11 = np.where(solved, gm[0], complex("nan")).reshape(np.shape(points))
+    return _NodeSolves(outcomes, g11, int(np.count_nonzero(capped)), int(sunk.size),
+                       int(np.count_nonzero(retried)))
 
 
 def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np.ndarray:
@@ -683,24 +736,6 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
                 dg[finite] = jac[:, 8:, 8:] + np.einsum("nij,njc->nic", jac[:, 8:, :8], dx)
             dbar[nodes] = 0.5 * ((dg[:, 0, 0] - dg[:, 1, 1]) + 1j * (dg[:, 1, 0] + dg[:, 0, 1]))
     return dbar.reshape(solved.g11.shape)
-
-
-def _certified(rmap_a, rmap_b, z: complex, values, gm: QuaternionicGreen,
-               iterations: int = None):
-    """The NonHermSolution at z for the flat values (a_A, b_A, a_B, b_B) and
-    G_M, with its _product_equations residual.  A root of _fixed_point (its
-    damped step count given) must meet the point solvers' bound; where the
-    certificate fails, the FreeconvError is returned instead."""
-    qa, qb = QuaternionicGreen(*values[:2]), QuaternionicGreen(*values[2:])
-    try:
-        res = max(_product_equations(rmap_a, rmap_b, z, phase_split(z).psi, qa, qb, gm)[2])
-    except FreeconvError as exc:
-        return exc
-    if iterations is not None and res > max(10.0 * _TOL, 1e-10):
-        return ConvergenceError(f"product solve stalled at z = {z}", residual=res)
-    corr = abs(qa.b) * abs(qb.b)
-    return NonHermSolution(z=z, gm=gm, ga=qa, gb=qb, correlator=corr, branch=_branch(corr),
-                           residual=res, iterations=iterations or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +907,9 @@ class DensityField:
     curl -2 Im dG11/dconj(z) of the Green's vector field at every node (its
     own exact derivative, NaN at holes), and rot_residual the worst finite
     |rot| over all nodes (identically zero for closed forms).  holes counts
-    the nodes without a density.  Empirical histograms reuse the type with
-    g11/rot/rot_residual None.
+    the nodes without a density, and retried the generic route's nodes that
+    _solve_nodes re-solved after a collapse.  Empirical histograms reuse the
+    type with g11/rot/rot_residual None.
     """
 
     grid: GridSpec
@@ -884,6 +920,7 @@ class DensityField:
     route: str = "generic"
     holes: int = 0
     counts: Optional[np.ndarray] = None
+    retried: int = 0
 
 
 class LimaconPoint(NamedTuple):
@@ -1039,7 +1076,8 @@ def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
         raise GridError(f"{holes} of {points.size} grid nodes have no density")
     rot, rot_residual = _curl(dbar)
     return DensityField(grid=grid, rho=dbar.real / math.pi, g11=solved.g11, rot=rot,
-                        rot_residual=rot_residual, route="generic", holes=holes)
+                        rot_residual=rot_residual, route="generic", holes=holes,
+                        retried=solved.retried)
 
 
 def _curl(dbar: np.ndarray):
@@ -1065,6 +1103,8 @@ class IdentityReport:
     R_M^{-1} = S_B^{(R)} S_A^{(L)} when both one-sided S transforms exist.
     commutator_norm measures [Sigma_A^L, Sigma_B^R]; when it vanishes the
     factorization collapses to the commuting (scalar-like) identity.
+    retried says the S transforms were solved again with the hand-off at
+    _GUARD_HANDOFF, because the first pair did not factorize.
     """
 
     gm_residual: float
@@ -1075,12 +1115,13 @@ class IdentityReport:
     s_right: Optional[Complex2x2]
     factorization_residual: Optional[float]
     commutator_norm: float
+    retried: bool = False
 
 
-def _matrix_fixed_point(step, seed: Complex2x2, tol: float):
+def _matrix_fixed_point(step, seed: Complex2x2, tol: float, handoff: float):
     """Fixed point of step on 2x2 matrices, by _fixed_point on the entries
-    (one node, at most _IDENTITY_MAX_FP damped steps); raises
-    ConvergenceError unless its update is below tol."""
+    (one node, at most _IDENTITY_MAX_FP damped steps, the given hand-off);
+    raises ConvergenceError unless its update is below tol."""
 
     def entries(m: Complex2x2):
         return m.q11, m.q12, m.q21, m.q22
@@ -1090,7 +1131,7 @@ def _matrix_fixed_point(step, seed: Complex2x2, tol: float):
                         dtype=complex).T
 
     fp = _fixed_point(columns, np.array(entries(seed), dtype=complex)[:, None], tol,
-                      _IDENTITY_MAX_FP)
+                      _IDENTITY_MAX_FP, handoff)
     if fp.failed[0]:
         raise ConvergenceError("matrix fixed point hit non-finite values")
     x = Complex2x2(*fp.values[:, 0].tolist())
@@ -1109,15 +1150,28 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     X = (R_B^R([Y_R X]^L))^{-1} with Y_R = G_M R_M, and together they must
     reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  Requires full-matrix R maps;
     centered factors (kappa1 = 0) have no S transform and are reported as
-    such while the residual checks still run.
+    such while the residual checks still run.  Both fixed points start from
+    1/kappa1 and hand off to Newton at _HANDOFF.  Which root they reach
+    depends on the damped path, and an early hand-off may reach another.
+    So a pair that does not converge or does not factorize R_M^{-1} to
+    _FACTORIZES is solved again with the hand-off at _GUARD_HANDOFF, the
+    slow schedule, and the report is the retry's.
     """
     psi = phase_split(sol.z).psi
-    sal, sbr, (gm_res, ga_res, gb_res) = _product_equations(
-        rmap_a, rmap_b, sol.z, psi, sol.ga, sol.gb, sol.gm)
+    z = np.array([sol.z])
+    sal, sbr, residuals, det = _product_equations(
+        rmap_a, rmap_b, z, np.exp(0.5j * np.angle(z)),
+        np.array([[sol.ga.a], [sol.ga.b], [sol.gb.a], [sol.gb.b]]),
+        np.array([[sol.gm.a], [sol.gm.b]]))
+    if not det[0] > _DET_FLOOR:
+        raise SingularMatrixError(det[0])
+    gm_res, ga_res, gb_res = (float(r[0]) for r in residuals)
+    sal, sbr = (Complex2x2(*(complex(e[0]) for e in (m.q11, m.q12, m.q21, m.q22)))
+                for m in (sal, sbr))
     rm = sal @ sbr
     gm = sol.gm.embed()
     checks = dict(gm_residual=gm_res, ga_residual=ga_res, gb_residual=gb_res,
-                  commutator_norm=(rm - sbr @ sal).norm_max())
+                  commutator_norm=float((rm - sbr @ sal).norm_max()))
 
     if rmap_a.kappa1 == 0 or rmap_b.kappa1 == 0:
         return IdentityReport(s_status="S undefined", s_left=None, s_right=None,
@@ -1139,12 +1193,23 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
 
     seed_a = Complex2x2.identity().scale(1.0 / rmap_a.kappa1)
     seed_b = Complex2x2.identity().scale(1.0 / rmap_b.kappa1)
-    try:
-        s_left = _matrix_fixed_point(step_left, seed_a, _IDENTITY_TOL)
-        s_right = _matrix_fixed_point(step_right, seed_b, _IDENTITY_TOL)
-    except ConvergenceError:
+
+    def s_transforms(handoff):
+        """(S_A^(L), S_B^(R), factorization defect), or None where a fixed
+        point does not converge."""
+        try:
+            s_left = _matrix_fixed_point(step_left, seed_a, _IDENTITY_TOL, handoff)
+            s_right = _matrix_fixed_point(step_right, seed_b, _IDENTITY_TOL, handoff)
+        except ConvergenceError:
+            return None
+        return s_left, s_right, float((invert(rm) - s_right @ s_left).norm_max())
+
+    found = s_transforms(_HANDOFF)
+    retried = found is None or not found[2] <= _FACTORIZES
+    if retried:
+        found = s_transforms(_GUARD_HANDOFF)
+    if found is None:
         return IdentityReport(s_status="non-convergent", s_left=None, s_right=None,
-                              factorization_residual=None, **checks)
-    fact = (invert(rm) - s_right @ s_left).norm_max()
-    return IdentityReport(s_status="converged", s_left=s_left, s_right=s_right,
-                          factorization_residual=fact, **checks)
+                              factorization_residual=None, retried=retried, **checks)
+    return IdentityReport(s_status="converged", s_left=found[0], s_right=found[1],
+                          factorization_residual=found[2], retried=retried, **checks)

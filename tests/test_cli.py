@@ -195,7 +195,7 @@ def test_solve_product_csv(tmp_path):
     assert rc == 0
     _, summary, header, rows = read_csv(out)
     assert summary.pop("rot_residual") <= 1e-6
-    assert summary == {"points": 9, "failed": 0, "capped": 0, "collapsed": 0}
+    assert summary == {"points": 9, "failed": 0, "capped": 0, "collapsed": 0, "retried": 0}
     table = [dict(zip(header, r)) for r in rows]
     assert all(abs(float(r["rot"])) <= 1e-6 for r in table)  # per node, any grid size
     mid = table[4]                           # r = 0.5, phi = 0
@@ -214,7 +214,7 @@ def test_solve_product_partial_failure(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
     _, summary, header, rows = read_csv(out)
     assert summary.pop("rot_residual") <= 1e-6
-    assert summary == {"points": 9, "failed": 1, "capped": 0, "collapsed": 0}
+    assert summary == {"points": 9, "failed": 1, "capped": 0, "collapsed": 0, "retried": 0}
     failed = [dict(zip(header, r)) for r in rows if r[-1] == "failed"]
     assert len(failed) == 1
     assert failed[0]["x"] == "0" and failed[0]["y"] == "0"
@@ -236,7 +236,7 @@ def test_solve_product_counts_capped_nodes(tmp_path):
     capped = [r for r in table if r["iterations"] == str(nonhermitian._MAX_FP)]
     assert summary["capped"] == len(capped) > 0
     assert all(r["branch"] == "nonholomorphic" and r["status"] == "ok" for r in capped)
-    assert summary["collapsed"] == 0
+    assert summary["collapsed"] == summary["retried"] == 0
 
 
 def test_solve_product_counts_collapsed_nodes(tmp_path, monkeypatch):
@@ -261,7 +261,7 @@ def test_solve_product_counts_collapsed_nodes(tmp_path, monkeypatch):
     _, summary, header, rows = read_csv(out)
     table = [dict(zip(header, r)) for r in rows]
     outside = [r for r in table if float(r["r"]) > 1.0]
-    assert summary["collapsed"] == len(outside) > 0
+    assert summary["collapsed"] == summary["retried"] == len(outside) > 0
     assert all(r["branch"] == "holomorphic" and r["status"] == "ok" for r in outside)
 
 
@@ -277,7 +277,7 @@ def test_density_json(tmp_path):
     assert payload["schema_version"] == 1
     assert payload["summary"]["route"] == "closed-form:circular"
     assert payload["summary"]["rot_residual"] == 0.0
-    assert payload["summary"]["holes"] == 0
+    assert payload["summary"]["holes"] == payload["summary"]["retried"] == 0
     cols = payload["columns"]
     irho, ir = cols.index("rho"), cols.index("r")
     for row in payload["rows"]:
@@ -309,7 +309,7 @@ def test_density_grid_needs_two_points_per_axis(tmp_path, capsys, resolution, co
         assert not out.exists()
     else:
         _, summary, _, rows = read_csv(out)
-        assert summary["holes"] == 0 and len(rows) == 4
+        assert summary["holes"] == summary["retried"] == 0 and len(rows) == 4
 
 
 # ---------------------------------------------------------------------------
