@@ -44,6 +44,7 @@ from .hermitian import ScalarTransform
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
+_ROUND_POINTS = 512    # closed-form probe points per round at under twice its dispatch cost
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
@@ -769,17 +770,21 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     crosses zero transversally at the boundary.  Each ray first finds an
     outside radius (r_max, doubled up to twice when r_max is the internal
     estimate), then scans 24 steps inward to the first inside radius, then
-    narrows that bracket below _RADIAL_TOL by Illinois regula falsi,
-    which converges superlinearly on the transversal crossing.  Each step is
-    projected to within reach of bisection's schedule (the projection of the
-    ITP method, Oliveira & Takahashi, ACM TOMS 47, 2021), so no ray takes
-    more steps than bisection would.  The outermost crossing is returned on
-    rays that enter and leave the support more than once.  Every round is
-    one call of the pair's _holomorphic_probe, built once per call.  On its
-    closed-form (vectorized) route the whole scan is one round; on the
-    point-by-point route the scan advances one step per round, so no ray
-    evaluates past its first inside radius.  A point whose solve fails
-    counts as inside, and is counted in failed_solves.
+    narrows that bracket below _RADIAL_TOL.  Every round is one call of the
+    pair's _holomorphic_probe, built once per call, so the ray that needs
+    the most rounds sets the cost.  On its closed-form (vectorized) route a
+    round costs about its dispatch floor up to _ROUND_POINTS points: the
+    whole scan is one round, and while the open brackets fit 24 points each
+    into a round, each later round scans them again (_rescan), so every ray
+    needs the same ceil(log(width / _RADIAL_TOL) / log 25) rounds, cusp rays
+    included.  On the point-by-point route each point is a ladder solve, so
+    the scan advances one step per round (_step_scan) and no ray evaluates
+    past its first inside radius.  Brackets still open after either scan
+    are narrowed by Illinois regula falsi (_illinois), one point per ray and
+    round, projected so that no ray takes more steps than bisection would.
+    The outermost crossing is returned on rays that enter and leave the
+    support more than once, as the midpoint of its final bracket.  A point
+    whose solve fails counts as inside, and is counted in failed_solves.
     """
     if angles is None:
         if angular_samples < 8:
@@ -792,67 +797,140 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0
     probe = _holomorphic_probe(rmap_a, rmap_b)
-    phis = np.array(angles, dtype=float)
+    units = np.exp(1j * np.array(angles, dtype=float))
     failed = 0
 
     def indicator(r: np.ndarray, rays: np.ndarray):
         """Indicator values at radii r on the given rays, and the failed mask;
         a failed point reads as inside."""
-        values, _, ok = probe(r * np.exp(1j * phis[rays]))
+        values, _, ok = probe(r * units[rays])
         return np.where(ok, values, 1.0), ~ok
 
-    # outward probe: find an outside radius r_hi on every ray
-    n_scan = 24
-    radii = np.empty((len(angles), n_scan + 1))  # column 0 is r_hi
-    values = np.empty_like(radii)
-    radii[:, 0] = r_max
+    # outward probe: find an outside radius r_out on every ray
+    r_out = np.full(len(angles), float(r_max))
+    f_out = np.empty(len(angles))
     rays = np.arange(len(angles))
     for _ in range(3 if expandable else 1):
         if not rays.size:
             break
-        v, bad = indicator(radii[rays, 0], rays)
+        v, bad = indicator(r_out[rays], rays)
         failed += int(bad.sum())
-        values[rays, 0] = v
+        f_out[rays] = v
         rays = rays[v > 0.0]
-        radii[rays, 0] *= 2.0
+        r_out[rays] *= 2.0
     empty = np.zeros(len(angles), dtype=bool)
     empty[rays] = True  # the support reaches past r_max along these
 
-    # inward scan to the first inside radius; one round per step on the
-    # point-by-point route, so no ray evaluates past its first inside radius
-    k = np.arange(n_scan + 1)
-    radii[:] = radii[:, :1] + (r_min - radii[:, :1]) * k / n_scan
+    # scan inward to the first inside radius, then narrow every bracket
+    # [lo, hi], indicator(lo) > 0 >= indicator(hi)
     rays = np.flatnonzero(~empty)
-    width = n_scan if probe.vectorized else 1
-    first = np.zeros(len(angles), dtype=int)  # column of the first inside radius
-    for col in range(1, n_scan + 1, width):
-        if not rays.size:
-            break
-        cols = slice(col, col + width)
-        v, bad = indicator(radii[rays, cols].ravel(), np.repeat(rays, width))
-        v, bad = v.reshape(len(rays), width), bad.reshape(len(rays), width)
-        values[rays, cols] = v
-        hit = (v > 0.0).any(axis=1)
-        j = np.argmax(v > 0.0, axis=1)[hit]
-        failed += int(bad[hit, j].sum())
-        first[rays[hit]] = col + j
-        rays = rays[~hit]
-    empty[rays] = True
+    lo, f_lo = np.full(len(rays), float(r_min)), np.zeros(len(rays))
+    hi, f_hi = r_out[rays], f_out[rays]
+    scan = _rescan if probe.vectorized else _step_scan
+    found, bad = scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
+    failed += bad
+    empty[rays[~found]] = True
+    rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
+    failed += _illinois(indicator, rays, lo, hi, f_lo, f_hi)
 
-    # Illinois regula falsi on [lo, hi] with indicator(lo) > 0 >= indicator(hi),
-    # on f / (1 + |f|): same signs and root, but a huge value near the origin
-    # no longer pins the secant to one end
+    located = dict(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
+    points = tuple((located[i], phi) for i, phi in enumerate(angles) if i in located)
+    return BoundaryResult(points=points,
+                          empty_rays=tuple(phi for i, phi in enumerate(angles)
+                                           if empty[i]),
+                          failed_solves=failed)
+
+
+def _step_scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
+    """Scan boundary_curve's rays inward in n_scan steps from hi to lo (its
+    r_min), one step per round, so no ray evaluates past its first inside
+    radius.  Sets lo and hi, and their values f_lo and f_hi, in place to the
+    first inside radius and the radius before it.  Returns the mask of rays
+    that found an inside radius and the failed solves, counted only at a
+    ray's first inside radius."""
+    r_out, r_in = hi.copy(), lo.copy()
+    found = np.zeros(len(rays), dtype=bool)
+    failed = 0
+    todo = np.arange(len(rays))
+    for k in range(1, n_scan + 1):
+        if not todo.size:
+            break
+        r = r_out[todo] + (r_in[todo] - r_out[todo]) * k / n_scan
+        v, bad = indicator(r, rays[todo])
+        inside = v > 0.0
+        failed += int(bad[inside].sum())
+        into, out = todo[inside], todo[~inside]
+        lo[into], f_lo[into], found[into] = r[inside], v[inside], True
+        hi[out], f_hi[out] = r[~inside], v[~inside]
+        todo = out
+    return found, failed
+
+
+def _rescan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
+    """Scan boundary_curve's rays inward with all of a round's points in one
+    call, and narrow the brackets [lo, hi] in place by scanning them again.
+
+    Every round evaluates n_scan points of every open bracket, inward from
+    hi, and keeps the first inside one and the point before it, with their
+    values in f_lo and f_hi.  The first round is the scan of the whole ray:
+    its points run to lo (r_min) itself, whose sign is not yet known, and a
+    ray with no inside point is left out of the returned mask.  A later
+    round places its points inside the bracket, whose lo is known to be
+    inside, so it narrows every bracket (n_scan + 1)-fold.  Later rounds run
+    while the open brackets hold at most _ROUND_POINTS points in all; past
+    that a round's cost follows its point count, and boundary_curve hands
+    the brackets still open to _illinois, which places one point per ray.
+    Also returns the failed solves, counted only at a ray's first inside
+    point."""
+    found = np.zeros(len(rays), dtype=bool)
+    failed = 0
+    todo = np.arange(len(rays))
+    k, divisions = np.arange(n_scan + 2), n_scan  # first round ends at lo
+    while todo.size:
+        a, b = lo[todo], hi[todo]
+        # columns: hi, the n_scan points, lo
+        r = b[:, None] + (a - b)[:, None] * k / divisions
+        r[:, -1] = a
+        v, bad = indicator(r[:, 1:-1].ravel(), np.repeat(rays[todo], n_scan))
+        f = np.empty_like(r)
+        f[:, 0], f[:, 1:-1], f[:, -1] = f_hi[todo], v.reshape(-1, n_scan), f_lo[todo]
+        inside = f > 0.0
+        inside[:, -1] = found[todo]
+        j = np.argmax(inside, axis=1)  # 0 where no point is inside: hi never is
+        rows = np.flatnonzero(j)
+        j, todo = j[rows], todo[rows]
+        scanned = j <= n_scan  # not lo
+        failed += int(bad.reshape(-1, n_scan)[rows[scanned], j[scanned] - 1].sum())
+        lo[todo], f_lo[todo] = r[rows, j], f[rows, j]
+        hi[todo], f_hi[todo] = r[rows, j - 1], f[rows, j - 1]
+        found[todo] = True
+        todo = todo[hi[todo] - lo[todo] > _RADIAL_TOL]
+        divisions = n_scan + 1
+        if len(todo) * n_scan > _ROUND_POINTS:
+            break
+    return found, failed
+
+
+def _illinois(indicator, rays, lo, hi, f_lo, f_hi) -> int:
+    """Narrow boundary_curve's brackets [lo, hi] in place by projected
+    Illinois regula falsi, one point per open bracket and round, given the
+    indicator values f_lo > 0 >= f_hi at the ends; brackets already
+    narrower than _RADIAL_TOL cost nothing.  Returns the failed solves,
+    every one of which counts."""
+    # the secant runs on f / (1 + |f|): same signs and root, but a huge value
+    # near the origin no longer pins it to one end
     def squash(f):
         return f / (1.0 + abs(f))
 
-    rays = np.flatnonzero(first)
-    lo, f_lo = radii[rays, first[rays]], squash(values[rays, first[rays]])
-    hi, f_hi = radii[rays, first[rays] - 1], squash(values[rays, first[rays] - 1])
+    todo = np.flatnonzero(hi - lo > _RADIAL_TOL)
+    if not todo.size:
+        return 0
+    failed = 0
+    f_lo, f_hi = squash(f_lo), squash(f_hi)
     moved = np.zeros(len(rays), dtype=int)  # +1: lo moved last, -1: hi moved last
     # bisection's step count; a step never leaves a bracket wider than
     # bisection's after as many steps, so no ray evaluates more points
     budget = np.ceil(np.log2((hi - lo) / _RADIAL_TOL))
-    todo = np.flatnonzero(hi - lo > _RADIAL_TOL)
     step = 0
     while todo.size:
         a, b, fa, fb = lo[todo], hi[todo], f_lo[todo], f_hi[todo]
@@ -879,13 +957,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         lo[into], f_lo[into], moved[into] = r[inside], squash(v[inside]), 1
         hi[out], f_hi[out], moved[out] = r[~inside], squash(v[~inside]), -1
         todo = todo[hi[todo] - lo[todo] > _RADIAL_TOL]
-
-    located = dict(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
-    points = tuple((located[i], phi) for i, phi in enumerate(angles) if i in located)
-    return BoundaryResult(points=points,
-                          empty_rays=tuple(phi for i, phi in enumerate(angles)
-                                           if empty[i]),
-                          failed_solves=failed)
+    return failed
 
 
 def _support_scale(rmap: MatrixRMap) -> float:

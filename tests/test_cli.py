@@ -371,6 +371,47 @@ def test_boundary_empty_when_capped(tmp_path, capsys):
     assert "no support boundary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rays", [cli._MAX_RAYS + 1, 10 ** 12])
+def test_boundary_angular_samples_capped_before_work(tmp_path, capsys, monkeypatch, rays):
+    # every boundary round holds rays x 25 values, so a huge count is refused
+    # before any work
+    def unexpected(*args, **kwargs):
+        raise AssertionError("boundary search started")
+
+    monkeypatch.setattr(nonhermitian, "boundary_curve", unexpected)
+    out = tmp_path / "b.csv"
+    rc = run_cli(tmp_path, "boundary", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": rays,
+        "output": str(out)})
+    assert rc == 1
+    assert f"angular_samples must be <= {cli._MAX_RAYS}" in capsys.readouterr().err
+    assert not out.exists()
+    job = cli.build_job("boundary", {"ensemble_a": GIN, "ensemble_b": GIN,
+                                     "angular_samples": cli._MAX_RAYS, "output": "b.csv"})
+    assert job.angular_samples == cli._MAX_RAYS
+
+
+def test_parser_built_once_and_reused_after_usage_error(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"ensemble_a": GIN, "ensemble_b": GIN,
+                               "angular_samples": 8}))
+    out = tmp_path / "b.csv"
+    argv = ["boundary", "--config", str(job), "--angular-samples", "12",
+            "--output", str(out)]
+    cli._build_parser.cache_clear()
+    assert cli.main(argv) == 0
+    alone = out.read_bytes()
+    out.unlink()
+    # the usage error is raised halfway through the boundary flags
+    assert cli.main(["boundary", "--config", str(job), "--angular-samples", "twelve",
+                     "--output", str(out)]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # sample / compare
 # ---------------------------------------------------------------------------

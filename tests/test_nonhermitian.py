@@ -657,7 +657,8 @@ def test_ladder_rays_evaluate_no_more_points(pair, monkeypatch):
 
 @pytest.mark.parametrize("pair,angles", [
     ((GIN, GIN), [-2.5, -0.9, 0.7, 2.2]),
-    ((SHIFTED, SHIFTED), [-3.0, -2.2, -1.0, 0.0, 1.3, 2.4]),
+    # +-1.95 and +-2.05 lie within 0.15 rad of the cusps at +-2 pi / 3
+    ((SHIFTED, SHIFTED), [-3.0, -2.2, -2.05, -1.95, -1.0, 0.0, 1.3, 1.95, 2.05, 2.4]),
     ((elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(1.0, 0.0, 1.1 + 0.2j)),
      [-2.6, -1.2, 0.3, 1.9]),
 ])
@@ -673,15 +674,61 @@ def test_lockstep_boundary_matches_oracle_route(pair, angles):
 
 
 def test_array_route_rounds_within_bisection_budget(monkeypatch):
-    # near this pair's cusps unprojected Illinois needs 17 steps, bisection 16
+    # a small fan rescans each bracket 25x narrower per round, so no ray, not
+    # even one next to a cusp, needs more rounds than the widest bracket: 4
+    # here, where bisection would take 16.  A fan whose brackets overfill a
+    # round goes on by Illinois, one point per ray, within bisection's 16
+    # (near this pair's cusps unprojected Illinois needs 17).
     pair = (elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(0.7, 0.0, 1.1 + 0.2j))
-    handed = counting_probes(monkeypatch)
-    boundary_curve(*pair, angular_samples=128)
-    sizes = [len(z) for z in handed]
-    assert sizes[:2] == [128, 128 * 24]  # one probe round, then the whole scan
     r_max = 1.5 * nonhermitian._support_scale(pair[0]) * nonhermitian._support_scale(
         pair[1]) + 1.0
-    assert len(sizes) - 2 <= math.ceil(math.log2((r_max - 1e-4) / 24 / 1e-5))
+    width = (r_max - 1e-4) / 24
+    rounds = {16: math.ceil(math.log(width / 1e-5) / math.log(25)),
+              128: math.ceil(math.log2(width / 1e-5))}
+    assert rounds == {16: 4, 128: 16}
+    for rays, bound in rounds.items():
+        handed = counting_probes(monkeypatch)
+        res = boundary_curve(*pair, angular_samples=rays)
+        monkeypatch.undo()
+        sizes = [len(z) for z in handed]
+        assert sizes[:2] == [rays, rays * 24]  # one probe round, then the whole scan
+        assert len(sizes) - 2 <= bound
+        brackets = len(res.points)
+        if rays == 16:
+            assert brackets * 24 <= nonhermitian._ROUND_POINTS
+            assert all(size % 24 == 0 for size in sizes[2:])  # 24 points per bracket
+        else:
+            assert brackets * 24 > nonhermitian._ROUND_POINTS
+            assert all(size <= brackets for size in sizes[2:])  # 1 point per bracket
+
+
+def test_array_route_fan_size_keeps_radii(monkeypatch):
+    # rescanning and Illinois locate the same crossings on the same fan
+    angles = [-math.pi + (k + 0.5) * math.pi / 20 for k in range(40)]
+    for pair in ((GIN, GIN), (SHIFTED, SHIFTED)):
+        monkeypatch.setattr(nonhermitian, "_ROUND_POINTS", 0)
+        illinois = boundary_curve(*pair, angles=angles)
+        monkeypatch.setattr(nonhermitian, "_ROUND_POINTS", 10 ** 9)
+        rescan = boundary_curve(*pair, angles=angles)
+        assert rescan.empty_rays == illinois.empty_rays
+        assert [phi for _, phi in rescan.points] == [phi for _, phi in illinois.points]
+        for (r, _), (r_want, _) in zip(rescan.points, illinois.points):
+            assert r == pytest.approx(r_want, abs=2e-5)
+
+
+@pytest.mark.parametrize("offset", [0.05, 0.2, 0.4])
+def test_array_route_limacon_fan_within_six_rounds(offset, monkeypatch):
+    # the benchmark's limacon calls: 6 rays of a 12-ray fan, some of them
+    # next to a cusp at +-2 pi / 3
+    fan = [math.remainder(-math.pi + offset + k * math.pi / 6, 2.0 * math.pi)
+           for k in range(12)]
+    for angles in (fan[0::2], fan[1::2]):
+        handed = counting_probes(monkeypatch)
+        res = boundary_curve(SHIFTED, SHIFTED, angles=angles)
+        monkeypatch.undo()
+        assert len(handed) <= 6
+        for r, phi in res.points:
+            assert r == pytest.approx(1.0 + 2.0 * math.cos(phi), abs=1e-3)
 
 
 def test_boundary_counts_failed_solves_on_array_route():
