@@ -75,7 +75,6 @@ from .nonhermitian import (
     gue_rmap,
     limacon_reference,
     residual_identities,
-    shifted_rmap,
     solve_product,
     solve_single,
 )

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import hermitian, montecarlo, nonhermitian
+from .core import QuaternionicGreen
 from .ensembles import EnsembleSpec, analytic_transforms
 from .errors import (
     FreeconvError,
@@ -438,7 +439,7 @@ def cmd_transform(cfg: JobConfig) -> int:
             if isinstance(out, FreeconvError):
                 raise FreeconvError(f"transform failed at z = {complex(x)}: {out}") from out
             sol = nonhermitian._single_view(out)
-            sig = matrix.apply(sol.gm)
+            sig = QuaternionicGreen(*matrix.apply_q(sol.gm.a, sol.gm.b)).embed()
             rows.append([x, 0.0, sol.gm.a.real, sol.gm.a.imag,
                          abs(sol.gm.b), sol.correlator, sol.branch,
                          sig.q11.real, sig.q11.imag, sig.q12.real, sig.q12.imag,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -64,80 +65,69 @@ _PRODUCT_PHASE = (0, 1, 0, 1)  # b_A and b_B of (a_A, b_A, a_B, b_B) share a fre
 
 @dataclass(frozen=True)
 class MatrixRMap:
-    """Matrix-valued R transform acting on quaternionic Green's functions.
+    """Elliptic matrix R transform: R(a, b) = (shift + tau sigma^2 a, sigma^2 b).
 
-    apply_q is the structured fast path (a, b) -> (a', b') used by the
-    solvers, which rely on it commuting with a phase rotation of b (as every
-    quaternionic R transform does); apply embeds its result as a full 2x2
-    matrix.  apply_matrix, when available, extends the map to arbitrary 2x2
-    arguments as required by the left/right S-transform machinery.  meta
-    carries the parameters of known families so closed-form density routes
-    can recognize them; elliptic meta also makes the diagonal section exactly
-    affine and the b-coupling exact.
+    It acts on quaternionic Green's functions (a, b) and commutes with a
+    phase rotation of b, as every quaternionic R transform does.  tau = 0 is
+    the rotationally invariant (Ginibre-type) case, tau = 1 the hermitian
+    Gaussian, intermediate values interpolate the two; sigma = 0 is the
+    deterministic matrix shift * I.  The record is validated on
+    construction: sigma >= 0, tau in [-1, 1], sigma^2 and shift finite
+    numbers, else FreeconvError.  Its diagonal section is exactly affine and
+    its b-coupling is the constant sigma^2.
     """
 
-    name: str
-    apply_q: Callable[[QuaternionicGreen], QuaternionicGreen]
-    kappa1: complex
-    apply_matrix: Optional[Callable[[Complex2x2], Complex2x2]] = None
-    meta: Optional[dict] = None
+    sigma: float = 1.0
+    tau: float = 0.0
+    shift: complex = 0.0
+    name: str = None
 
-    def apply(self, g: QuaternionicGreen) -> Complex2x2:
-        return self.apply_q(g).embed()
+    def __post_init__(self):
+        sigma, tau, shift = self.sigma, self.tau, self.shift
+        if not (isinstance(sigma, numbers.Real) and isinstance(tau, numbers.Real)
+                and isinstance(shift, numbers.Complex)):
+            raise FreeconvError(f"sigma, tau and shift must be numbers, got "
+                                f"sigma={sigma!r}, tau={tau!r}, shift={shift!r}")
+        if not -1.0 <= tau <= 1.0:
+            raise FreeconvError(f"tau must lie in [-1, 1], got {tau}")
+        try:
+            finite = math.isfinite(float(sigma) ** 2) and cmath.isfinite(shift)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FreeconvError(
+                f"sigma and shift must be finite, got sigma={sigma}, shift={shift}")
+        if sigma < 0:
+            raise FreeconvError(f"sigma must be >= 0, got {sigma}")
+        label = self.name or (f"elliptic(sigma={sigma}, tau={tau})"
+                              + (f"+{shift}" if shift != 0 else ""))
+        for field, value in (("sigma", float(sigma)), ("tau", float(tau)),
+                             ("shift", complex(shift)), ("name", label)):
+            object.__setattr__(self, field, value)
 
-    def _elliptic(self) -> bool:
-        return self.meta is not None and self.meta.get("kind") == "elliptic"
+    @property
+    def kappa1(self) -> complex:
+        return self.shift
 
-    def diagonal_section(self) -> ScalarTransform:
-        """Restriction to diagonal arguments, as a scalar R transform."""
-        name, m = f"{self.name}|diag", self.meta
-        if self._elliptic():
-            return hermitian._affine_transform(name, m["shift"], m["tau"] * m["sigma"] ** 2)
-        return ScalarTransform(name=name, kappa1=self.kappa1,
-                               r_eval=lambda x: self.apply_q(QuaternionicGreen(x, 0.0)).a)
+    def apply_q(self, a, b):
+        """R(a, b) as the pair (a', b'); a and b may be scalars or arrays."""
+        s2 = self.sigma ** 2
+        return self.shift + self.tau * s2 * a, s2 * b
 
-    def b_coupling(self, a_value: complex) -> complex:
-        """d(off-diagonal out)/d(off-diagonal in) at b = 0, diagonal a_value."""
-        if self._elliptic():
-            return self.meta["sigma"] ** 2
-        h = 1e-6
-        tp = self.apply_q(QuaternionicGreen(a_value, +h)).b
-        tm = self.apply_q(QuaternionicGreen(a_value, -h)).b
-        return (tp - tm) / (2.0 * h)
-
-
-def elliptic_rmap(sigma: float = 1.0, tau: float = 0.0, shift: complex = 0.0,
-                  name: str = None) -> MatrixRMap:
-    """Elliptic family: R(a, b) = (shift + tau sigma^2 a, sigma^2 b).
-
-    tau = 0 is the rotationally invariant (Ginibre-type) case, tau = 1 the
-    hermitian Gaussian, intermediate values interpolate the two.
-    """
-    try:
-        s2 = float(sigma) ** 2
-    except OverflowError:
-        s2 = math.inf
-    t = float(tau)
-    c = complex(shift)
-    if not -1.0 <= t <= 1.0:
-        raise FreeconvError(f"tau must lie in [-1, 1], got {t}")
-    if not (math.isfinite(s2) and cmath.isfinite(c)):
-        raise FreeconvError(
-            f"sigma and shift must be finite, got sigma={sigma}, shift={shift}")
-
-    def apply_q(g: QuaternionicGreen) -> QuaternionicGreen:
-        return QuaternionicGreen(c + t * s2 * g.a, s2 * g.b)
-
-    def apply_matrix(m: Complex2x2) -> Complex2x2:
+    def apply_matrix(self, m: Complex2x2) -> Complex2x2:
+        """The map extended to arbitrary 2x2 arguments, as the left/right
+        S transforms of residual_identities need."""
+        s2, t, c = self.sigma ** 2, self.tau, self.shift
         return Complex2x2(c + t * s2 * m.q11, s2 * m.q12,
                           s2 * m.q21, c.conjugate() + t * s2 * m.q22)
 
-    label = name or (f"elliptic(sigma={sigma}, tau={tau})"
-                     + (f"+{shift}" if shift != 0 else ""))
-    return MatrixRMap(name=label, apply_q=apply_q, kappa1=c,
-                      apply_matrix=apply_matrix,
-                      meta={"kind": "elliptic", "sigma": float(sigma),
-                            "tau": t, "shift": c})
+    def diagonal_section(self) -> ScalarTransform:
+        """Restriction to diagonal arguments, as a scalar R transform."""
+        return hermitian._affine_transform(f"{self.name}|diag", self.shift,
+                                           self.tau * self.sigma ** 2)
+
+
+elliptic_rmap = MatrixRMap
 
 
 def ginibre_rmap(sigma: float = 1.0) -> MatrixRMap:
@@ -151,30 +141,6 @@ def gue_rmap(sigma: float = 1.0) -> MatrixRMap:
 def constant_rmap(c: complex, name: str = None) -> MatrixRMap:
     """Deterministic matrix c * I: the elliptic map with sigma = 0, shift = c."""
     return elliptic_rmap(sigma=0.0, shift=c, name=name or f"const({complex(c)})")
-
-
-def shifted_rmap(base: MatrixRMap, shift: complex, name: str = None) -> MatrixRMap:
-    """Add a deterministic shift * I to an existing map.
-
-    An elliptic base stays elliptic, with the two shifts added.
-    """
-    c = complex(shift)
-    label = name or f"{base.name}+{shift}"
-    if base._elliptic():
-        m = base.meta
-        return elliptic_rmap(m["sigma"], m["tau"], m["shift"] + c, name=label)
-
-    def apply_q(g: QuaternionicGreen) -> QuaternionicGreen:
-        inner = base.apply_q(g)
-        return QuaternionicGreen(c + inner.a, inner.b)
-
-    apply_matrix = None
-    if base.apply_matrix is not None:
-        def apply_matrix(m: Complex2x2) -> Complex2x2:
-            return Complex2x2.diagonal(c, c.conjugate()) + base.apply_matrix(m)
-
-    return MatrixRMap(name=label, apply_q=apply_q, kappa1=base.kappa1 + c,
-                      apply_matrix=apply_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +238,13 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     g = 1/(z - c_A c_B) and a closed-form auxiliary pair, evaluated with
     numpy ufuncs on all of z at once (the residuals are NaN at the pole, and
     z = 0 fails as on the other route); probe.vectorized is then True.
-    Every other pair solves hermitian.multiply_r_system point by point.
+    Every other pair solves hermitian.multiply_r_system point by point.  On
+    both routes the b-couplings are the constants sigma_A^2 and sigma_B^2.
     """
     ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
     if hermitian.product_r_transform(ta, tb).affine is not None:
-        # only elliptic maps declare affine sections; their b-couplings are
-        # the constants sigma^2
         (ca, aa), (cb, ab) = ta.affine, tb.affine
-        la, lb = rmap_a.b_coupling(0.0), rmap_b.b_coupling(0.0)
 
         def probe(z):
             # a scalar z becomes a numpy scalar: numpy's division (inf/NaN at
@@ -299,6 +264,12 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
 
         probe.vectorized = True
         return probe
+    return _point_probe(ta, tb, la, lb)
+
+
+def _point_probe(ta: ScalarTransform, tb: ScalarTransform, la, lb):
+    """_holomorphic_probe's point-by-point route for the diagonal sections
+    ta, tb and the b-couplings la, lb: hermitian.multiply_r_system at each z."""
 
     def probe(z):
         z = np.asarray(z)
@@ -312,8 +283,7 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
             except (ConvergenceError, BranchUndecidedError):
                 continue
             indicator[k] = _stability_radius(
-                zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a),
-                rmap_a.b_coupling(pg.g_b), rmap_b.b_coupling(pg.g_a))
+                zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a), la, lb)
             g[k], ga[k], gb[k], residual[k] = pg
             ok[k] = True
         return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
@@ -357,17 +327,6 @@ def _single_view(sol: NonHermSolution) -> NonHermSolution:
     return NonHermSolution(z=sol.z, gm=gm, ga=gm, gb=gm, correlator=corr,
                            branch=_branch(corr), residual=sol.residual,
                            iterations=sol.iterations)
-
-
-def _apply_q(rmap: MatrixRMap, a: np.ndarray, b: np.ndarray):
-    """rmap.apply_q on arrays of (a, b): an elliptic map takes the arrays
-    whole, any other map sees one point at a time."""
-    if rmap._elliptic():
-        out = rmap.apply_q(QuaternionicGreen(a, b))
-        return out.a, out.b
-    outs = [rmap.apply_q(QuaternionicGreen(*ab)) for ab in zip(a.tolist(), b.tolist())]
-    return (np.array([o.a for o in outs], dtype=complex),
-            np.array([o.b for o in outs], dtype=complex))
 
 
 class _FixedPoint(NamedTuple):
@@ -527,8 +486,8 @@ def _product_sweep(rmap_a, rmap_b, z, u, x):
     every node, with z and u = e^{i psi} per node.  G_M is NaN where
     Z - Sigma_A^L Sigma_B^R is singular."""
     a_a, b_a, a_b, b_b = x
-    sa_a, sa_b = _apply_q(rmap_a, a_b, b_b)
-    sb_a, sb_b = _apply_q(rmap_b, a_a, b_a)
+    sa_a, sa_b = rmap_a.apply_q(a_b, b_b)
+    sb_a, sb_b = rmap_b.apply_q(a_a, b_a)
     sal, sbr = (sa_a, sa_b * u), (sb_a, sb_b / u)  # [Sigma_A]^L, [Sigma_B]^R
     sm_a, sm_b = qmul_parts(*sal, *sbr)
     return sal, sbr, qinv_parts(z - sm_a, -sm_b)
@@ -555,8 +514,8 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
     The G_M residual is NaN where the determinant is 0.
     """
     qa, qb = QuaternionicGreen(*x[:2]).embed(), QuaternionicGreen(*x[2:]).embed()
-    sal = _turn(QuaternionicGreen(*_apply_q(rmap_a, x[2], x[3])).embed(), u)
-    sbr = _turn(QuaternionicGreen(*_apply_q(rmap_b, x[0], x[1])).embed(), u.conjugate())
+    sal = _turn(QuaternionicGreen(*rmap_a.apply_q(x[2], x[3])).embed(), u)
+    sbr = _turn(QuaternionicGreen(*rmap_b.apply_q(x[0], x[1])).embed(), u.conjugate())
     m = Complex2x2.diagonal(z, z.conjugate()) - sal @ sbr
     det = m.det
     gm_full = QuaternionicGreen(*gm).embed()
@@ -961,9 +920,7 @@ def _illinois(indicator, rays, lo, hi, f_lo, f_hi) -> int:
 
 
 def _support_scale(rmap: MatrixRMap) -> float:
-    meta = rmap.meta or {}
-    sigma = float(meta.get("sigma", 1.0)) if meta.get("kind") == "elliptic" else 1.0
-    return abs(rmap.kappa1) + 2.0 * sigma
+    return abs(rmap.shift) + 2.0 * rmap.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -1077,15 +1034,11 @@ def closed_form(rmap_a: MatrixRMap, rmap_b: MatrixRMap) -> Optional[ClosedForm]:
     sigma_A sigma_B) and the square of the unit-shift, unit-variance Ginibre
     ensemble (the limacon of limacon_reference).
     """
-    ma, mb = rmap_a.meta, rmap_b.meta
-    if not ma or not mb or ma.get("kind") != "elliptic" or mb.get("kind") != "elliptic":
-        return None
-    if ma["shift"] == 0 and mb["shift"] == 0:
-        s = ma["sigma"] * mb["sigma"]
+    if rmap_a.shift == 0 and rmap_b.shift == 0:
+        s = rmap_a.sigma * rmap_b.sigma
         return ClosedForm("circular", lambda z: _circular_point(s, z),
                           lambda phi: float(s))
-    if all(m["shift"] == 1 and m["tau"] == 0.0 and m["sigma"] == 1.0
-           for m in (ma, mb)):
+    if all(m.shift == 1 and m.tau == 0.0 and m.sigma == 1.0 for m in (rmap_a, rmap_b)):
         return ClosedForm("limacon", _limacon_point, _limacon_edge)
     return None
 
@@ -1220,10 +1173,10 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     The left S transform of A solves X = (R_A^L([X Y_L]^R))^{-1} with
     Y_L = R_M G_M, the right S transform of B solves
     X = (R_B^R([Y_R X]^L))^{-1} with Y_R = G_M R_M, and together they must
-    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  Requires full-matrix R maps;
-    centered factors (kappa1 = 0) have no S transform and are reported as
-    such while the residual checks still run.  Both fixed points start from
-    1/kappa1 and hand off to Newton at _HANDOFF.  Which root they reach
+    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  Centered factors (kappa1 = 0)
+    have no S transform and are reported as such while the residual checks
+    still run.  Both fixed points start from 1/kappa1 and hand off to Newton
+    at _HANDOFF.  Which root they reach
     depends on the damped path, and an early hand-off may reach another.
     So a pair that does not converge or does not factorize R_M^{-1} to
     _FACTORIZES is solved again with the hand-off at _GUARD_HANDOFF, the
@@ -1248,9 +1201,6 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     if rmap_a.kappa1 == 0 or rmap_b.kappa1 == 0:
         return IdentityReport(s_status="S undefined", s_left=None, s_right=None,
                               factorization_residual=None, **checks)
-    if rmap_a.apply_matrix is None or rmap_b.apply_matrix is None:
-        raise FreeconvError(
-            "left/right S transforms need full-matrix R maps (apply_matrix)")
 
     y_left = rm @ gm
     y_right = gm @ rm

@@ -9,6 +9,7 @@ import pytest
 
 from freeconv.ensembles import EnsembleSpec, analytic_transforms, sample
 from freeconv.errors import SpecValidationError
+from freeconv.nonhermitian import MatrixRMap
 
 
 def test_spec_defaults():
@@ -162,19 +163,19 @@ def test_transforms_gue():
     assert scalar is not None
     # R(g) = sigma^2 g for the centered hermitian Gaussian
     assert scalar.r_eval(0.3) == pytest.approx(4.0 * 0.3)
-    assert rmap.meta["tau"] == 1.0 and rmap.meta["sigma"] == 2.0
+    assert rmap.tau == 1.0 and rmap.sigma == 2.0
 
 
 def test_transforms_ginibre_has_no_scalar():
     scalar, rmap = analytic_transforms(EnsembleSpec("ginibre", 16))
     assert scalar is None
-    assert rmap.meta["kind"] == "elliptic" and rmap.meta["tau"] == 0.0
+    assert isinstance(rmap, MatrixRMap) and rmap.tau == 0.0
 
 
 def test_transforms_shifted_kinds():
     scalar, rmap = analytic_transforms(EnsembleSpec("shifted", 16, shift=1.0))
     assert scalar is None            # tau = 0: matrix is not hermitian
-    assert rmap.meta["shift"] == 1.0
+    assert rmap.shift == 1.0
     scalar2, _ = analytic_transforms(EnsembleSpec("elliptic", 16, tau=1.0, shift=0.5))
     assert scalar2 is not None       # hermitian with a real shift
     assert scalar2.kappa1 == pytest.approx(0.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv import hermitian, nonhermitian
 from freeconv.ensembles import EnsembleSpec, sample
-from freeconv.errors import FreeconvError, GridError, OriginError
+from freeconv.errors import ConvergenceError, FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
 from freeconv.hermitian import gaussian_transform, green_from_r
 from freeconv.nonhermitian import (
@@ -28,7 +29,6 @@ from freeconv.nonhermitian import (
     gue_rmap,
     limacon_reference,
     residual_identities,
-    shifted_rmap,
     solve_product,
     solve_single,
 )
@@ -117,6 +117,21 @@ def test_nonfinite_map_raises_library_error():
 def test_elliptic_rmap_rejects_nonfinite(kwargs):
     with pytest.raises(FreeconvError, match="finite"):
         elliptic_rmap(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(sigma=-1.0), dict(sigma=-1e-300), dict(sigma=-2),
+    dict(sigma="x"), dict(sigma="1.0"), dict(sigma=None), dict(sigma=1j),
+    dict(tau="0.5"), dict(tau=None), dict(shift="1"), dict(shift=[1.0]),
+])
+def test_elliptic_rmap_rejects_negative_sigma_and_non_numbers(kwargs):
+    # R depends on sigma^2 only, but the support scale and the closed forms
+    # read sigma itself: a negative one gave a negative boundary radius and a
+    # zero density with no error
+    with pytest.raises(FreeconvError):
+        elliptic_rmap(**kwargs)
+    # sigma = 0 stays valid: the deterministic shift * I
+    assert elliptic_rmap(sigma=0.0, shift=2.0).sigma == 0.0
 
 
 def test_fixed_point_rejects_nonfinite_step():
@@ -232,9 +247,11 @@ def test_constant_factor_rescales():
     assert sol.gm.a == pytest.approx(single.gm.a / 2.0, abs=1e-8)
 
 
-def test_shifted_rmap_matches_elliptic_shift():
-    a = shifted_rmap(ginibre_rmap(1.0), 1.0)
-    assert a.meta == SHIFTED.meta  # an elliptic base stays elliptic
+def test_shifted_record_matches_elliptic_shift():
+    # a map shifted by c is the record with shift + c
+    gin = ginibre_rmap(1.0)
+    a = elliptic_rmap(gin.sigma, gin.tau, gin.shift + 1.0)
+    assert (a.sigma, a.tau, a.shift) == (SHIFTED.sigma, SHIFTED.tau, SHIFTED.shift)
     sol1 = solve_product(a, a, 0.8 + 0.3j)
     sol2 = solve_product(SHIFTED, SHIFTED, 0.8 + 0.3j)
     assert sol1.gm.a == pytest.approx(sol2.gm.a, abs=1e-10)
@@ -290,14 +307,22 @@ def test_boundary_respects_explicit_cap():
 
 
 # ---------------------------------------------------------------------------
-# exact affine route against the generic (callable) route
+# exact affine route against the generic route
 # ---------------------------------------------------------------------------
 
 
-def generic_twin(rmap: MatrixRMap) -> MatrixRMap:
-    """The same map without meta: every solve takes the callable route."""
-    return MatrixRMap(name=rmap.name, apply_q=rmap.apply_q, kappa1=rmap.kappa1,
-                      apply_matrix=rmap.apply_matrix)
+def oracle_section(rmap: MatrixRMap) -> hermitian.ScalarTransform:
+    """rmap's diagonal section built without affine: every solve on it takes
+    the hermitian generic route (auxiliary fixed point, ladder)."""
+    return hermitian.ScalarTransform(f"{rmap.name}|diag",
+                                     lambda x: rmap.apply_q(x, 0.0)[0], rmap.kappa1)
+
+
+def oracle_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
+    """_holomorphic_probe's contract on the generic route: multiply_r_system
+    point by point on the oracle sections, with the b-couplings sigma^2."""
+    return nonhermitian._point_probe(oracle_section(rmap_a), oracle_section(rmap_b),
+                                     rmap_a.sigma ** 2, rmap_b.sigma ** 2)
 
 
 def close(u: complex, v: complex, tol: float = 1e-10) -> bool:
@@ -319,17 +344,17 @@ DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True,
 def test_affine_product_matches_generic_route(rmap_a, rmap_b, z):
     ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
     assert ta.affine is not None and tb.affine is not None
-    oa, ob = generic_twin(rmap_a), generic_twin(rmap_b)
-    assert oa.diagonal_section().affine is None
+    oa, ob = oracle_section(rmap_a), oracle_section(rmap_b)
+    assert oa.affine is None
     try:
-        want = hermitian.multiply_r_system(oa.diagonal_section(),
-                                           ob.diagonal_section(), z)
+        want = hermitian.multiply_r_system(oa, ob, z)
     except FreeconvError:
         return  # the oracle itself has no holomorphic solution here
     got = hermitian.multiply_r_system(ta, tb, z)
     assert close(got.g, want.g) and close(got.g_a, want.g_a)
     assert close(got.g_b, want.g_b)
-    indicator = branch_indicator(oa, ob, z)
+    indicator, _, ok = oracle_probe(rmap_a, rmap_b)(z)
+    assert ok
     if abs(indicator) > 1e-8:
         assert (branch_indicator(rmap_a, rmap_b, z) > 0) == (indicator > 0)
 
@@ -345,8 +370,9 @@ def test_affine_derivatives_are_exact(rmap_a, rmap_b, x):
     h = 1e-6
     fd = (product.r_eval(x + h) - product.r_eval(x - h)) / (2.0 * h)
     assert close(product.r_deriv(x), fd, 1e-6)
-    assert close(rmap_a.b_coupling(0.3 + 0.1j),
-                 generic_twin(rmap_a).b_coupling(0.3 + 0.1j), 1e-8)
+    # the b-coupling sigma^2 is d(off-diagonal out)/d(off-diagonal in) at b = 0
+    coupling = (rmap_a.apply_q(0.3 + 0.1j, h)[1] - rmap_a.apply_q(0.3 + 0.1j, -h)[1]) / (2.0 * h)
+    assert close(rmap_a.sigma ** 2, coupling, 1e-8)
 
 
 @DIFFERENTIAL
@@ -380,7 +406,7 @@ def test_constant_product_array_matches_generic_route(maps, zs):
     probe = nonhermitian._holomorphic_probe(rmap_a, rmap_b)
     assert probe.vectorized
     indicator, pg, ok = probe(np.array(zs))
-    oracle = nonhermitian._holomorphic_probe(generic_twin(rmap_a), generic_twin(rmap_b))
+    oracle = oracle_probe(rmap_a, rmap_b)
     assert not oracle.vectorized
     for k, z in enumerate(zs):
         want_indicator, want, want_ok = oracle(np.array([z]))
@@ -411,26 +437,52 @@ def test_constant_pair_routing():
     assert nonhermitian._holomorphic_probe(GIN, gue_rmap(1.0)).vectorized  # R_AB = 0
     assert nonhermitian._holomorphic_probe(GIN, constant_rmap(2.0)).vectorized
     assert not nonhermitian._holomorphic_probe(gue_rmap(1.0), gue_rmap(1.0)).vectorized
-    assert not nonhermitian._holomorphic_probe(generic_twin(GIN), GIN).vectorized
+    assert not oracle_probe(GIN, GIN).vectorized  # the generic route is point by point
 
 
 TAU_PAIR = (elliptic_rmap(1.0, 0.5, 0.7), elliptic_rmap(1.0, 0.5, 0.5 + 0.3j))
 
 
+@dataclasses.dataclass(frozen=True)
+class NanInside(MatrixRMap):
+    """An elliptic map whose apply_q turns the diagonal NaN where |a| > limit.
+
+    Its diagonal section stays the elliptic one, so the holomorphic probe
+    does not see the NaNs; the nonholomorphic solves and the certificate do.
+    """
+
+    limit: float = 0.3
+
+    def apply_q(self, a, b):
+        ra, rb = super().apply_q(a, b)
+        return np.where(abs(a) <= self.limit, ra, complex(math.nan, 0.0)), rb
+
+
 def nan_inside_map(limit=0.3):
-    """elliptic_rmap(1, 0.5, 0.5) without meta, whose R turns NaN where |a| > limit."""
-    base = elliptic_rmap(1.0, 0.5, 0.5)
+    """elliptic_rmap(1, 0.5, 0.5), whose R turns NaN where |a| > limit."""
+    return NanInside(1.0, 0.5, 0.5, "nan inside", limit)
 
-    def apply_q(g):
-        out = base.apply_q(g)
-        return out if abs(g.a) <= limit else type(g)(complex(math.nan, 0.0), out.b)
 
-    return MatrixRMap("nan inside", apply_q, base.kappa1)
+def fail_probes_where_nan(monkeypatch, limit):
+    """Make hermitian.multiply_r_system, which the point-by-point probe calls,
+    fail where a nan_inside_map(limit) pair would turn R NaN: at a root with
+    |g_a| or |g_b| over limit."""
+    real = hermitian.multiply_r_system
+
+    def failing(ta, tb, z):
+        pg = real(ta, tb, z)
+        if max(abs(pg.g_a), abs(pg.g_b)) > limit:
+            raise ConvergenceError(f"R is NaN at the root of z = {z}")
+        return pg
+
+    monkeypatch.setattr(hermitian, "multiply_r_system", failing)
 
 
 @pytest.mark.parametrize("pair", [TAU_PAIR, (nan_inside_map(), nan_inside_map())])
-def test_probe_on_array_matches_scalar_route(pair):
+def test_probe_on_array_matches_scalar_route(pair, monkeypatch):
     rmap_a, rmap_b = pair
+    if isinstance(rmap_a, NanInside):
+        fail_probes_where_nan(monkeypatch, rmap_a.limit)
     zs = np.array([cmath.rect(r, phi) for r in (0.3, 1.1, 2.0, 3.5, 7.0)
                    for phi in (-2.8, -1.0, 0.4, 1.9)])
     indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
@@ -447,7 +499,7 @@ def test_probe_on_array_matches_scalar_route(pair):
         assert (pg.g[k], pg.g_a[k], pg.g_b[k], pg.residual[k]) == tuple(want)
         assert indicator[k] == nonhermitian._stability_radius(
             z, want.g, ta.r_eval(want.g_b), tb.r_eval(want.g_a),
-            rmap_a.b_coupling(want.g_b), rmap_b.b_coupling(want.g_a))
+            rmap_a.sigma ** 2, rmap_b.sigma ** 2)
     # the NaN map fails inside, where |g| is large
     assert (failed > 0) == (rmap_a.name == "nan inside")
     assert failed < len(zs)
@@ -545,8 +597,7 @@ def test_collapsed_node_returns_its_own_stable_root(pa, pb, z):
     assert sol.residual <= 1e-10
     ta, tb = a.diagonal_section(), b.diagonal_section()
     radius = nonhermitian._stability_radius(
-        z, sol.gm.a, ta.r_eval(sol.gb.a), tb.r_eval(sol.ga.a),
-        a.b_coupling(sol.gb.a), b.b_coupling(sol.ga.a))
+        z, sol.gm.a, ta.r_eval(sol.gb.a), tb.r_eval(sol.ga.a), a.sigma ** 2, b.sigma ** 2)
     assert radius < 0.0
 
 
@@ -662,10 +713,11 @@ def test_ladder_rays_evaluate_no_more_points(pair, monkeypatch):
     ((elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(1.0, 0.0, 1.1 + 0.2j)),
      [-2.6, -1.2, 0.3, 1.9]),
 ])
-def test_lockstep_boundary_matches_oracle_route(pair, angles):
-    # sigma = 1 keeps the internal r_max the same without elliptic meta
+def test_lockstep_boundary_matches_oracle_route(pair, angles, monkeypatch):
     got = boundary_curve(*pair, angles=angles)
-    want = boundary_curve(*(generic_twin(m) for m in pair), angles=angles)
+    # the oracle probe is point by point, so the search steps and uses Illinois
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", oracle_probe)
+    want = boundary_curve(*pair, angles=angles)
     assert got.empty_rays == want.empty_rays
     assert [phi for _, phi in got.points] == [phi for _, phi in want.points]
     for (r, _), (r_want, _) in zip(got.points, want.points):
@@ -741,11 +793,12 @@ def test_boundary_counts_failed_solves_on_array_route():
     assert scan.points[0][0] == pytest.approx(2.02, abs=0.01)
 
 
-def test_boundary_counts_failed_solves():
+def test_boundary_counts_failed_solves(monkeypatch):
     # R turns NaN where |a| > 0.3; those solves fail and count as inside
     base = elliptic_rmap(1.0, 0.5, 0.5)
     broken = nan_inside_map()
     assert boundary_curve(base, base, angles=[0.3]).failed_solves == 0
+    fail_probes_where_nan(monkeypatch, broken.limit)
     assert boundary_curve(broken, broken, angles=[0.3]).failed_solves > 0
 
 
