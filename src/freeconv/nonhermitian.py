@@ -31,7 +31,6 @@ from .core import (
     rotate_right,
 )
 from .errors import (
-    BranchUndecidedError,
     ConvergenceError,
     FreeconvError,
     GridError,
@@ -45,7 +44,7 @@ from .hermitian import ScalarTransform
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
-_ROUND_POINTS = 512    # closed-form probe points per round at under twice its dispatch cost
+_ROUND_POINTS = 512    # probe points per round at under twice a degree-1 round's dispatch cost
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
@@ -197,8 +196,11 @@ def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> floa
 
     where s_X are the diagonal self-energies, L_X the off-diagonal couplings,
     and g the holomorphic Green's function of the product.  Evaluated by
-    _holomorphic_probe; raises ConvergenceError where the holomorphic
-    solution at z fails its certificate.
+    _holomorphic_probe, whose g is the root of least radius among the
+    certified roots of the pair's polynomial, so in a hole of the support
+    the indicator reads the stable root, not the continuation of g ~ 1/z
+    from infinity.  Raises ConvergenceError where no root at z meets the
+    certificate.
     """
     indicator, _, ok = _holomorphic_probe(rmap_a, rmap_b)(z)
     if not ok:
@@ -227,68 +229,88 @@ def _stability_radius(z, g, sa, sb, la, lb):
 def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     """The holomorphic product solution of a pair, as a function of z.
 
-    The returned probe maps z, a complex scalar or a 1-d array, to
+    The returned probe maps z, a complex scalar or an array, to
     (indicator, ProductGreens, ok) of the same shape: branch_indicator's
     values, the holomorphic solution (g, g_a, g_b and the worst of its three
-    residuals), and a mask that is False where the solve failed or missed
-    multiply_r_system's certificate.  Callers treat a failed point as
-    inside, where the holomorphic solution is lost.  The route is chosen
-    once per pair.  A constant R_AB = c_A c_B (see
-    hermitian.product_r_transform; every tau = 0 pair) has the exact root
-    g = 1/(z - c_A c_B) and a closed-form auxiliary pair, evaluated with
-    numpy ufuncs on all of z at once (the residuals are NaN at the pole, and
-    z = 0 fails as on the other route); probe.vectorized is then True.
-    Every other pair solves hermitian.multiply_r_system point by point.  On
-    both routes the b-couplings are the constants sigma_A^2 and sigma_B^2.
+    residuals), and a mask that is False at z = 0 and where no root meets
+    the certificate (every residual at most 10 _TOL); callers read that as
+    inside.  With R_X = c_X + alpha_X g on the diagonal, g_a = g P / D and
+    g_b = g Q / D (hermitian._affine_aux), so g is a root of
+    p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when alpha_A alpha_B = 0,
+    or 1 when R_AB is the constant c_A c_B (every tau = 0 pair): then
+    g = 1/(z - c_A c_B), in numpy ufuncs (a scalar z as a numpy scalar, so
+    the pole gives inf).  Otherwise p(0) = -1, so w = 1/g are the
+    eigenvalues of a companion matrix that divides by no coefficient, one
+    batched np.linalg.eigvals call for all z.  Each root takes one Newton
+    step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which lacks p's roots at
+    D = 0 that can crowd it (g = +-1 for GUE^2, near z = +-1).  Each z keeps
+    the certified root of least _stability_radius, the stable one outside
+    the support and in its holes, and that radius is the indicator.  The
+    b-couplings are sigma_A^2 and sigma_B^2.  The arithmetic is elementwise,
+    so a point's values do not depend on the other points of the call.
     """
-    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    (ca, aa), (cb, ab) = rmap_a.diagonal_section().affine, rmap_b.diagonal_section().affine
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
-    if hermitian.product_r_transform(ta, tb).affine is not None:
-        (ca, aa), (cb, ab) = ta.affine, tb.affine
+    a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
 
+    def certify(z, g):
+        """The indicator, ProductGreens and certificate of the roots g at z."""
+        ga = g * (ca + g * aa * cb)
+        gb = g * (cb + g * ab * ca)
+        if a2 != 0:
+            d = 1.0 - g * g * a2
+            ga, gb = ga / d, gb / d
+        sa = ca + aa * gb
+        sb = cb + ab * ga
+        residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
+                                         abs(ga - g * sa)), abs(gb - g * sb))
+        indicator = _stability_radius(z, g, sa, sb, la, lb)
+        return indicator, hermitian.ProductGreens(g, ga, gb, residual), residual <= 10.0 * _TOL
+
+    if a2 == 0 and k1 == 0:
         def probe(z):
-            # a scalar z becomes a numpy scalar: numpy's division (inf/NaN at
-            # the pole, not ZeroDivisionError) without an array's overhead
             z = np.asarray(z)[()]
             with np.errstate(all="ignore"):
-                g = 1.0 / (z - ca * cb)
-                ga = g * (ca + g * aa * cb)
-                gb = g * (cb + g * ab * ca)
-                sa = ca + aa * gb
-                sb = cb + ab * ga
-                residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
-                                                 abs(ga - g * sa)), abs(gb - g * sb))
-                indicator = _stability_radius(z, g, sa, sb, la, lb)
-            ok = (residual <= 10.0 * _TOL) & (z != 0)
-            return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+                indicator, pg, ok = certify(z, 1.0 / (z - ca * cb))
+            return indicator, pg, ok & (z != 0)
 
-        probe.vectorized = True
         return probe
-    return _point_probe(ta, tb, la, lb)
 
+    # p's coefficients of g^1 .. g^n (that of g^0 is -1), as z c1 + c0
+    n = 5 if a2 != 0 else 2
+    c1 = np.array([1.0, 0.0, -2.0 * a2, 0.0, a2 * a2][:n], dtype=complex)
+    c0 = np.array([-ca * cb, 2.0 * a2 - k1, -a2 * ca * cb, -a2 * a2, 0.0][:n],
+                  dtype=complex)
+    shift_down = np.eye(n, k=-1, dtype=complex)
 
-def _point_probe(ta: ScalarTransform, tb: ScalarTransform, la, lb):
-    """_holomorphic_probe's point-by-point route for the diagonal sections
-    ta, tb and the b-couplings la, lb: hermitian.multiply_r_system at each z."""
+    def newton(z, g):
+        """One Newton step from each root g on g (z - R_AB(g)) - 1 = 0, where
+        R_AB = P Q / D^2 has no roots at D = 0 to crowd the root that counts."""
+        p, q = ca + g * aa * cb, cb + g * ab * ca
+        d = 1.0 - g * g * a2
+        r = p * q / (d * d)
+        dr = ((aa * cb * q + p * ab * ca) * d + 4.0 * g * a2 * p * q) / (d * d * d)
+        return g - (g * (z - r) - 1.0) / (z - r - g * dr)
 
     def probe(z):
-        z = np.asarray(z)
-        indicator, residual = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
-        g, ga, gb = (np.full(z.shape, np.nan + 0j) for _ in range(3))
-        ok = np.zeros(z.shape, dtype=bool)
-        for k, zk in np.ndenumerate(z):
-            zk = complex(zk)
-            try:
-                pg = hermitian.multiply_r_system(ta, tb, zk)
-            except (ConvergenceError, BranchUndecidedError):
-                continue
-            indicator[k] = _stability_radius(
-                zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a), la, lb)
-            g[k], ga[k], gb[k], residual[k] = pg
-            ok[k] = True
-        return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+        z = np.asarray(z, dtype=complex)
+        flat = z.reshape(-1, 1)
+        live = np.isfinite(flat) & (flat != 0)
+        # w^n - c_1 w^(n-1) - ... - c_n = 0, so the first row is c_1 .. c_n
+        companion = np.repeat(shift_down[None], flat.shape[0], axis=0)
+        companion[:, 0, :] = np.where(live, flat, 0.0) * c1 + c0
+        with np.errstate(all="ignore"):
+            g = newton(flat, 1.0 / np.linalg.eigvals(companion))
+            indicator, pg, ok = certify(flat, g)
+        ok &= live
+        best = np.argmin(np.where(ok, indicator, np.inf), axis=1)[:, None]
 
-    probe.vectorized = False
+        def pick(v):
+            return np.take_along_axis(v, best, axis=1).reshape(z.shape)[()]
+
+        return (pick(indicator), hermitian.ProductGreens(*map(pick, pg)),
+                ok.any(axis=1).reshape(z.shape)[()])
+
     return probe
 
 
@@ -570,7 +592,8 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     """The product solution at every node of points (in points.ravel() order).
 
     One _holomorphic_probe call classifies the nodes and gives the outside
-    nodes their solutions.  All inside nodes share one _fixed_point call,
+    nodes, holes of the support included, their solutions: the stable root
+    of the pair's polynomial.  All inside nodes share one _fixed_point call,
     started from (a_A, b_A, a_B, b_B) = (0, 0.1, 0, 0.1) at every node; the
     arithmetic is elementwise, so a node's result does not depend on the
     other nodes.  That call hands off to Newton at a _HANDOFF update, early
@@ -579,8 +602,9 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     (correlator at or below _COLLAPSE) is retried: solved again from the
     same seed with the hand-off at _GUARD_HANDOFF, and its iterations and
     capped flag are the retry's.  Only a node that sinks again is collapsed:
-    z is in a hole of the support, where the probe's root is unstable, and
-    the node keeps its own root with b = 0.  Every node is then certified in
+    the probe called it inside (no root certified, or every root unstable),
+    yet its fixed point is holomorphic, and the node keeps its own root
+    with b = 0.  Every node is then certified in
     one array pass of _product_equations; an inside node must meet the
     point solvers' bound.  A node that fails (the origin, a non-finite
     iterate, a singular Z - Sigma_A^L Sigma_B^R, a missed certificate) fails
@@ -731,19 +755,17 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     estimate), then scans 24 steps inward to the first inside radius, then
     narrows that bracket below _RADIAL_TOL.  Every round is one call of the
     pair's _holomorphic_probe, built once per call, so the ray that needs
-    the most rounds sets the cost.  On its closed-form (vectorized) route a
-    round costs about its dispatch floor up to _ROUND_POINTS points: the
-    whole scan is one round, and while the open brackets fit 24 points each
-    into a round, each later round scans them again (_rescan), so every ray
-    needs the same ceil(log(width / _RADIAL_TOL) / log 25) rounds, cusp rays
-    included.  On the point-by-point route each point is a ladder solve, so
-    the scan advances one step per round (_step_scan) and no ray evaluates
-    past its first inside radius.  Brackets still open after either scan
-    are narrowed by Illinois regula falsi (_illinois), one point per ray and
-    round, projected so that no ray takes more steps than bisection would.
-    The outermost crossing is returned on rays that enter and leave the
-    support more than once, as the midpoint of its final bracket.  A point
-    whose solve fails counts as inside, and is counted in failed_solves.
+    the most rounds sets the cost.  A round costs about its dispatch floor
+    up to _ROUND_POINTS points: the whole scan is one round, and while the
+    open brackets fit 24 points each into a round, each later round scans
+    them again (_rescan), so every ray needs the same
+    ceil(log(width / _RADIAL_TOL) / log 25) rounds, cusp rays included.
+    Brackets still open after that are narrowed by Illinois regula falsi
+    (_illinois), one point per ray and round, projected so that no ray
+    takes more steps than bisection would.  The outermost crossing is
+    returned on rays that enter and leave the support more than once, as
+    the midpoint of its final bracket.  A point whose solve fails counts as
+    inside, and is counted in failed_solves.
     """
     if angles is None:
         if angular_samples < 8:
@@ -785,8 +807,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     rays = np.flatnonzero(~empty)
     lo, f_lo = np.full(len(rays), float(r_min)), np.zeros(len(rays))
     hi, f_hi = r_out[rays], f_out[rays]
-    scan = _rescan if probe.vectorized else _step_scan
-    found, bad = scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
+    found, bad = _rescan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
     failed += bad
     empty[rays[~found]] = True
     rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
@@ -798,31 +819,6 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
                           empty_rays=tuple(phi for i, phi in enumerate(angles)
                                            if empty[i]),
                           failed_solves=failed)
-
-
-def _step_scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
-    """Scan boundary_curve's rays inward in n_scan steps from hi to lo (its
-    r_min), one step per round, so no ray evaluates past its first inside
-    radius.  Sets lo and hi, and their values f_lo and f_hi, in place to the
-    first inside radius and the radius before it.  Returns the mask of rays
-    that found an inside radius and the failed solves, counted only at a
-    ray's first inside radius."""
-    r_out, r_in = hi.copy(), lo.copy()
-    found = np.zeros(len(rays), dtype=bool)
-    failed = 0
-    todo = np.arange(len(rays))
-    for k in range(1, n_scan + 1):
-        if not todo.size:
-            break
-        r = r_out[todo] + (r_in[todo] - r_out[todo]) * k / n_scan
-        v, bad = indicator(r, rays[todo])
-        inside = v > 0.0
-        failed += int(bad[inside].sum())
-        into, out = todo[inside], todo[~inside]
-        lo[into], f_lo[into], found[into] = r[inside], v[inside], True
-        hi[out], f_hi[out] = r[~inside], v[~inside]
-        todo = out
-    return found, failed
 
 
 def _rescan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):

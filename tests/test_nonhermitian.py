@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from freeconv import hermitian, nonhermitian
+from freeconv import cli, hermitian, nonhermitian
 from freeconv.ensembles import EnsembleSpec, sample
 from freeconv.errors import ConvergenceError, FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
@@ -318,11 +318,86 @@ def oracle_section(rmap: MatrixRMap) -> hermitian.ScalarTransform:
                                      lambda x: rmap.apply_q(x, 0.0)[0], rmap.kappa1)
 
 
+def point_probe(ta: hermitian.ScalarTransform, tb: hermitian.ScalarTransform, la, lb):
+    """_holomorphic_probe's contract, point by point: multiply_r_system on the
+    diagonal sections ta, tb at each z, and _stability_radius with the
+    b-couplings la, lb.  Its root is the homotopy ladder's continuation of
+    g ~ 1/z from infinity, which in a hole of the support is unstable."""
+
+    def probe(z):
+        z = np.asarray(z)
+        indicator, residual = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
+        g, ga, gb = (np.full(z.shape, np.nan + 0j) for _ in range(3))
+        ok = np.zeros(z.shape, dtype=bool)
+        for k, zk in np.ndenumerate(z):
+            zk = complex(zk)
+            try:
+                pg = hermitian.multiply_r_system(ta, tb, zk)
+            except FreeconvError:
+                continue
+            indicator[k] = nonhermitian._stability_radius(
+                zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a), la, lb)
+            g[k], ga[k], gb[k], residual[k] = pg
+            ok[k] = True
+        return indicator, hermitian.ProductGreens(g, ga, gb, residual), ok
+
+    return probe
+
+
 def oracle_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
-    """_holomorphic_probe's contract on the generic route: multiply_r_system
-    point by point on the oracle sections, with the b-couplings sigma^2."""
-    return nonhermitian._point_probe(oracle_section(rmap_a), oracle_section(rmap_b),
-                                     rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+    """point_probe on the oracle sections: the generic route throughout."""
+    return point_probe(oracle_section(rmap_a), oracle_section(rmap_b),
+                       rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+
+
+def ladder_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
+    """point_probe on the exact affine sections: the ladder on R_AB = P Q / D^2,
+    independent of the probe's polynomial, and faster than the oracle."""
+    return point_probe(rmap_a.diagonal_section(), rmap_b.diagonal_section(),
+                       rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+
+
+def assert_stable_root(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex, indicator, g):
+    """g, the probe's root at z with that indicator, solves the product
+    system on the oracle sections and is stable: z is outside the support,
+    in a hole of it where the ladder's root is unstable."""
+    oa, ob = oracle_section(rmap_a), oracle_section(rmap_b)
+    ga, gb = hermitian._product_aux(oa, ob, g)
+    sa, sb = oa.r_eval(gb), ob.r_eval(ga)
+    assert abs(g * (z - sa * sb) - 1.0) <= 1e-10
+    radius = nonhermitian._stability_radius(z, g, sa, sb, rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+    assert radius == pytest.approx(indicator, abs=1e-8) and radius <= 0.0
+
+
+# (sigma, tau, shift) of A and B, and a z in a hole of the support of AB
+HOLE = ((1.728, 0.812, -1.394 - 1.317j), (1.729, -0.914, -0.679 - 1.148j), -0.583 - 0.102j)
+HOLE_PAIR, HOLE_Z = (elliptic_rmap(*HOLE[0]), elliptic_rmap(*HOLE[1])), HOLE[2]
+# the stable root of the pair's polynomial at HOLE_Z (40-digit arithmetic)
+HOLE_G = -0.022830913653848782574 + 0.19703779215678268616j
+
+
+# draws 11, 87 and 417 of the 16 in a 600-point sample (random.Random(5),
+# elliptic pairs with sigma in [0.3, 2], tau in [-1, 1], shifts in the box
+# +-1.5 +-1.5i) where the ladder's root is unstable but the fixed point sinks to
+# b = 0: holes of the support, where the stable root is another one
+COLLAPSED = [
+    ((0.35562607394776885, -0.012871603158335576, 1.0152878435043968 - 1.10828451854064j),
+     (1.54382951974035, 0.8995971252437975, 0.3911978802791838 + 0.8640286493410709j),
+     0.43191294590630247 - 0.18834032820150523j),
+    ((1.0025341792494495, 0.7484156761117036, 0.9770492039400702 + 1.2460666872150727j),
+     (0.9435168886582603, 0.998100605840305, 0.7687383629361189 + 1.1753378735129107j),
+     -0.12266855126380577 + 0.6235067732364095j),
+    ((1.4906267502159827, 0.7935119982516607, 0.738587354044518 - 1.3726904244861244j),
+     (1.7176925414418152, 0.5374200780322977, 0.29303541364196883 - 1.3768375944441824j),
+     -0.3684531340339739 - 0.017352918537383737j),
+]
+
+
+def _hole_examples(test):
+    """test with an explicit example at each COLLAPSED point and at HOLE."""
+    for pa, pb, z in COLLAPSED + [HOLE]:
+        test = example(elliptic_rmap(*pa), elliptic_rmap(*pb), z)(test)
+    return test
 
 
 def close(u: complex, v: complex, tol: float = 1e-10) -> bool:
@@ -341,6 +416,7 @@ DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True,
 
 @DIFFERENTIAL
 @given(ELLIPTIC, ELLIPTIC, POINTS)
+@_hole_examples
 def test_affine_product_matches_generic_route(rmap_a, rmap_b, z):
     ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
     assert ta.affine is not None and tb.affine is not None
@@ -356,7 +432,12 @@ def test_affine_product_matches_generic_route(rmap_a, rmap_b, z):
     indicator, _, ok = oracle_probe(rmap_a, rmap_b)(z)
     assert ok
     if abs(indicator) > 1e-8:
-        assert (branch_indicator(rmap_a, rmap_b, z) > 0) == (indicator > 0)
+        got_indicator, got_pg, _ = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(z)
+        assert got_indicator == branch_indicator(rmap_a, rmap_b, z)
+        if (got_indicator > 0) != (indicator > 0):
+            # only a hole, where the ladder's root is unstable, disagrees
+            assert indicator > 0
+            assert_stable_root(rmap_a, rmap_b, z, got_indicator, complex(got_pg.g))
 
 
 @DIFFERENTIAL
@@ -404,10 +485,8 @@ CONSTANT_PAIRS = st.one_of(
 def test_constant_product_array_matches_generic_route(maps, zs):
     rmap_a, rmap_b = maps
     probe = nonhermitian._holomorphic_probe(rmap_a, rmap_b)
-    assert probe.vectorized
     indicator, pg, ok = probe(np.array(zs))
     oracle = oracle_probe(rmap_a, rmap_b)
-    assert not oracle.vectorized
     for k, z in enumerate(zs):
         want_indicator, want, want_ok = oracle(np.array([z]))
         if not want_ok[0]:
@@ -432,12 +511,71 @@ def test_constant_probe_flags_pole_and_origin():
     assert ok.tolist() == [False, False, True]
 
 
-def test_constant_pair_routing():
-    assert nonhermitian._holomorphic_probe(GIN, SHIFTED).vectorized
-    assert nonhermitian._holomorphic_probe(GIN, gue_rmap(1.0)).vectorized  # R_AB = 0
-    assert nonhermitian._holomorphic_probe(GIN, constant_rmap(2.0)).vectorized
-    assert not nonhermitian._holomorphic_probe(gue_rmap(1.0), gue_rmap(1.0)).vectorized
-    assert not oracle_probe(GIN, GIN).vectorized  # the generic route is point by point
+def test_polynomial_probe_flags_origin_and_nonfinite_points():
+    probe = nonhermitian._holomorphic_probe(*TAU_PAIR)
+    _, _, ok = probe(np.array([0.0, complex("inf"), complex("nan"), 2.0 + 1j]))
+    assert ok.tolist() == [False, False, False, True]
+    with pytest.raises(ConvergenceError):
+        branch_indicator(*TAU_PAIR, complex("inf"))
+
+
+def test_subnormal_leading_coefficient_certifies():
+    # alpha_B = 2.2e-309 makes p = -1 + (z - c_A c_B) g - k1 g^2 with the
+    # subnormal k1 = alpha_B c_A^2: a companion in g would divide by it and
+    # overflow, so no root would certify; in w = 1/g the large root is w ~ 1
+    a, b = elliptic_rmap(1.0, 0.0, 1j), elliptic_rmap(1.0, 2.2e-309, 0.0)
+    indicator, pg, ok = nonhermitian._holomorphic_probe(a, b)(1.0)
+    # the tau = 0 partner's exact root 1/(z - c_A c_B) = 1
+    want, want_pg, _ = nonhermitian._holomorphic_probe(a, ginibre_rmap(1.0))(1.0)
+    assert ok and pg.residual <= 1e-11
+    assert pg.g == pytest.approx(want_pg.g, abs=1e-12) == 1.0
+    assert indicator == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [
+    (constant_rmap(2.0 - 0.5j), elliptic_rmap(1.0, 0.5, 0.7)),
+    (elliptic_rmap(0.8, -0.7, -0.5 + 1j), constant_rmap(0.3 + 1.2j)),
+], ids=["constant_first", "constant_second"])
+def test_constant_factor_against_tau_partner(pair):
+    # sigma = 0 on one side: alpha_A alpha_B = 0 but R_AB = P Q is not
+    # constant, so p has degree 2; outside the ladder's root is the stable one
+    zs = np.array([cmath.rect(r, phi) for r in (0.5, 1.5, 3.0, 6.0)
+                   for phi in (-2.5, -0.8, 0.6, 2.1)])
+    indicator, pg, ok = nonhermitian._holomorphic_probe(*pair)(zs)
+    want_indicator, want, want_ok = ladder_probe(*pair)(zs)
+    assert ok.all() and want_ok.all()
+    outside = want_indicator < 0.0
+    assert outside.sum() >= 8
+    assert np.allclose(pg.g[outside], want.g[outside], rtol=1e-12, atol=0.0)
+    assert np.allclose(indicator[outside], want_indicator[outside], rtol=0.0, atol=1e-10)
+    assert (indicator <= want_indicator + 1e-10).all()  # the least radius
+
+
+def test_identity_factor_takes_the_single_quadratic():
+    # A 1 with tau != 0: p = -(alpha g^2 - (z - c) g + 1), degree 2
+    rmap = elliptic_rmap(0.8, -0.7, -0.5 + 1j)
+    alpha, c = rmap.tau * rmap.sigma ** 2, rmap.shift
+    zs = np.linspace(-4.0, 4.0, 40).astype(complex)
+    indicator, pg, ok = nonhermitian._holomorphic_probe(rmap, nonhermitian._IDENTITY_FACTOR)(zs)
+    assert ok.all()
+    for z, g in zip(zs.tolist(), pg.g.tolist()):
+        roots = np.roots([alpha, -(z - c), 1.0])
+        assert min(abs(roots - g)) <= 1e-12 * abs(g)
+
+
+def test_gue_square_never_takes_the_double_root():
+    # p = (z g - 1)(1 - g^2)^2: at g = +-1 D = 0 and the auxiliary pair is
+    # not finite, so the certificate rejects the double roots there; near
+    # z = +-1 they crowd the root 1/z, which the Newton step on
+    # g (z - R_AB(g)) = 1 (here R_AB = 0) restores
+    gue = gue_rmap(1.0)
+    zs = np.array([cmath.rect(r, phi) for r in (0.2, 0.7, 0.999, 1.001, 1.5, 4.0)
+                   for phi in np.linspace(-3.0, 3.0, 13)] + [-0.999, -1.001])
+    indicator, pg, ok = nonhermitian._holomorphic_probe(gue, gue)(zs)
+    assert ok.all()
+    assert np.allclose(pg.g, 1.0 / zs, rtol=1e-12, atol=0.0)
+    assert ((indicator > 0.0) == (abs(zs) < 1.0)).all()
+    assert boundary_curve(gue, gue, angular_samples=16).failed_solves == 0
 
 
 TAU_PAIR = (elliptic_rmap(1.0, 0.5, 0.7), elliptic_rmap(1.0, 0.5, 0.5 + 0.3j))
@@ -463,44 +601,48 @@ def nan_inside_map(limit=0.3):
     return NanInside(1.0, 0.5, 0.5, "nan inside", limit)
 
 
-def fail_probes_where_nan(monkeypatch, limit):
-    """Make hermitian.multiply_r_system, which the point-by-point probe calls,
-    fail where a nan_inside_map(limit) pair would turn R NaN: at a root with
-    |g_a| or |g_b| over limit."""
-    real = hermitian.multiply_r_system
+def fail_roots_where_large(monkeypatch, limit):
+    """Make the probe's roots w = 1/g, which np.linalg.eigvals returns, NaN
+    where |g| > limit, as where a nan_inside_map(limit) pair turns R NaN."""
+    real = np.linalg.eigvals
 
-    def failing(ta, tb, z):
-        pg = real(ta, tb, z)
-        if max(abs(pg.g_a), abs(pg.g_b)) > limit:
-            raise ConvergenceError(f"R is NaN at the root of z = {z}")
-        return pg
+    def failing(companion):
+        w = real(companion)
+        return np.where(abs(w) * limit < 1.0, complex("nan"), w)
 
-    monkeypatch.setattr(hermitian, "multiply_r_system", failing)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
 
 
 @pytest.mark.parametrize("pair", [TAU_PAIR, (nan_inside_map(), nan_inside_map())])
 def test_probe_on_array_matches_scalar_route(pair, monkeypatch):
     rmap_a, rmap_b = pair
     if isinstance(rmap_a, NanInside):
-        fail_probes_where_nan(monkeypatch, rmap_a.limit)
+        fail_roots_where_large(monkeypatch, rmap_a.limit)
     zs = np.array([cmath.rect(r, phi) for r in (0.3, 1.1, 2.0, 3.5, 7.0)
                    for phi in (-2.8, -1.0, 0.4, 1.9)])
-    indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
+    probe = nonhermitian._holomorphic_probe(rmap_a, rmap_b)
+    indicator, pg, ok = probe(zs)
+    oracle = oracle_probe(rmap_a, rmap_b)
     ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
     failed = 0
     for k, z in enumerate(zs.tolist()):
-        try:
-            want = hermitian.multiply_r_system(ta, tb, z)
-        except FreeconvError:
-            assert not ok[k]
+        # a point's values do not depend on the others in the call, so a
+        # grid node equals its own solve
+        one_indicator, one, one_ok = probe(np.array([z]))
+        np.testing.assert_array_equal(  # bit for bit, NaN included
+            [indicator[k], *(v[k] for v in pg), ok[k]],
+            [one_indicator[0], *(v[0] for v in one), one_ok[0]])
+        if not ok[k]:
             failed += 1
             continue
-        assert ok[k]
-        assert (pg.g[k], pg.g_a[k], pg.g_b[k], pg.residual[k]) == tuple(want)
-        assert indicator[k] == nonhermitian._stability_radius(
-            z, want.g, ta.r_eval(want.g_b), tb.r_eval(want.g_a),
-            rmap_a.sigma ** 2, rmap_b.sigma ** 2)
-    # the NaN map fails inside, where |g| is large
+        assert pg.residual[k] <= 1e-11
+        assert close(indicator[k], nonhermitian._stability_radius(
+            z, pg.g[k], ta.r_eval(pg.g_b[k]), tb.r_eval(pg.g_a[k]),
+            rmap_a.sigma ** 2, rmap_b.sigma ** 2), 1e-12)
+        want_indicator, want, _ = oracle(z)
+        if want_indicator < 0.0:  # outside, the ladder's root is the stable one
+            assert close(pg.g[k], want.g) and close(indicator[k], want_indicator, 1e-8)
+    # the NaN map fails where |g| is large
     assert (failed > 0) == (rmap_a.name == "nan inside")
     assert failed < len(zs)
 
@@ -518,12 +660,6 @@ def stage_count(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("pair", [(gue_rmap(1.0), gue_rmap(1.0)), TAU_PAIR])
-def test_tau_pairs_take_the_ladder(pair, stage_count):
-    boundary_curve(*pair, angles=[0.4])
-    assert len(stage_count) > 0
-
-
 @pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED)])
 def test_constant_pairs_skip_the_ladder(pair, stage_count):
     boundary_curve(*pair, angular_samples=8)
@@ -532,9 +668,25 @@ def test_constant_pairs_skip_the_ladder(pair, stage_count):
     assert not stage_count
 
 
-# (sigma, tau, shift) of A and B, and a z in a hole of the support of AB
-HOLE = ((1.728, 0.812, -1.394 - 1.317j), (1.729, -0.914, -0.679 - 1.148j), -0.583 - 0.102j)
-HOLE_PAIR, HOLE_Z = (elliptic_rmap(*HOLE[0]), elliptic_rmap(*HOLE[1])), HOLE[2]
+@pytest.mark.parametrize("pair", [(gue_rmap(1.0), gue_rmap(1.0)), TAU_PAIR, HOLE_PAIR],
+                         ids=["gue2", "tau", "hole"])
+def test_elliptic_pairs_skip_the_ladder(pair, stage_count, tmp_path):
+    boundary_curve(*pair, angular_samples=8)
+    solve_product(*pair, 0.5 + 0.5j)
+    assert branch_indicator(*pair, 4.0 + 1j) < 0
+    # CLI transform's matrix table of each non-hermitian factor (a GUE
+    # factor's table is the hermitian one, on the real axis)
+    for rmap in pair:
+        if rmap.tau == 1.0 and rmap.shift.imag == 0.0:
+            continue
+        job = tmp_path / "transform.json"
+        job.write_text(json.dumps({
+            "ensemble_a": {"kind": "elliptic", "n": 24, "sigma": rmap.sigma, "tau": rmap.tau,
+                           "shift": [rmap.shift.real, rmap.shift.imag]},
+            "start": -4.0, "stop": 4.0, "count": 40, "output": str(tmp_path / "t.csv")}))
+        assert cli.main(["transform", "--config", str(job)]) == 0
+        assert "matrix" in (tmp_path / "t.csv").read_text()
+    assert not stage_count
 
 
 def test_hole_point_takes_the_stable_root():
@@ -542,11 +694,20 @@ def test_hole_point_takes_the_stable_root():
     # +- 0.00036 here; the ladder's root -1.596+0.027i has indicator 4.85
     sol = solve_product(*HOLE_PAIR, HOLE_Z)
     assert abs(sol.gm.a - (-0.0228 + 0.197j)) <= 1e-3
-    # the root the slow schedule has always returned here, found again by
-    # the collapse guard's re-solve
+    # the probe takes the stable root, so the node is outside: no fixed
+    # point runs, and G11 is the root the slow schedule has always returned
     solved = nonhermitian._solve_nodes(*HOLE_PAIR, np.array([HOLE_Z]))
-    assert solved.retried == solved.collapsed == 1
+    assert solved.retried == solved.collapsed == 0
     assert abs(solved.outcomes[0].gm.a - (-0.02283 + 0.19704j)) <= 5e-6
+
+
+def test_hole_point_indicator_reads_the_stable_root():
+    # the quintic's roots have stability radii -0.314, 0.833, 2.223, 2.337 and
+    # 4.852; the ladder's root is the last one
+    assert branch_indicator(*HOLE_PAIR, HOLE_Z) <= 0.0
+    indicator, pg, ok = nonhermitian._holomorphic_probe(*HOLE_PAIR)(HOLE_Z)
+    assert ok and indicator == pytest.approx(-0.314, abs=1e-3)
+    assert abs(pg.g - HOLE_G) <= 1e-10
 
 
 def test_hole_point_resolvent_matches_samples():
@@ -566,38 +727,46 @@ def test_hole_point_resolvent_matches_samples():
         assert abs(part(traces).mean() - part(g)) <= 5.0 * se
 
 
-# draws 11, 87 and 417 of the 16 in a 600-point sample (random.Random(5),
-# elliptic pairs with sigma in [0.3, 2], tau in [-1, 1], shifts in the box
-# +-1.5 +-1.5i) where the probe calls z inside but the fixed point sinks to b = 0
-COLLAPSED = [
-    ((0.35562607394776885, -0.012871603158335576, 1.0152878435043968 - 1.10828451854064j),
-     (1.54382951974035, 0.8995971252437975, 0.3911978802791838 + 0.8640286493410709j),
-     0.43191294590630247 - 0.18834032820150523j),
-    ((1.0025341792494495, 0.7484156761117036, 0.9770492039400702 + 1.2460666872150727j),
-     (0.9435168886582603, 0.998100605840305, 0.7687383629361189 + 1.1753378735129107j),
-     -0.12266855126380577 + 0.6235067732364095j),
-    ((1.4906267502159827, 0.7935119982516607, 0.738587354044518 - 1.3726904244861244j),
-     (1.7176925414418152, 0.5374200780322977, 0.29303541364196883 - 1.3768375944441824j),
-     -0.3684531340339739 - 0.017352918537383737j),
-]
+def force_inside(monkeypatch):
+    """Patch _holomorphic_probe so that its probes call every point inside."""
+    real = nonhermitian._holomorphic_probe
+
+    def build(rmap_a, rmap_b):
+        probe = real(rmap_a, rmap_b)
+
+        def inside(z):
+            indicator, pg, ok = probe(z)
+            return np.ones_like(indicator), pg, ok
+
+        return inside
+
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", build)
 
 
 @pytest.mark.parametrize("pa,pb,z", COLLAPSED + [HOLE],
                          ids=["sample11", "sample87", "sample417", "found"])
-def test_collapsed_node_returns_its_own_stable_root(pa, pb, z):
+def test_collapsed_node_returns_its_own_stable_root(pa, pb, z, monkeypatch):
     a, b = elliptic_rmap(*pa), elliptic_rmap(*pb)
     indicator, probed, ok = nonhermitian._holomorphic_probe(a, b)(z)
-    assert ok and indicator > 0.0  # the probe's root is unstable here
+    assert ok and indicator < 0.0  # the probe's root is stable here
     solved = nonhermitian._solve_nodes(a, b, np.array([z, z]))
-    assert solved.collapsed == 2
+    assert solved.retried == solved.collapsed == 0
     sol = solved.outcomes[0]
     assert sol.branch == "holomorphic" and sol.correlator == 0.0
-    assert sol.gm.a == solved.outcomes[1].gm.a == solve_product(a, b, z).gm.a
-    assert abs(sol.gm.a - complex(probed.g)) > 1e-3
+    assert sol.gm.a == solved.outcomes[1].gm.a == solve_product(a, b, z).gm.a == probed.g
     assert sol.residual <= 1e-10
+    # called inside, the nodes' fixed points sink to b = 0 at that same root
+    force_inside(monkeypatch)
+    collapsed = nonhermitian._solve_nodes(a, b, np.array([z, z]))
+    assert collapsed.collapsed == 2
+    own = collapsed.outcomes[0]
+    assert own.branch == "holomorphic" and own.correlator == 0.0
+    assert own.gm.a == collapsed.outcomes[1].gm.a
+    assert abs(own.gm.a - sol.gm.a) <= 5e-6
+    assert own.residual <= 1e-10
     ta, tb = a.diagonal_section(), b.diagonal_section()
     radius = nonhermitian._stability_radius(
-        z, sol.gm.a, ta.r_eval(sol.gb.a), tb.r_eval(sol.ga.a), a.sigma ** 2, b.sigma ** 2)
+        z, own.gm.a, ta.r_eval(own.gb.a), tb.r_eval(own.ga.a), a.sigma ** 2, b.sigma ** 2)
     assert radius < 0.0
 
 
@@ -621,40 +790,6 @@ def test_boundary_gue_square_is_unit_circle():
         assert r == pytest.approx(1.0, abs=1e-4)
 
 
-def bisection_ray(inside, r_max, expandable, r_min=1e-4, tol=1e-5):
-    """boundary_curve's bisection search on one ray: (radius, count)."""
-    count = 0
-
-    def probe(r):
-        nonlocal count
-        count += 1
-        return inside(r)
-
-    r_hi = r_max
-    for _ in range(3 if expandable else 1):
-        if not probe(r_hi):
-            break
-        r_hi *= 2.0
-    else:
-        return None, count
-    r_prev = r_hi
-    for k in range(1, 25):
-        r = r_hi + (r_min - r_hi) * k / 24
-        if probe(r):
-            lo, hi = r, r_prev
-            break
-        r_prev = r
-    else:
-        return None, count
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), count
-
-
 def counting_probes(monkeypatch):
     """Patch _holomorphic_probe so that every probe it builds records the
     arrays of z handed to it; returns that list."""
@@ -664,7 +799,6 @@ def counting_probes(monkeypatch):
     def build(rmap_a, rmap_b):
         probe = real(rmap_a, rmap_b)
 
-        @functools.wraps(probe)  # keeps probe.vectorized
         def counting(z):
             handed.append(z)
             return probe(z)
@@ -675,35 +809,7 @@ def counting_probes(monkeypatch):
     return handed
 
 
-@pytest.mark.parametrize("pair", [
-    (gue_rmap(1.0), gue_rmap(1.0)),
-    TAU_PAIR,
-    # plain Illinois needs more steps than bisection on some of these rays
-    (elliptic_rmap(1.0, 0.5, 1.0), elliptic_rmap(1.0, 0.3, 1.0)),
-])
-def test_ladder_rays_evaluate_no_more_points(pair, monkeypatch):
-    # point by point, every ray spends at most the bisection search's count
-    angles = [-math.pi + (k + 0.5) * math.pi / 12 for k in range(24)]
-    per_ray = {}
-    handed = counting_probes(monkeypatch)
-    res = boundary_curve(*pair, angles=angles)
-    monkeypatch.undo()
-    for z in np.concatenate(handed):
-        phi = min(angles, key=lambda p: abs(cmath.rect(1.0, p) - z / abs(z)))
-        per_ray[phi] = per_ray.get(phi, 0) + 1
-    located = dict((phi, r) for r, phi in res.points)
-    r_max = 1.5 * nonhermitian._support_scale(pair[0]) * nonhermitian._support_scale(
-        pair[1]) + 1.0
-    for phi in angles:
-        def inside(r):
-            try:
-                return branch_indicator(*pair, cmath.rect(r, phi)) > 0.0
-            except FreeconvError:
-                return True  # as boundary_curve treats a failed solve
-
-        ref, count = bisection_ray(inside, r_max, True)
-        assert per_ray[phi] <= count
-        assert located.get(phi) == pytest.approx(ref, abs=1e-5)
+FAN_24 = [-math.pi + (k + 0.5) * math.pi / 12 for k in range(24)]
 
 
 @pytest.mark.parametrize("pair,angles", [
@@ -712,11 +818,20 @@ def test_ladder_rays_evaluate_no_more_points(pair, monkeypatch):
     ((SHIFTED, SHIFTED), [-3.0, -2.2, -2.05, -1.95, -1.0, 0.0, 1.3, 1.95, 2.05, 2.4]),
     ((elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(1.0, 0.0, 1.1 + 0.2j)),
      [-2.6, -1.2, 0.3, 1.9]),
+    # tau != 0: the probe's root of a degree-5 polynomial against the ladder's
+    ((gue_rmap(1.0), gue_rmap(1.0)), FAN_24),
+    (TAU_PAIR, FAN_24),
+    # the ladder's root is unstable in the hole, but the outermost crossings agree
+    (HOLE_PAIR, [-math.pi + (k + 0.5) * math.pi / 32 for k in range(64)]),
 ])
 def test_lockstep_boundary_matches_oracle_route(pair, angles, monkeypatch):
     got = boundary_curve(*pair, angles=angles)
-    # the oracle probe is point by point, so the search steps and uses Illinois
-    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", oracle_probe)
+    # the oracle probe solves every point on the ladder; on a tau != 0 pair
+    # the ladder on the exact sections is also independent of the polynomial,
+    # and faster
+    rmap_a, rmap_b = pair
+    oracle = oracle_probe if rmap_a.tau == rmap_b.tau == 0.0 else ladder_probe
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", oracle)
     want = boundary_curve(*pair, angles=angles)
     assert got.empty_rays == want.empty_rays
     assert [phi for _, phi in got.points] == [phi for _, phi in want.points]
@@ -798,7 +913,7 @@ def test_boundary_counts_failed_solves(monkeypatch):
     base = elliptic_rmap(1.0, 0.5, 0.5)
     broken = nan_inside_map()
     assert boundary_curve(base, base, angles=[0.3]).failed_solves == 0
-    fail_probes_where_nan(monkeypatch, broken.limit)
+    fail_roots_where_large(monkeypatch, broken.limit)
     assert boundary_curve(broken, broken, angles=[0.3]).failed_solves > 0
 
 
@@ -937,7 +1052,9 @@ def test_handoff_identities_match_fully_damped(rmap_a, rmap_b, z):
 
 
 @DIFFERENTIAL
-@given(ROTATION_INVARIANT, ROTATION_INVARIANT, POINTS)
+@given(st.one_of(ROTATION_INVARIANT, ELLIPTIC), st.one_of(ROTATION_INVARIANT, ELLIPTIC),
+       POINTS)
+@_hole_examples
 def test_handoff_branch_follows_indicator(rmap_a, rmap_b, z):
     sol = solve_product(rmap_a, rmap_b, z)
     indicator = branch_indicator(rmap_a, rmap_b, z)
