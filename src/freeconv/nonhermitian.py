@@ -44,7 +44,7 @@ from .hermitian import ScalarTransform
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
-_ROUND_POINTS = 512    # probe points per round at under twice a degree-1 round's dispatch cost
+_ROUND_POINTS = 512    # probe points per round at about twice a degree-1 round's dispatch cost
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
@@ -237,24 +237,38 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     inside.  With R_X = c_X + alpha_X g on the diagonal, g_a = g P / D and
     g_b = g Q / D (hermitian._affine_aux), so g is a root of
     p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when alpha_A alpha_B = 0,
-    or 1 when R_AB is the constant c_A c_B (every tau = 0 pair): then
-    g = 1/(z - c_A c_B), in numpy ufuncs (a scalar z as a numpy scalar, so
-    the pole gives inf).  Otherwise p(0) = -1, so w = 1/g are the
-    eigenvalues of a companion matrix that divides by no coefficient, one
-    batched np.linalg.eigvals call for all z.  Each root takes one Newton
-    step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which lacks p's roots at
-    D = 0 that can crowd it (g = +-1 for GUE^2, near z = +-1).  Each z keeps
-    the certified root of least _stability_radius, the stable one outside
-    the support and in its holes, and that radius is the indicator.  The
-    b-couplings are sigma_A^2 and sigma_B^2.  The arithmetic is elementwise,
-    so a point's values do not depend on the other points of the call.
+    or 1 when R_AB is the constant c = c_A c_B (every tau = 0 pair, and a
+    tau != 0 factor times a centered tau = 0 one): then g = 1/(z - c), in
+    numpy ufuncs (a scalar z as a numpy scalar, so the pole gives inf).
+    There s_X = c_X and the stability matrix has real eigenvalues, so the
+    indicator is the closed form
+
+        (t_A + t_B) / 2 + sqrt(((t_A - t_B) / 2)^2 + sigma_A^2 sigma_B^2 |z|^2)
+        ------------------------------------------------------------------ - 1
+                                  |z - c|^2
+
+    with t_A = |c_A|^2 sigma_B^2 and t_B = |c_B|^2 sigma_A^2, whose zero set
+    is the support boundary's quartic.  It is evaluated in real arithmetic
+    through 1/|z - c| = |g| and |z|/|z - c| = |z g|, so no finite z
+    overflows, and a degree-1 point is ok only where it is finite too.  It
+    equals _stability_radius at the same root to rounding, not bit for bit:
+    degree 1 does not run that ufunc sequence.  Otherwise p(0) = -1, so
+    w = 1/g are the eigenvalues of a companion matrix that divides by no
+    coefficient, one batched np.linalg.eigvals call for all z.  Each root
+    takes one Newton step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which
+    lacks p's roots at D = 0 that can crowd it (g = +-1 for GUE^2, near
+    z = +-1).  Each z keeps the certified root of least _stability_radius,
+    the stable one outside the support and in its holes, and that radius is
+    the indicator.  The b-couplings are sigma_A^2 and sigma_B^2.  The
+    arithmetic is elementwise, so a point's values do not depend on the
+    other points of the call.
     """
     (ca, aa), (cb, ab) = rmap_a.diagonal_section().affine, rmap_b.diagonal_section().affine
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
     a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
 
-    def certify(z, g):
-        """The indicator, ProductGreens and certificate of the roots g at z."""
+    def greens(z, g):
+        """The ProductGreens of the roots g at z, and their s_A and s_B."""
         ga = g * (ca + g * aa * cb)
         gb = g * (cb + g * ab * ca)
         if a2 != 0:
@@ -264,15 +278,31 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
         sb = cb + ab * ga
         residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
                                          abs(ga - g * sa)), abs(gb - g * sb))
+        return hermitian.ProductGreens(g, ga, gb, residual), sa, sb
+
+    def certify(z, g):
+        """The indicator, ProductGreens and certificate of the roots g at z."""
+        pg, sa, sb = greens(z, g)
         indicator = _stability_radius(z, g, sa, sb, la, lb)
-        return indicator, hermitian.ProductGreens(g, ga, gb, residual), residual <= 10.0 * _TOL
+        return indicator, pg, pg.residual <= 10.0 * _TOL
 
     if a2 == 0 and k1 == 0:
+        # s_X = c_X, and the stability matrix is real with eigenvalues
+        # |g|^2 (mean +- hypot(half_gap, sigma_A sigma_B |z|))
+        c = ca * cb
+        t_a, t_b = abs(ca) ** 2 * lb, abs(cb) ** 2 * la
+        mean, half_gap = 0.5 * (t_a + t_b), 0.5 * (t_a - t_b)
+        coupling = rmap_a.sigma * rmap_b.sigma
+
         def probe(z):
             z = np.asarray(z)[()]
             with np.errstate(all="ignore"):
-                indicator, pg, ok = certify(z, 1.0 / (z - ca * cb))
-            return indicator, pg, ok & (z != 0)
+                g = 1.0 / (z - c)
+                pg, _, _ = greens(z, g)
+                u = abs(g)  # 1 / |z - c|, and abs(z g) is |z| / |z - c|
+                indicator = u * (u * mean + np.hypot(u * half_gap, coupling * abs(z * g))) - 1.0
+            ok = (pg.residual <= 10.0 * _TOL) & np.isfinite(indicator) & (z != 0)
+            return indicator, pg, ok
 
         return probe
 
@@ -765,7 +795,8 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     takes more steps than bisection would.  The outermost crossing is
     returned on rays that enter and leave the support more than once, as
     the midpoint of its final bracket.  A point whose solve fails counts as
-    inside, and is counted in failed_solves.
+    inside, and is counted in failed_solves.  A non-finite angle, r_min or
+    r_max raises FreeconvError before any probe.
     """
     if angles is None:
         if angular_samples < 8:
@@ -774,6 +805,9 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
                   for k in range(angular_samples)]
     else:
         angles = [float(p) for p in angles]
+    nonfinite = [x for x in (*angles, r_min, r_max) if x is not None and not math.isfinite(x)]
+    if nonfinite:
+        raise FreeconvError(f"angles, r_min and r_max must be finite, got {nonfinite[0]}")
     expandable = r_max is None  # only the internal estimate may be enlarged
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0

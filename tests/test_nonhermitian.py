@@ -306,6 +306,23 @@ def test_boundary_respects_explicit_cap():
     assert len(res.empty_rays) == 8
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"angles": [0.3, math.nan]},
+    {"angles": [math.inf, 0.3]},
+    {"angles": [-math.inf]},
+    {"angular_samples": 8, "r_min": math.nan},
+    {"angular_samples": 8, "r_max": math.nan},
+    {"angular_samples": 8, "r_max": math.inf},
+], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max"])
+def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, monkeypatch):
+    def no_probe(*args):
+        raise AssertionError("probe built for non-finite input")
+
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", no_probe)
+    with pytest.raises(FreeconvError, match="must be finite"):
+        boundary_curve(GIN, GIN, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # exact affine route against the generic route
 # ---------------------------------------------------------------------------
@@ -505,6 +522,32 @@ def test_constant_product_array_matches_generic_route(maps, zs):
             assert (indicator[k] > 0) == (want_indicator[0] > 0)
 
 
+# R_AB is constant: tau_A = tau_B = 0, or a tau != 0 factor times a
+# centered tau = 0 factor, in either order
+TILTED = st.builds(lambda s, t, re, im: elliptic_rmap(s, t, complex(re, im)),
+                   SIGMAS, TAUS.filter(bool), SHIFT_PARTS, SHIFT_PARTS)
+CENTERED = st.builds(elliptic_rmap, SIGMAS)
+DEGREE_ONE_PAIRS = st.one_of(st.tuples(ROTATION_INVARIANT, ROTATION_INVARIANT),
+                             st.tuples(TILTED, CENTERED), st.tuples(CENTERED, TILTED))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(DEGREE_ONE_PAIRS, st.lists(POINTS, min_size=1, max_size=40))
+def test_degree_one_indicator_matches_stability_radius(maps, zs):
+    # the closed form against the stability matrix at the certified root,
+    # with s_A = c_A and s_B = c_B
+    rmap_a, rmap_b = maps
+    zs = np.array(zs)
+    indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
+    assert ok.all() and (pg.residual <= 10.0 * nonhermitian._TOL).all()
+    assert (pg.g == 1.0 / (zs - rmap_a.shift * rmap_b.shift)).all()
+    want = nonhermitian._stability_radius(zs, pg.g, rmap_a.shift, rmap_b.shift,
+                                          rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+    assert (abs(indicator - want) <= 1e-12 * (1.0 + abs(want))).all()
+    decided = abs(indicator) > 1e-12
+    assert ((indicator > 0) == (want > 0))[decided].all()
+
+
 def test_constant_probe_flags_pole_and_origin():
     probe = nonhermitian._holomorphic_probe(SHIFTED, SHIFTED)  # R_AB = 1
     _, _, ok = probe(np.array([1.0, 0.0, 2.0 + 1j]))
@@ -512,11 +555,19 @@ def test_constant_probe_flags_pole_and_origin():
 
 
 def test_polynomial_probe_flags_origin_and_nonfinite_points():
-    probe = nonhermitian._holomorphic_probe(*TAU_PAIR)
-    _, _, ok = probe(np.array([0.0, complex("inf"), complex("nan"), 2.0 + 1j]))
-    assert ok.tolist() == [False, False, False, True]
-    with pytest.raises(ConvergenceError):
-        branch_indicator(*TAU_PAIR, complex("inf"))
+    # degree 5, and degree 1 on Ginibre^2 and the limacon
+    for pair in (TAU_PAIR, (GIN, GIN), (SHIFTED, SHIFTED)):
+        probe = nonhermitian._holomorphic_probe(*pair)
+        # a naive |z|^2 overflows at 1e308 (1 + 1j); the indicator reads -1
+        indicator, _, ok = probe(np.array([0.0, complex("inf"), complex("nan"), 2.0 + 1j,
+                                           1e308 * (1 + 1j)]))
+        assert ok.tolist() == [False, False, False, True, True]
+        assert indicator[-1] == -1.0
+        # no RuntimeWarning either: pytest turns them into errors
+        for z in (complex("inf"), complex(0.0, math.inf)):
+            for call in (branch_indicator, solve_product, density_at):
+                with pytest.raises(ConvergenceError):
+                    call(*pair, z)
 
 
 def test_subnormal_leading_coefficient_certifies():
