@@ -194,36 +194,42 @@ def branch_indicator(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> floa
         [[|s_A|^2 |g|^2 L_B,  e^{i phi} L_A (g + |g|^2 conj(s_A s_B))],
          [e^{-i phi} L_B (conj(g) + |g|^2 s_A s_B),  |s_B|^2 |g|^2 L_A]]
 
-    where s_X are the diagonal self-energies, L_X the off-diagonal couplings,
-    and g the holomorphic Green's function of the product.  Evaluated by
-    _holomorphic_probe, whose g is the root of least radius among the
-    certified roots of the pair's polynomial, so in a hole of the support
-    the indicator reads the stable root, not the continuation of g ~ 1/z
-    from infinity.  Raises ConvergenceError where no root at z meets the
-    certificate.
+    where s_X are the diagonal self-energies, L_X = sigma_X^2 the
+    off-diagonal couplings, and g the holomorphic Green's function of the
+    product; _stability_radius evaluates its spectral radius in closed form.
+    Evaluated by _holomorphic_probe, whose g is the root of least radius
+    among the certified roots of the pair's polynomial, so in a hole of the
+    support the indicator reads the stable root, not the continuation of
+    g ~ 1/z from infinity.  Raises OriginError at z = 0, and
+    ConvergenceError where no root at z meets the certificate.
     """
     indicator, _, ok = _holomorphic_probe(rmap_a, rmap_b)(z)
     if not ok:
+        if z == 0:
+            raise OriginError()
         raise ConvergenceError(f"no certified holomorphic product solution at z = {z}")
     return float(indicator)
 
 
-def _stability_radius(z, g, sa, sb, la, lb):
-    """Spectral radius minus one of the stability matrix of branch_indicator.
+def _stability_radius(z, g, pa, pb, coupling):
+    """Spectral radius minus one of branch_indicator's stability matrix, at
+    a root g with g (z - s_A s_B) = 1.
 
-    Written with numpy ufuncs, so every argument may be a scalar or an array
-    (of matching shape): z the point, g the holomorphic product Green's
-    function, sa/sb the diagonal self-energies, la/lb the b-couplings.
+    Elementwise in numpy ufuncs: every argument may be a scalar or an array,
+    with pa = |s_A|^2 L_B, pb = |s_B|^2 L_A and coupling = sigma_A sigma_B.
+    The certificate's g (z - s_A s_B) = 1 gives g + |g|^2 conj(s_A s_B) =
+    |g|^2 conj(z), so the off-diagonal product is t12 t21 = L_A L_B |g|^4
+    |z|^2 >= 0 and the phase drops out.  With the diagonal |g|^2 (pa, pb)
+    both eigenvalues are real, and the larger one, the spectral radius, is
+
+        u (u (pa + pb) / 2 + hypot(u (pa - pb) / 2, coupling |z g|)),  u = |g|.
+
+    Written through u and |z g| rather than |z|^2, no finite z overflows.
+    Where the certificate fails the value is not the matrix's radius.
     """
-    phase = z / abs(z)
-    g2 = abs(g) ** 2
-    t11 = abs(sa) ** 2 * g2 * lb
-    t12 = phase * la * (g + g2 * np.conjugate(sa * sb))
-    t21 = lb * (np.conjugate(g) + g2 * sa * sb) / phase
-    t22 = abs(sb) ** 2 * g2 * la
-    half_tr = 0.5 * (t11 + t22)
-    disc = np.sqrt(half_tr * half_tr - (t11 * t22 - t12 * t21))
-    return np.maximum(abs(half_tr + disc), abs(half_tr - disc)) - 1.0
+    u = abs(g)
+    return u * (u * (0.5 * (pa + pb)) + np.hypot(u * (0.5 * (pa - pb)),
+                                                  coupling * abs(z * g))) - 1.0
 
 
 def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
@@ -231,40 +237,29 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
 
     The returned probe maps z, a complex scalar or an array, to
     (indicator, ProductGreens, ok) of the same shape: branch_indicator's
-    values, the holomorphic solution (g, g_a, g_b and the worst of its three
-    residuals), and a mask that is False at z = 0 and where no root meets
-    the certificate (every residual at most 10 _TOL); callers read that as
-    inside.  With R_X = c_X + alpha_X g on the diagonal, g_a = g P / D and
-    g_b = g Q / D (hermitian._affine_aux), so g is a root of
-    p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when alpha_A alpha_B = 0,
-    or 1 when R_AB is the constant c = c_A c_B (every tau = 0 pair, and a
-    tau != 0 factor times a centered tau = 0 one): then g = 1/(z - c), in
-    numpy ufuncs (a scalar z as a numpy scalar, so the pole gives inf).
-    There s_X = c_X and the stability matrix has real eigenvalues, so the
-    indicator is the closed form
-
-        (t_A + t_B) / 2 + sqrt(((t_A - t_B) / 2)^2 + sigma_A^2 sigma_B^2 |z|^2)
-        ------------------------------------------------------------------ - 1
-                                  |z - c|^2
-
-    with t_A = |c_A|^2 sigma_B^2 and t_B = |c_B|^2 sigma_A^2, whose zero set
-    is the support boundary's quartic.  It is evaluated in real arithmetic
-    through 1/|z - c| = |g| and |z|/|z - c| = |z g|, so no finite z
-    overflows, and a degree-1 point is ok only where it is finite too.  It
-    equals _stability_radius at the same root to rounding, not bit for bit:
-    degree 1 does not run that ufunc sequence.  Otherwise p(0) = -1, so
-    w = 1/g are the eigenvalues of a companion matrix that divides by no
-    coefficient, one batched np.linalg.eigvals call for all z.  Each root
-    takes one Newton step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which
-    lacks p's roots at D = 0 that can crowd it (g = +-1 for GUE^2, near
-    z = +-1).  Each z keeps the certified root of least _stability_radius,
-    the stable one outside the support and in its holes, and that radius is
-    the indicator.  The b-couplings are sigma_A^2 and sigma_B^2.  The
-    arithmetic is elementwise, so a point's values do not depend on the
+    values (_stability_radius), the holomorphic solution (g, g_a, g_b and
+    the worst of its three residuals), and a mask that is False at z = 0
+    and where no root meets the certificate (every residual at most
+    10 _TOL); callers read that as inside.  With R_X = c_X + alpha_X g on
+    the diagonal, g_a = g P / D and g_b = g Q / D (hermitian._affine_aux),
+    so g is a root of p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when
+    alpha_A alpha_B = 0, or 1 when R_AB is the constant c = c_A c_B (every
+    tau = 0 pair, and a tau != 0 factor times a centered tau = 0 one): then
+    g = 1/(z - c) and s_X = c_X, in numpy ufuncs (a scalar z as a numpy
+    scalar, so the pole gives inf, and a degree-1 point is ok only where its
+    indicator is finite too).  Otherwise p(0) = -1, so w = 1/g are the
+    eigenvalues of a companion matrix that divides by no coefficient, one
+    batched np.linalg.eigvals call for all z.  Each root takes one Newton
+    step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which lacks p's roots at
+    D = 0 that can crowd it (g = +-1 for GUE^2, near z = +-1).  Each z
+    keeps the certified root of least _stability_radius, the stable one
+    outside the support and in its holes, and that radius is the indicator.
+    The arithmetic is elementwise, so a point's values do not depend on the
     other points of the call.
     """
     (ca, aa), (cb, ab) = rmap_a.diagonal_section().affine, rmap_b.diagonal_section().affine
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
+    coupling = rmap_a.sigma * rmap_b.sigma
     a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
 
     def greens(z, g):
@@ -280,27 +275,16 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
                                          abs(ga - g * sa)), abs(gb - g * sb))
         return hermitian.ProductGreens(g, ga, gb, residual), sa, sb
 
-    def certify(z, g):
-        """The indicator, ProductGreens and certificate of the roots g at z."""
-        pg, sa, sb = greens(z, g)
-        indicator = _stability_radius(z, g, sa, sb, la, lb)
-        return indicator, pg, pg.residual <= 10.0 * _TOL
-
     if a2 == 0 and k1 == 0:
-        # s_X = c_X, and the stability matrix is real with eigenvalues
-        # |g|^2 (mean +- hypot(half_gap, sigma_A sigma_B |z|))
         c = ca * cb
-        t_a, t_b = abs(ca) ** 2 * lb, abs(cb) ** 2 * la
-        mean, half_gap = 0.5 * (t_a + t_b), 0.5 * (t_a - t_b)
-        coupling = rmap_a.sigma * rmap_b.sigma
+        pa, pb = abs(ca) ** 2 * lb, abs(cb) ** 2 * la
 
         def probe(z):
             z = np.asarray(z)[()]
             with np.errstate(all="ignore"):
                 g = 1.0 / (z - c)
                 pg, _, _ = greens(z, g)
-                u = abs(g)  # 1 / |z - c|, and abs(z g) is |z| / |z - c|
-                indicator = u * (u * mean + np.hypot(u * half_gap, coupling * abs(z * g))) - 1.0
+                indicator = _stability_radius(z, g, pa, pb, coupling)
             ok = (pg.residual <= 10.0 * _TOL) & np.isfinite(indicator) & (z != 0)
             return indicator, pg, ok
 
@@ -331,8 +315,10 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
         companion[:, 0, :] = np.where(live, flat, 0.0) * c1 + c0
         with np.errstate(all="ignore"):
             g = newton(flat, 1.0 / np.linalg.eigvals(companion))
-            indicator, pg, ok = certify(flat, g)
-        ok &= live
+            pg, sa, sb = greens(flat, g)
+            indicator = _stability_radius(flat, g, abs(sa) ** 2 * lb, abs(sb) ** 2 * la,
+                                          coupling)
+        ok = live & (pg.residual <= 10.0 * _TOL)
         best = np.argmin(np.where(ok, indicator, np.inf), axis=1)[:, None]
 
         def pick(v):
@@ -795,12 +781,14 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     takes more steps than bisection would.  The outermost crossing is
     returned on rays that enter and leave the support more than once, as
     the midpoint of its final bracket.  A point whose solve fails counts as
-    inside, and is counted in failed_solves.  A non-finite angle, r_min or
-    r_max raises FreeconvError before any probe.
+    inside, and is counted in failed_solves.  A non-finite angle, an r_min
+    or r_max that is not finite and positive, or angular_samples that is not
+    an integer of at least 8 raises FreeconvError before any probe.
     """
     if angles is None:
-        if angular_samples < 8:
-            raise FreeconvError("need at least 8 angular samples")
+        if not isinstance(angular_samples, numbers.Integral) or angular_samples < 8:
+            raise FreeconvError(
+                f"need an integer of at least 8 angular samples, got {angular_samples!r}")
         angles = [-math.pi + (k + 0.5) * 2.0 * math.pi / angular_samples
                   for k in range(angular_samples)]
     else:
@@ -808,6 +796,8 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     nonfinite = [x for x in (*angles, r_min, r_max) if x is not None and not math.isfinite(x)]
     if nonfinite:
         raise FreeconvError(f"angles, r_min and r_max must be finite, got {nonfinite[0]}")
+    if r_min <= 0 or (r_max is not None and r_max <= 0):
+        raise FreeconvError(f"r_min and r_max must be positive, got {r_min} and {r_max}")
     expandable = r_max is None  # only the internal estimate may be enlarged
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0

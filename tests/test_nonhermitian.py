@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import eigvals  # bound here: some tests patch np.linalg.eigvals
 from hypothesis import example, given, settings, strategies as st
 
 from freeconv import cli, hermitian, nonhermitian
@@ -35,6 +36,7 @@ from freeconv.nonhermitian import (
 
 GIN = ginibre_rmap(1.0)
 SHIFTED = elliptic_rmap(1.0, 0.0, 1.0)  # unit-shift Ginibre
+TAU_PAIR = (elliptic_rmap(1.0, 0.5, 0.7), elliptic_rmap(1.0, 0.5, 0.5 + 0.3j))
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +308,30 @@ def test_boundary_respects_explicit_cap():
     assert len(res.empty_rays) == 8
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"angles": [0.3, math.nan]},
-    {"angles": [math.inf, 0.3]},
-    {"angles": [-math.inf]},
-    {"angular_samples": 8, "r_min": math.nan},
-    {"angular_samples": 8, "r_max": math.nan},
-    {"angular_samples": 8, "r_max": math.inf},
-], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max"])
-def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, monkeypatch):
+@pytest.mark.parametrize("kwargs,match", [
+    ({"angles": [0.3, math.nan]}, "must be finite"),
+    ({"angles": [math.inf, 0.3]}, "must be finite"),
+    ({"angles": [-math.inf]}, "must be finite"),
+    ({"angular_samples": 8, "r_min": math.nan}, "must be finite"),
+    ({"angular_samples": 8, "r_max": math.nan}, "must be finite"),
+    ({"angular_samples": 8, "r_max": math.inf}, "must be finite"),
+    # a negative r_max would locate a point at a negative radius, and
+    # r_min = 0 would probe the origin
+    ({"angles": [0.3], "r_max": -2.0}, "must be positive"),
+    ({"angles": [3.14159], "r_min": 0.0}, "must be positive"),
+    ({"angles": [0.3], "r_min": -1e-4}, "must be positive"),
+    ({"angles": [0.3], "r_max": 0.0}, "must be positive"),
+    ({"angular_samples": 8.5}, "integer"),
+    ({"angular_samples": 4}, "integer of at least 8"),
+], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max",
+        "negative_r_max", "zero_r_min", "negative_r_min", "zero_r_max", "fractional_samples",
+        "too_few_samples"])
+def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, match, monkeypatch):
     def no_probe(*args):
-        raise AssertionError("probe built for non-finite input")
+        raise AssertionError("probe built for invalid input")
 
     monkeypatch.setattr(nonhermitian, "_holomorphic_probe", no_probe)
-    with pytest.raises(FreeconvError, match="must be finite"):
+    with pytest.raises(FreeconvError, match=match):
         boundary_curve(GIN, GIN, **kwargs)
 
 
@@ -335,9 +347,30 @@ def oracle_section(rmap: MatrixRMap) -> hermitian.ScalarTransform:
                                      lambda x: rmap.apply_q(x, 0.0)[0], rmap.kappa1)
 
 
+def stability_eigenvalues(z, g, sa, sb, la, lb):
+    """Eigenvalues of branch_indicator's stability matrix, written out as an
+    explicit complex 2x2 matrix and handed to np.linalg.eigvals: a reference
+    that shares no arithmetic with _stability_radius.  z, g, the diagonal
+    self-energies sa, sb and the b-couplings la, lb broadcast; the two
+    eigenvalues are the last axis."""
+    z, g, sa, sb = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (z, g, sa, sb)))
+    phase, g2 = np.exp(1j * np.angle(z)), abs(g) ** 2
+    m = np.empty(z.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = abs(sa) ** 2 * g2 * lb
+    m[..., 0, 1] = phase * la * (g + g2 * np.conjugate(sa * sb))
+    m[..., 1, 0] = lb * (np.conjugate(g) + g2 * sa * sb) / phase
+    m[..., 1, 1] = abs(sb) ** 2 * g2 * la
+    return eigvals(m)
+
+
+def stability_radius(z, g, sa, sb, la, lb):
+    """Spectral radius minus one of stability_eigenvalues."""
+    return abs(stability_eigenvalues(z, g, sa, sb, la, lb)).max(axis=-1) - 1.0
+
+
 def point_probe(ta: hermitian.ScalarTransform, tb: hermitian.ScalarTransform, la, lb):
     """_holomorphic_probe's contract, point by point: multiply_r_system on the
-    diagonal sections ta, tb at each z, and _stability_radius with the
+    diagonal sections ta, tb at each z, and stability_radius with the
     b-couplings la, lb.  Its root is the homotopy ladder's continuation of
     g ~ 1/z from infinity, which in a hole of the support is unstable."""
 
@@ -352,7 +385,7 @@ def point_probe(ta: hermitian.ScalarTransform, tb: hermitian.ScalarTransform, la
                 pg = hermitian.multiply_r_system(ta, tb, zk)
             except FreeconvError:
                 continue
-            indicator[k] = nonhermitian._stability_radius(
+            indicator[k] = stability_radius(
                 zk, pg.g, ta.r_eval(pg.g_b), tb.r_eval(pg.g_a), la, lb)
             g[k], ga[k], gb[k], residual[k] = pg
             ok[k] = True
@@ -382,7 +415,7 @@ def assert_stable_root(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex, indic
     ga, gb = hermitian._product_aux(oa, ob, g)
     sa, sb = oa.r_eval(gb), ob.r_eval(ga)
     assert abs(g * (z - sa * sb) - 1.0) <= 1e-10
-    radius = nonhermitian._stability_radius(z, g, sa, sb, rmap_a.sigma ** 2, rmap_b.sigma ** 2)
+    radius = stability_radius(z, g, sa, sb, rmap_a.sigma ** 2, rmap_b.sigma ** 2)
     assert radius == pytest.approx(indicator, abs=1e-8) and radius <= 0.0
 
 
@@ -531,21 +564,38 @@ DEGREE_ONE_PAIRS = st.one_of(st.tuples(ROTATION_INVARIANT, ROTATION_INVARIANT),
                              st.tuples(TILTED, CENTERED), st.tuples(CENTERED, TILTED))
 
 
+CONSTANT = st.builds(lambda re, im: constant_rmap(complex(re, im)), SHIFT_PARTS, SHIFT_PARTS)
+# degree 1, degree 5 (2 when a tau is 0) and degree 2 with a sigma = 0 factor
+STABILITY_PAIRS = st.one_of(DEGREE_ONE_PAIRS, st.tuples(ELLIPTIC, ELLIPTIC),
+                            st.tuples(CONSTANT, ELLIPTIC), st.tuples(ELLIPTIC, CONSTANT))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(DEGREE_ONE_PAIRS, st.lists(POINTS, min_size=1, max_size=40))
-def test_degree_one_indicator_matches_stability_radius(maps, zs):
-    # the closed form against the stability matrix at the certified root,
-    # with s_A = c_A and s_B = c_B
+@given(STABILITY_PAIRS, st.lists(POINTS, min_size=1, max_size=40))
+@example((GIN, GIN), [0.5, 2.0j, -3.0 + 1.0j])
+@example((SHIFTED, SHIFTED), [0.5, 2.0j, -3.0 + 1.0j])
+@example((gue_rmap(1.0), gue_rmap(1.0)), [0.999, -1.001, 0.5j, 2.0 - 1.0j])
+@example(TAU_PAIR, [0.5, 2.0j, -3.0 + 1.0j])
+@example((constant_rmap(2.0 - 0.5j), TAU_PAIR[0]), [0.5, 2.0j, -3.0 + 1.0j])
+def test_probe_indicator_matches_stability_eigenvalues(maps, zs):
+    # the probe's real closed form against the eigenvalues of the explicit
+    # complex stability matrix at the root it certified
     rmap_a, rmap_b = maps
-    zs = np.array(zs)
+    zs = np.array(zs, dtype=complex)
     indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
-    assert ok.all() and (pg.residual <= 10.0 * nonhermitian._TOL).all()
-    assert (pg.g == 1.0 / (zs - rmap_a.shift * rmap_b.shift)).all()
-    want = nonhermitian._stability_radius(zs, pg.g, rmap_a.shift, rmap_b.shift,
-                                          rmap_a.sigma ** 2, rmap_b.sigma ** 2)
-    assert (abs(indicator - want) <= 1e-12 * (1.0 + abs(want))).all()
-    decided = abs(indicator) > 1e-12
-    assert ((indicator > 0) == (want > 0))[decided].all()
+    assert (pg.residual[ok] <= 10.0 * nonhermitian._TOL).all()
+    ta, tb = rmap_a.diagonal_section(), rmap_b.diagonal_section()
+    if hermitian.product_r_transform(ta, tb).affine is not None:
+        # degree 1: the exact root 1/(z - c_A c_B), certified at every point
+        assert ok.all() and (pg.g == 1.0 / (zs - rmap_a.shift * rmap_b.shift)).all()
+    sa, sb = rmap_a.apply_q(pg.g_b, 0.0)[0], rmap_b.apply_q(pg.g_a, 0.0)[0]
+    eigenvalues = stability_eigenvalues(zs, pg.g, sa, sb, rmap_a.sigma ** 2,
+                                        rmap_b.sigma ** 2)[ok]
+    want = abs(eigenvalues).max(axis=-1) - 1.0
+    assert (abs(eigenvalues.imag) <= 1e-12 * (1.0 + abs(eigenvalues))).all()
+    assert (abs(indicator[ok] - want) <= 1e-12 * (1.0 + abs(want))).all()
+    decided = abs(want) > 1e-12
+    assert ((indicator[ok] > 0) == (want > 0))[decided].all()
 
 
 def test_constant_probe_flags_pole_and_origin():
@@ -564,9 +614,10 @@ def test_polynomial_probe_flags_origin_and_nonfinite_points():
         assert ok.tolist() == [False, False, False, True, True]
         assert indicator[-1] == -1.0
         # no RuntimeWarning either: pytest turns them into errors
-        for z in (complex("inf"), complex(0.0, math.inf)):
+        for z, error in ((0.0, OriginError), (complex("inf"), ConvergenceError),
+                         (complex(0.0, math.inf), ConvergenceError)):
             for call in (branch_indicator, solve_product, density_at):
-                with pytest.raises(ConvergenceError):
+                with pytest.raises(error):
                     call(*pair, z)
 
 
@@ -629,9 +680,6 @@ def test_gue_square_never_takes_the_double_root():
     assert boundary_curve(gue, gue, angular_samples=16).failed_solves == 0
 
 
-TAU_PAIR = (elliptic_rmap(1.0, 0.5, 0.7), elliptic_rmap(1.0, 0.5, 0.5 + 0.3j))
-
-
 @dataclasses.dataclass(frozen=True)
 class NanInside(MatrixRMap):
     """An elliptic map whose apply_q turns the diagonal NaN where |a| > limit.
@@ -687,7 +735,7 @@ def test_probe_on_array_matches_scalar_route(pair, monkeypatch):
             failed += 1
             continue
         assert pg.residual[k] <= 1e-11
-        assert close(indicator[k], nonhermitian._stability_radius(
+        assert close(indicator[k], stability_radius(
             z, pg.g[k], ta.r_eval(pg.g_b[k]), tb.r_eval(pg.g_a[k]),
             rmap_a.sigma ** 2, rmap_b.sigma ** 2), 1e-12)
         want_indicator, want, _ = oracle(z)
@@ -816,7 +864,7 @@ def test_collapsed_node_returns_its_own_stable_root(pa, pb, z, monkeypatch):
     assert abs(own.gm.a - sol.gm.a) <= 5e-6
     assert own.residual <= 1e-10
     ta, tb = a.diagonal_section(), b.diagonal_section()
-    radius = nonhermitian._stability_radius(
+    radius = stability_radius(
         z, own.gm.a, ta.r_eval(own.gb.a), tb.r_eval(own.ga.a), a.sigma ** 2, b.sigma ** 2)
     assert radius < 0.0
 
