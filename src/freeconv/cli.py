@@ -398,7 +398,7 @@ def cmd_transform(cfg: JobConfig) -> int:
         for y in values:
             y = float(y)
             try:
-                s = complex(hermitian.s_from_r(scalar, y))
+                s = hermitian.s_from_r(scalar, y)
             except FreeconvError as exc:
                 raise FreeconvError(f"transform failed at y = {y}: {exc}") from exc
             z = (1.0 + y) / (y * s)
@@ -423,7 +423,7 @@ def cmd_transform(cfg: JobConfig) -> int:
             s_cell = "undefined"
             if (scalar.kappa1 != 0 and y.real > 1e-9
                     and abs(y.imag) < 50.0 * cfg.epsilon * (1.0 + abs(y))):
-                s_cell = complex(hermitian.s_from_r(scalar, y.real)).real
+                s_cell = hermitian.s_from_r(scalar, y.real).real
             rows.append([x, g.real, g.imag, rho, r.real, r.imag,
                          y.real, y.imag, s_cell])
         summary = {"points": len(rows), "variable": "z", "section": "scalar"}

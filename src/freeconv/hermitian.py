@@ -1,27 +1,18 @@
 """Scalar free convolution: R transforms, Green's functions, and S transforms.
 
-The central solver tracks the decaying branch g ~ 1/z of
+A transform declared exactly affine, R(g) = c + alpha g (built by
+_affine_transform, or by free_add of two such), turns g = 1/(z - R(g)) into
+alpha g^2 - (z - c) g + 1 = 0 and S = 1/R(y S) into alpha y S^2 + c S - 1 = 0,
+and _affine_root takes the exact root of either.  Every other transform
+climbs a homotopy ladder in |z| (one _stage_solve per stage) from far out,
+where g ~ 1/z is certified, down to z; its S transform is s_from_green's.
 
-    g = 1 / (z - R(g))
-
-by a geometric homotopy in |z|: start far out where the fixed point is a
-contraction around 1/z, certify the asymptotic normalization there, then walk
-the scale down to the requested point, polishing with Newton at every stage.
-Every stage, and the S transform's S = 1/R(y S), is one call of
-_scalar_fixed_point.
-
-Transforms that declare themselves exactly affine, R(g) = c + alpha g (the
-constant, Gaussian and shifted Gaussian transforms here, and the diagonal
-sections of elliptic matrix maps, all built by _affine_transform), multiply
-in closed form: the auxiliary pair of the product law is a linear 2x2
-system, so the product R transform and its derivative are rational in x.
-When that product is itself constant (alpha_A alpha_B = 0 and
-alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor pair with tau = 0) it
-declares affine = (c_A c_B, 0), and a constant R has the unique root
-g = 1/(z - c), which replaces the ladder.  Every other transform
-takes the generic route (damped fixed point plus Newton for the auxiliary
-pair, a central difference for the derivative), which stays as the test
-oracle for the affine one.  Both feed the same homotopy ladder.
+Two affine factors multiply in closed form: the auxiliary pair of the
+product law is linear, so R_AB and its derivative are rational, and R_AB is
+declared affine (c_A c_B, 0) when it is constant (alpha_A alpha_B = 0 and
+alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor pair with tau = 0).
+Other pairs take the generic route (damped fixed point plus Newton), which
+stays as the test oracle, as the ladder does for _affine_root.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from .errors import (
     FreeconvError,
 )
 
-_TOL = 1e-12         # Green's ladder stages, product certificate, S fixed point
+_TOL = 1e-12         # Green's and S certificates, ladder stages, product certificate
 _AUX_TOL = 1e-13     # the generic auxiliary pair of the product law
 _MOMENT_TOL = 1e-11  # s_from_green's moment-map inversion
 _ROUTE_TOL = 1e-8    # agreement of the S and R routes in assert_s_r_consistency
@@ -55,9 +46,9 @@ class ScalarTransform:
     r_deriv may be omitted; solvers fall back to a central difference.
     kappa1 = R(0) is stored explicitly because the S-transform machinery and
     the homotopy ladder both need it cheaply and exactly.
-    affine, when present, is (c, alpha) with R(g) = c + alpha g exactly; the
-    product law then solves its auxiliary pair in closed form, and for
-    alpha = 0 green_from_r returns the exact root 1/(z - c).
+    affine, when present, is (c, alpha) with R(g) = c + alpha g exactly;
+    green_from_r and s_from_r then take the exact root of a quadratic, and
+    the product law solves its auxiliary pair in closed form.
     """
 
     name: str
@@ -97,15 +88,18 @@ def shifted_gaussian_transform(shift: complex = 1.0, sigma: float = 1.0,
 
 
 def free_add(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTransform:
-    """Free additive convolution: R transforms add."""
-    deriv = None
+    """Free additive convolution: R transforms add, and so do affine declarations."""
+    deriv = affine = None
     if ta.r_deriv is not None and tb.r_deriv is not None:
         deriv = lambda g: ta.r_deriv(g) + tb.r_deriv(g)
+    if ta.affine is not None and tb.affine is not None:
+        affine = (ta.affine[0] + tb.affine[0], ta.affine[1] + tb.affine[1])
     return ScalarTransform(
         name=f"{ta.name}+{tb.name}",
         r_eval=lambda g: ta.r_eval(g) + tb.r_eval(g),
         r_deriv=deriv,
         kappa1=ta.kappa1 + tb.kappa1,
+        affine=affine,
     )
 
 
@@ -118,8 +112,8 @@ def free_add(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTransform:
 class HolomorphicGreen:
     """One certified Green's-function value g(z) on the decaying branch.
 
-    branch_certificate records (scale, residual) down the homotopy ladder; the
-    first entry is the scale where the 1/z normalization was verified.
+    branch_certificate records (scale, residual) down the homotopy ladder from
+    the scale where g ~ 1/z was verified; an exact root's is ((1.0, residual),).
     """
 
     z: complex
@@ -128,37 +122,31 @@ class HolomorphicGreen:
     branch_certificate: tuple
 
 
-def _scalar_fixed_point(r, dr, c: complex, x: complex, max_damped: int) -> complex:
-    """The fixed point x = 1/(c - r(x)) near the seed x; dr is r's derivative.
+def _stage_solve(r_eval, deriv, zs: complex, g: complex):
+    """One ladder stage: the fixed point g = 1/(zs - R(g)) near g, and its residual.
 
-    Damped steps x <- (x + 1/(c - r(x))) / 2, nudged by _TOL off a pole,
-    until the step is below _TOL / 4 (at most max_damped), then at most 60
-    Newton steps on x (c - r(x)) - 1.  The caller certifies the result.
+    Damped steps g <- (g + 1/(zs - R(g))) / 2, nudged by _TOL off a pole,
+    until the step is below _TOL / 4 (at most 200), then at most 60 Newton
+    steps on g (zs - R(g)) - 1.
     """
-    for _ in range(max_damped):
-        denom = c - r(x)
+    for _ in range(200):
+        denom = zs - r_eval(g)
         if denom == 0:
-            x += _TOL  # nudge off the pole and keep going
+            g += _TOL  # nudge off the pole and keep going
             continue
-        step = 1.0 / denom - x
-        x += 0.5 * step
+        step = 1.0 / denom - g
+        g += 0.5 * step
         if abs(step) < 0.25 * _TOL:
             break
     for _ in range(60):
-        rx = r(x)
-        f = x * (c - rx) - 1.0
+        rg = r_eval(g)
+        f = g * (zs - rg) - 1.0
         if abs(f) < 1e-3 * _TOL:
             break
-        fp = c - rx - x * dr(x)
+        fp = zs - rg - g * deriv(g)
         if fp == 0:
             break
-        x -= f / fp
-    return x
-
-
-def _stage_solve(r_eval, deriv, zs: complex, g: complex):
-    """One ladder stage: the fixed point g = 1/(zs - R(g)) near g, and its residual."""
-    g = _scalar_fixed_point(r_eval, deriv, zs, g, 200)
+        g -= f / fp
     denom = zs - r_eval(g)
     residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
     return g, residual
@@ -200,38 +188,41 @@ def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex):
     return g, certificate[-1][1], tuple(certificate)
 
 
-def _constant_green(transform: ScalarTransform, z: complex):
-    """g = 1/(z - c) for R = c, certified by the residual against r_eval.
+def _affine_root(w: complex, a: complex) -> complex:
+    """2 / (w (1 + sqrt(1 - 4 a / w^2))), the root of a x^2 - w x + 1 of least modulus.
 
-    g (z - c) = 1 has this one root, so there is no branch to choose; the
-    certificate is the single entry (1.0, residual).
+    The principal square root has real part >= 0, which is 0 only on the
+    cut, where both roots have one modulus: there, at w = 0 and at
+    non-finite input ConvergenceError is raised.  At a = 0 it is exactly 1/w.
     """
-    denom = z - transform.affine[0]
-    if denom == 0:
-        raise ConvergenceError(f"z = {z} is the pole of the constant R transform")
-    g = 1.0 / denom
-    denom = z - transform.r_eval(g)
-    residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
-    if not residual <= _TOL:
-        raise ConvergenceError(
-            f"constant R transform disagrees with its declaration at z = {z}",
-            residual=residual)
-    return g, residual, ((1.0, residual),)
+    if w == 0 or not (cmath.isfinite(w) and cmath.isfinite(a)):
+        raise ConvergenceError(f"no root of {a} x^2 - ({w}) x + 1 = 0 to pick")
+    root = cmath.sqrt(1.0 - 4.0 * a / w / w)
+    if root.real == 0:
+        raise ConvergenceError(f"{w} lies on the cut of {a} x^2 - w x + 1 = 0")
+    return 2.0 / (w * (1.0 + root))
 
 
 def green_from_r(transform: ScalarTransform, z: complex) -> HolomorphicGreen:
     """Evaluate the Green's function of the measure with the given R transform.
 
-    A transform declared constant (affine alpha = 0) takes the exact root;
-    every other one climbs the homotopy ladder.
+    A transform declared affine takes _affine_root(z - c, alpha), certified
+    against r_eval; every other one climbs the homotopy ladder.
     """
     if z == 0:
         raise ConvergenceError("scalar Green's function needs z != 0")
-    if transform.affine is not None and transform.affine[1] == 0:
-        g, residual, certificate = _constant_green(transform, z)
-    else:
+    if transform.affine is None:
         g, residual, certificate = _scalar_green_ladder(
             transform.r_eval, transform.deriv, transform.kappa1, z)
+    else:
+        c, alpha = transform.affine
+        g = _affine_root(z - c, alpha)
+        denom = z - transform.r_eval(g)
+        residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
+        if not residual <= _TOL:
+            raise ConvergenceError(f"affine root failed its certificate at z = {z}",
+                                   residual=residual)
+        certificate = ((1.0, residual),)
     return HolomorphicGreen(z=z, g=g, residual=residual,
                             branch_certificate=certificate)
 
@@ -242,7 +233,10 @@ def density_real(transform: ScalarTransform, lam: float,
 
     rho(lam) = (g(lam - i eps) - g(lam + i eps)) / (2 pi i); the imaginary
     part of that expression is pure numerical noise and must stay below 1e-10.
+    epsilon must be finite and > 0.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise FreeconvError(f"density_real needs a finite epsilon > 0, got {epsilon}")
     g_minus = green_from_r(transform, complex(lam, -epsilon)).g
     g_plus = green_from_r(transform, complex(lam, +epsilon)).g
     value = (g_minus - g_plus) / (2j * math.pi)
@@ -383,18 +377,22 @@ def multiply_r_system(ta: ScalarTransform, tb: ScalarTransform,
 def s_from_r(transform: ScalarTransform, y: complex) -> complex:
     """S transform from the functional equation S = 1 / R(y S).
 
-    Solved by _scalar_fixed_point seeded at 1/kappa1 (at most 400 damped
-    steps); undefined for centered transforms.
+    For R = c + alpha g that is alpha y S^2 + c S - 1 = 0, and S is its root
+    _affine_root(c, -alpha y), which tends to 1/c as y -> 0, certified by
+    |S R(y S) - 1| <= _TOL.  Undefined for centered transforms; a transform
+    not declared affine raises FreeconvError (s_from_green serves those).
     """
     if transform.kappa1 == 0:
         raise CenteredTransformError()
-    # S = 1/R(y S) is the fixed point x = 1/(c - r(x)) with c = 0, r(x) = -R(y x)
-    s = _scalar_fixed_point(lambda x: -transform.r_eval(y * x),
-                            lambda x: -y * transform.deriv(y * x),
-                            0.0, 1.0 / transform.kappa1, 400)
+    if transform.affine is None:
+        raise FreeconvError(
+            f"s_from_r needs an affine transform, not {transform.name}; use s_from_green")
+    c, alpha = transform.affine
+    s = _affine_root(c, -alpha * y)
     residual = abs(s * transform.r_eval(y * s) - 1.0)
     if not residual <= _TOL:
-        raise ConvergenceError(f"S iteration stalled at y = {y}", residual=residual)
+        raise ConvergenceError(f"S root failed its certificate at y = {y}",
+                               residual=residual)
     return s
 
 
@@ -412,8 +410,8 @@ def s_from_green(transform: ScalarTransform, y: complex) -> complex:
     the continuation passes around (not through) the branch point where the
     moment map's image folds at the support edge; beyond the fold the pair
     tracks the analytic continuation of the inverse, which is where the S
-    transform lives for larger y.  Independent of s_from_r except for sharing
-    the Green's solver.
+    transform lives for larger y.  Independent of s_from_r: only this route
+    serves transforms that are not affine.
     """
     if transform.kappa1 == 0:
         raise CenteredTransformError()

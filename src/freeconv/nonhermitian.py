@@ -781,9 +781,10 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     takes more steps than bisection would.  The outermost crossing is
     returned on rays that enter and leave the support more than once, as
     the midpoint of its final bracket.  A point whose solve fails counts as
-    inside, and is counted in failed_solves.  A non-finite angle, an r_min
-    or r_max that is not finite and positive, or angular_samples that is not
-    an integer of at least 8 raises FreeconvError before any probe.
+    inside, and is counted in failed_solves; a ray whose r_min lies outside
+    the support reads as empty.  A non-finite angle, radii other than
+    0 < r_min < r_max, or angular_samples that is not an integer of at least
+    8 raises FreeconvError before any probe.
     """
     if angles is None:
         if not isinstance(angular_samples, numbers.Integral) or angular_samples < 8:
@@ -796,11 +797,11 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     nonfinite = [x for x in (*angles, r_min, r_max) if x is not None and not math.isfinite(x)]
     if nonfinite:
         raise FreeconvError(f"angles, r_min and r_max must be finite, got {nonfinite[0]}")
-    if r_min <= 0 or (r_max is not None and r_max <= 0):
-        raise FreeconvError(f"r_min and r_max must be positive, got {r_min} and {r_max}")
     expandable = r_max is None  # only the internal estimate may be enlarged
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0
+    if not 0 < r_min < r_max:
+        raise FreeconvError(f"r_min and r_max must be positive, r_min < r_max: {r_min}, {r_max}")
     probe = _holomorphic_probe(rmap_a, rmap_b)
     units = np.exp(1j * np.array(angles, dtype=float))
     failed = 0

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freeconv.errors import CenteredTransformError, ConvergenceError
+from freeconv import cli
+from freeconv.errors import CenteredTransformError, ConvergenceError, FreeconvError
 from freeconv.hermitian import (
     ScalarTransform,
     _product_aux,
@@ -255,6 +258,76 @@ def test_constant_green_is_exact_root(z):
     assert got.branch_certificate == ((1.0, got.residual),)
     want = green_from_r(dataclasses.replace(t, affine=None), z)  # the ladder
     assert got.g == pytest.approx(want.g, abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.floats(-3.0, 3.0), st.floats(0.1, 2.0), st.floats(-8.0, 8.0),
+       st.sampled_from([1e-6, -1e-6, 1e-3, -1e-3, 0.5, -0.5]))
+def test_affine_green_matches_ladder(shift, sigma, x, height):
+    # the ladder (no affine declaration) is the oracle, down to 1e-6 off the cut
+    t = shifted_gaussian_transform(shift, sigma)
+    z = complex(x, height)
+    got = green_from_r(t, z)
+    want = green_from_r(dataclasses.replace(t, affine=None), z)
+    assert abs(got.g - want.g) <= 1e-12 * (1.0 + abs(got.g))
+    assert got.branch_certificate == ((1.0, got.residual),)
+
+
+def test_affine_green_keeps_the_sheet_of_a_complex_shift():
+    # w = z - c = i: the semicircle's G(i) = i (1 - sqrt 5) / 2; the ladder's
+    # radial path from infinity crosses the cut [-2, 2] in w and returns the
+    # other root, +1.618i
+    t = shifted_gaussian_transform(0.5 - 1.5j, 1.0)
+    g = green_from_r(t, 0.5 - 0.5j).g
+    assert g == pytest.approx(0.5j * (1.0 - math.sqrt(5.0)), abs=1e-15)
+    # the Stieltjes integral of the semicircle density at w = i
+    xs = np.linspace(-2.0, 2.0, 20001)
+    stieltjes = np.trapezoid(np.sqrt(4.0 - xs * xs) / (2.0 * np.pi) / (1j - xs), xs)
+    assert g == pytest.approx(stieltjes, abs=1e-6)
+
+
+@pytest.mark.parametrize("z", [1.0, 1.0 + 0j, -2.0, 2.0, 0.5 - 0j])
+def test_green_on_the_cut_raises(z):
+    # both roots have modulus 1 on [-2, 2]: no branch to pick
+    with pytest.raises(ConvergenceError):
+        green_from_r(GUE, z)
+
+
+@pytest.mark.parametrize("y", [-0.25, -1.0, -3.0 + 0j])
+def test_s_on_the_cut_raises(y):
+    # 1 + 4 y <= 0 for R = 1 + g: both roots of y S^2 + S - 1 have one modulus
+    with pytest.raises(ConvergenceError):
+        s_from_r(SHIFTED, y)
+
+
+def test_s_from_r_needs_an_affine_transform():
+    with pytest.raises(FreeconvError, match="affine"):
+        s_from_r(dataclasses.replace(SHIFTED, affine=None), 0.5)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-6, 0.0, math.nan, math.inf])
+def test_density_real_rejects_bad_epsilon(epsilon):
+    # a negative epsilon used to return the density with its sign flipped
+    with pytest.raises(FreeconvError, match="epsilon"):
+        density_real(GUE, 0.3, epsilon=epsilon)
+
+
+SHIFTED_GUE = {"kind": "gue", "n": 24, "sigma": 1.3, "shift": 0.5}
+
+
+@pytest.mark.parametrize("ensemble,variable,start", [
+    ({"kind": "gue", "n": 24}, "z", -4.0),
+    (SHIFTED_GUE, "z", -4.0),
+    (SHIFTED_GUE, "y", 0.05),
+], ids=["gue_z", "shifted_gue_z", "shifted_gue_y"])
+def test_cli_scalar_tables_skip_the_ladder(ensemble, variable, start, stage_count, tmp_path):
+    # G, the density and S of every affine transform are exact roots
+    job = tmp_path / "transform.json"
+    job.write_text(json.dumps({
+        "ensemble_a": ensemble, "variable": variable, "start": start, "stop": 4.0,
+        "count": 121, "output": str(tmp_path / "t.csv")}))
+    assert cli.main(["transform", "--config", str(job)]) == 0
+    assert not stage_count
 
 
 def test_constant_green_pole_and_certificate():

@@ -323,9 +323,12 @@ def test_boundary_respects_explicit_cap():
     ({"angles": [0.3], "r_max": 0.0}, "must be positive"),
     ({"angular_samples": 8.5}, "integer"),
     ({"angular_samples": 4}, "integer of at least 8"),
+    # an empty radial range used to report every ray as empty
+    ({"angles": [0.3], "r_min": 5.0, "r_max": 3.0}, "r_min < r_max"),
+    ({"angles": [0.3], "r_min": 2.0, "r_max": 2.0}, "r_min < r_max"),
 ], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max",
         "negative_r_max", "zero_r_min", "negative_r_min", "zero_r_max", "fractional_samples",
-        "too_few_samples"])
+        "too_few_samples", "reversed_radii", "equal_radii"])
 def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, match, monkeypatch):
     def no_probe(*args):
         raise AssertionError("probe built for invalid input")
@@ -744,19 +747,6 @@ def test_probe_on_array_matches_scalar_route(pair, monkeypatch):
     # the NaN map fails where |g| is large
     assert (failed > 0) == (rmap_a.name == "nan inside")
     assert failed < len(zs)
-
-
-@pytest.fixture
-def stage_count(monkeypatch):
-    calls = []
-    real = hermitian._stage_solve
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(hermitian, "_stage_solve", counting)
-    return calls
 
 
 @pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED)])
