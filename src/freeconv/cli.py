@@ -46,7 +46,7 @@ _VOLATILE_KEYS = ("output", "workers")
 
 _PROFILE_TRIALS = {"quick": 100, "paper-scale": 20000}
 _DEFAULT_EPSILON = {"transform": 1e-6, "compare": 1e-2}
-# a boundary scan round holds rays x 26 values; 16x acceptance criterion 3's 256 rays
+# a boundary scan round holds rays x 25 values; 16x acceptance criterion 3's 256 rays
 _MAX_RAYS = 4096
 
 
@@ -510,7 +510,8 @@ def cmd_boundary(cfg: JobConfig) -> int:
             for phi, r, status in entries]
     summary = {"rays": len(entries), "located": len(result.points),
                "empty": len(result.empty_rays),
-               "failed_solves": result.failed_solves}
+               "failed_solves": result.failed_solves,
+               "scanned_rays": result.scanned_rays}
     _write_table(cfg, summary, header, rows)
     if not result.points:
         print("error: no support boundary found on any ray", file=sys.stderr)

@@ -123,7 +123,8 @@ class HolomorphicGreen:
 
 
 def _stage_solve(r_eval, deriv, zs: complex, g: complex):
-    """One ladder stage: the fixed point g = 1/(zs - R(g)) near g, and its residual.
+    """One ladder stage: the fixed point g = 1/(zs - R(g)) near g, and its
+    scale-free residual |g (zs - R(g)) - 1|.
 
     Damped steps g <- (g + 1/(zs - R(g))) / 2, nudged by _TOL off a pole,
     until the step is below _TOL / 4 (at most 200), then at most 60 Newton
@@ -147,9 +148,7 @@ def _stage_solve(r_eval, deriv, zs: complex, g: complex):
         if fp == 0:
             break
         g -= f / fp
-    denom = zs - r_eval(g)
-    residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
-    return g, residual
+    return g, abs(g * (zs - r_eval(g)) - 1.0)
 
 
 def _scalar_green_ladder(r_eval, deriv, kappa1: complex, z: complex):
@@ -206,8 +205,11 @@ def _affine_root(w: complex, a: complex) -> complex:
 def green_from_r(transform: ScalarTransform, z: complex) -> HolomorphicGreen:
     """Evaluate the Green's function of the measure with the given R transform.
 
-    A transform declared affine takes _affine_root(z - c, alpha), certified
-    against r_eval; every other one climbs the homotopy ladder.
+    A transform declared affine takes _affine_root(z - c, alpha); every
+    other one climbs the homotopy ladder.  Both certify with the scale-free
+    residual |g (z - R(g)) - 1| <= _TOL against r_eval, which a narrow
+    spectrum (|g| ~ 1/sigma on its support) meets where |g - 1/(z - R(g))|
+    fails from rounding alone.
     """
     if z == 0:
         raise ConvergenceError("scalar Green's function needs z != 0")
@@ -217,8 +219,7 @@ def green_from_r(transform: ScalarTransform, z: complex) -> HolomorphicGreen:
     else:
         c, alpha = transform.affine
         g = _affine_root(z - c, alpha)
-        denom = z - transform.r_eval(g)
-        residual = abs(g - 1.0 / denom) if denom != 0 else math.inf
+        residual = abs(g * (z - transform.r_eval(g)) - 1.0)
         if not residual <= _TOL:
             raise ConvergenceError(f"affine root failed its certificate at z = {z}",
                                    residual=residual)

@@ -44,7 +44,6 @@ from .hermitian import ScalarTransform
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
-_ROUND_POINTS = 512    # probe points per round at about twice a degree-1 round's dispatch cost
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
@@ -232,6 +231,19 @@ def _stability_radius(z, g, pa, pb, coupling):
                                                   coupling * abs(z * g))) - 1.0
 
 
+def _degree_one(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
+    """(c, pa, pb) when R_AB is the constant c = c_A c_B, else None.
+
+    That is every tau = 0 pair, and a tau != 0 factor times a centered
+    tau = 0 one; pa = |c_A|^2 L_B and pb = |c_B|^2 L_A are _stability_radius's.
+    """
+    ca, aa = rmap_a.shift, rmap_a.tau * rmap_a.sigma ** 2  # diagonal_section().affine
+    cb, ab = rmap_b.shift, rmap_b.tau * rmap_b.sigma ** 2
+    if aa * ab != 0 or aa * cb * cb + ab * ca * ca != 0:
+        return None
+    return ca * cb, abs(ca) ** 2 * rmap_b.sigma ** 2, abs(cb) ** 2 * rmap_a.sigma ** 2
+
+
 def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     """The holomorphic product solution of a pair, as a function of z.
 
@@ -261,6 +273,7 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
     coupling = rmap_a.sigma * rmap_b.sigma
     a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
+    constant = _degree_one(rmap_a, rmap_b)
 
     def greens(z, g):
         """The ProductGreens of the roots g at z, and their s_A and s_B."""
@@ -275,9 +288,8 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
                                          abs(ga - g * sa)), abs(gb - g * sb))
         return hermitian.ProductGreens(g, ga, gb, residual), sa, sb
 
-    if a2 == 0 and k1 == 0:
-        c = ca * cb
-        pa, pb = abs(ca) ** 2 * lb, abs(cb) ** 2 * la
+    if constant is not None:
+        c, pa, pb = constant
 
         def probe(z):
             z = np.asarray(z)[()]
@@ -752,11 +764,16 @@ class BoundaryResult:
     point was found (empty or unbounded direction).  failed_solves counts the
     indicator points the search consulted whose holomorphic solve raised or
     failed its certificate, and which it therefore treated as inside.
+    scanned_rays counts the rays that boundary_curve scanned rather than
+    took from a certified root of the degree-1 quartic: every ray of a
+    degree-2/5 pair that has an outside radius, and every degree-1 ray
+    without a certified root.
     """
 
     points: tuple
     empty_rays: tuple
     failed_solves: int
+    scanned_rays: int
 
 
 def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
@@ -766,25 +783,42 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     """Locate the support boundary of A B along rays, all rays in lockstep.
 
     The inside/outside predicate is the sign of branch_indicator, which
-    crosses zero transversally at the boundary.  Each ray first finds an
-    outside radius (r_max, doubled up to twice when r_max is the internal
-    estimate), then scans 24 steps inward to the first inside radius, then
-    narrows that bracket below _RADIAL_TOL.  Every round is one call of the
-    pair's _holomorphic_probe, built once per call, so the ray that needs
-    the most rounds sets the cost.  A round costs about its dispatch floor
-    up to _ROUND_POINTS points: the whole scan is one round, and while the
-    open brackets fit 24 points each into a round, each later round scans
-    them again (_rescan), so every ray needs the same
-    ceil(log(width / _RADIAL_TOL) / log 25) rounds, cusp rays included.
-    Brackets still open after that are narrowed by Illinois regula falsi
-    (_illinois), one point per ray and round, projected so that no ray
-    takes more steps than bisection would.  The outermost crossing is
-    returned on rays that enter and leave the support more than once, as
-    the midpoint of its final bracket.  A point whose solve fails counts as
-    inside, and is counted in failed_solves; a ray whose r_min lies outside
-    the support reads as empty.  A non-finite angle, radii other than
-    0 < r_min < r_max, or angular_samples that is not an integer of at least
-    8 raises FreeconvError before any probe.
+    crosses zero transversally at the boundary.  Every round is one call of
+    the pair's _holomorphic_probe, built once per call, so the ray that needs
+    the most rounds sets the cost.
+
+    A degree-1 pair (_degree_one: R_AB is the constant c = c_A c_B) has
+    g = 1/(z - c), and its indicator is 0 where the stability matrix has the
+    eigenvalue 1.  On the ray z = r e^{i phi} that determinant times
+    |z - c|^4 is the monic real quartic
+
+        Q(r) = (q - p_A)(q - p_B) - sigma_A^2 sigma_B^2 r^2,
+        q = |z - c|^2 = r^2 - 2 Re(c e^{-i phi}) r + |c|^2,
+
+    p_A = |c_A|^2 sigma_B^2, p_B = |c_B|^2 sigma_A^2, so every crossing is
+    one of its roots; _quartic_roots gives each ray's largest real root r*
+    in (r_min, r_max).  The first round probes r_max on every ray and
+    r* -+ delta, delta = _RADIAL_TOL / 4, where both lie in (r_min, r_max).
+    A ray with r_max outside, r* - delta inside and r* + delta outside
+    reports r*: a crossing lies within delta of it, where a scanned ray's
+    midpoint lies within _RADIAL_TOL / 2 of one.
+
+    Every other ray is scanned: every ray of a degree-2/5 pair, and a
+    degree-1 ray with no real root, an uncertified root or r_max inside.
+    The outward probe doubles r_max up to twice when r_max is the internal
+    estimate, one round (_scan) probes 24 points inward to r_min and keeps
+    the first inside one, and Illinois regula falsi (_illinois), projected
+    so that no ray takes more steps than bisection would, narrows that
+    bracket below _RADIAL_TOL; the ray reports its midpoint.  The scan keeps
+    the outermost crossing it brackets, so it can pass over an inside
+    interval shorter than its step, which the quartic finds.  A ray's
+    radius depends on no other ray of the call.
+
+    A point whose solve fails counts as inside, and is counted in
+    failed_solves; a ray whose r_min lies outside the support reads as
+    empty.  A non-finite angle, radii other than 0 < r_min < r_max, or
+    angular_samples that is not an integer of at least 8 raises
+    FreeconvError before any probe.
     """
     if angles is None:
         if not isinstance(angular_samples, numbers.Integral) or angular_samples < 8:
@@ -804,6 +838,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         raise FreeconvError(f"r_min and r_max must be positive, r_min < r_max: {r_min}, {r_max}")
     probe = _holomorphic_probe(rmap_a, rmap_b)
     units = np.exp(1j * np.array(angles, dtype=float))
+    n = len(angles)
     failed = 0
 
     def indicator(r: np.ndarray, rays: np.ndarray):
@@ -812,83 +847,103 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         values, _, ok = probe(r * units[rays])
         return np.where(ok, values, 1.0), ~ok
 
-    # outward probe: find an outside radius r_out on every ray
-    r_out = np.full(len(angles), float(r_max))
-    f_out = np.empty(len(angles))
-    rays = np.arange(len(angles))
-    for _ in range(3 if expandable else 1):
+    # the first round: r_max on every ray, and the certificate of every
+    # degree-1 root whose two points lie in (r_min, r_max)
+    root = _quartic_roots(rmap_a, rmap_b, units, r_min, r_max)
+    delta = 0.25 * _RADIAL_TOL
+    held = np.flatnonzero((root - delta > r_min) & (root + delta < r_max))
+    r_out = np.full(n, float(r_max))
+    rays = np.arange(n)
+    values, bad = indicator(np.concatenate([r_out, root[held] - delta, root[held] + delta]),
+                            np.concatenate([rays, held, held]))
+    failed += int(bad.sum())
+    f_out = values[:n]
+    below, above = values[n:].reshape(2, -1)
+    certified = held[(below > 0.0) & (above <= 0.0) & (f_out[held] <= 0.0)]
+
+    # outward probe on the rest: find an outside radius r_out on every ray
+    rays = rays[f_out > 0.0]
+    for _ in range(2 if expandable else 0):
         if not rays.size:
             break
+        r_out[rays] *= 2.0
         v, bad = indicator(r_out[rays], rays)
         failed += int(bad.sum())
         f_out[rays] = v
         rays = rays[v > 0.0]
-        r_out[rays] *= 2.0
-    empty = np.zeros(len(angles), dtype=bool)
+    empty = np.zeros(n, dtype=bool)
     empty[rays] = True  # the support reaches past r_max along these
 
     # scan inward to the first inside radius, then narrow every bracket
     # [lo, hi], indicator(lo) > 0 >= indicator(hi)
-    rays = np.flatnonzero(~empty)
-    lo, f_lo = np.full(len(rays), float(r_min)), np.zeros(len(rays))
+    todo = ~empty
+    todo[certified] = False
+    rays = np.flatnonzero(todo)
+    scanned = len(rays)
+    lo, f_lo = np.full(scanned, float(r_min)), np.zeros(scanned)
     hi, f_hi = r_out[rays], f_out[rays]
-    found, bad = _rescan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
-    failed += bad
-    empty[rays[~found]] = True
-    rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
-    failed += _illinois(indicator, rays, lo, hi, f_lo, f_hi)
+    if scanned:
+        found, bad = _scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
+        failed += bad
+        empty[rays[~found]] = True
+        rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
+        failed += _illinois(indicator, rays, lo, hi, f_lo, f_hi)
 
-    located = dict(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
+    located = dict(zip(certified.tolist(), root[certified].tolist()))
+    located.update(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
     points = tuple((located[i], phi) for i, phi in enumerate(angles) if i in located)
     return BoundaryResult(points=points,
                           empty_rays=tuple(phi for i, phi in enumerate(angles)
                                            if empty[i]),
-                          failed_solves=failed)
+                          failed_solves=failed, scanned_rays=scanned)
 
 
-def _rescan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
-    """Scan boundary_curve's rays inward with all of a round's points in one
-    call, and narrow the brackets [lo, hi] in place by scanning them again.
+def _quartic_roots(rmap_a: MatrixRMap, rmap_b: MatrixRMap, units: np.ndarray,
+                   r_min: float, r_max: float) -> np.ndarray:
+    """The largest real root in (r_min, r_max) of boundary_curve's quartic Q
+    on each ray of the unit directions units, -inf on a ray without one and
+    on every ray of a pair that is not of degree 1.
 
-    Every round evaluates n_scan points of every open bracket, inward from
-    hi, and keeps the first inside one and the point before it, with their
-    values in f_lo and f_hi.  The first round is the scan of the whole ray:
-    its points run to lo (r_min) itself, whose sign is not yet known, and a
-    ray with no inside point is left out of the returned mask.  A later
-    round places its points inside the bracket, whose lo is known to be
-    inside, so it narrows every bracket (n_scan + 1)-fold.  Later rounds run
-    while the open brackets hold at most _ROUND_POINTS points in all; past
-    that a round's cost follows its point count, and boundary_curve hands
-    the brackets still open to _illinois, which places one point per ray.
-    Also returns the failed solves, counted only at a ray's first inside
-    point."""
-    found = np.zeros(len(rays), dtype=bool)
-    failed = 0
-    todo = np.arange(len(rays))
-    k, divisions = np.arange(n_scan + 2), n_scan  # first round ends at lo
-    while todo.size:
-        a, b = lo[todo], hi[todo]
-        # columns: hi, the n_scan points, lo
-        r = b[:, None] + (a - b)[:, None] * k / divisions
-        r[:, -1] = a
-        v, bad = indicator(r[:, 1:-1].ravel(), np.repeat(rays[todo], n_scan))
-        f = np.empty_like(r)
-        f[:, 0], f[:, 1:-1], f[:, -1] = f_hi[todo], v.reshape(-1, n_scan), f_lo[todo]
-        inside = f > 0.0
-        inside[:, -1] = found[todo]
-        j = np.argmax(inside, axis=1)  # 0 where no point is inside: hi never is
-        rows = np.flatnonzero(j)
-        j, todo = j[rows], todo[rows]
-        scanned = j <= n_scan  # not lo
-        failed += int(bad.reshape(-1, n_scan)[rows[scanned], j[scanned] - 1].sum())
-        lo[todo], f_lo[todo] = r[rows, j], f[rows, j]
-        hi[todo], f_hi[todo] = r[rows, j - 1], f[rows, j - 1]
-        found[todo] = True
-        todo = todo[hi[todo] - lo[todo] > _RADIAL_TOL]
-        divisions = n_scan + 1
-        if len(todo) * n_scan > _ROUND_POINTS:
-            break
-    return found, failed
+    One np.linalg.eigvals call on the (rays, 4, 4) real companion matrices;
+    a real matrix's real eigenvalues come back with imaginary part 0, and a
+    near-double root that comes back as a complex pair is left to the scan.
+    """
+    constant = _degree_one(rmap_a, rmap_b)
+    if constant is None:
+        return np.full(len(units), -np.inf)
+    c, pa, pb = constant
+    beta = (c * units.conj()).real  # Re(c e^{-i phi})
+    m, s, k2 = abs(c) ** 2, pa + pb, (rmap_a.sigma * rmap_b.sigma) ** 2
+    # r^4 + a3 r^3 + a2 r^2 + a1 r + a0: the first row is -a3, -a2, -a1, -a0
+    companion = np.zeros((len(units), 4, 4))
+    companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    companion[:, 0, 0] = 4.0 * beta
+    companion[:, 0, 1] = k2 + s - 2.0 * m - 4.0 * beta * beta
+    companion[:, 0, 2] = beta * (4.0 * m - 2.0 * s)
+    companion[:, 0, 3] = (s - m) * m - pa * pb
+    roots = np.linalg.eigvals(companion)
+    real = (roots.imag == 0) & (roots.real > r_min) & (roots.real < r_max)
+    return np.where(real, roots.real, -np.inf).max(axis=1)
+
+
+def _scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
+    """Scan boundary_curve's rays inward from hi to lo (r_min) at n_scan
+    points each, all in one probe call, and narrow the brackets [lo, hi] in
+    place to the first inside point and the point before it, with their
+    values in f_lo and f_hi.  The points run to lo itself, whose sign is not
+    yet known.  Returns the mask of rays with an inside point, and the
+    failed solves, counted only at a ray's first inside point."""
+    # columns: hi, then the n_scan points, the last of them at lo
+    r = hi[:, None] + (lo - hi)[:, None] * np.arange(n_scan + 1) / n_scan
+    v, bad = indicator(r[:, 1:].ravel(), np.repeat(rays, n_scan))
+    f = np.empty_like(r)
+    f[:, 0], f[:, 1:] = f_hi, v.reshape(-1, n_scan)
+    j = np.argmax(f > 0.0, axis=1)  # 0 where no point is inside: hi never is
+    found = j > 0
+    rows, j = np.flatnonzero(found), j[found]
+    lo[rows], f_lo[rows] = r[rows, j], f[rows, j]
+    hi[rows], f_hi[rows] = r[rows, j - 1], f[rows, j - 1]
+    return found, int(bad.reshape(-1, n_scan)[rows, j - 1].sum())
 
 
 def _illinois(indicator, rays, lo, hi, f_lo, f_hi) -> int:

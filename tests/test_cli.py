@@ -354,13 +354,30 @@ def test_boundary_limacon_reference(tmp_path):
 
 
 def test_boundary_summary_counts_failed_solves(tmp_path):
+    # every Ginibre^2 ray takes its certified quartic root, so none is scanned
     out = tmp_path / "b.csv"
     rc = run_cli(tmp_path, "boundary", {
         "ensemble_a": GIN, "ensemble_b": GIN, "angular_samples": 8,
         "output": str(out)})
     assert rc == 0
     _, summary, _, _ = read_csv(out)
-    assert summary == {"rays": 8, "located": 8, "empty": 0, "failed_solves": 0}
+    assert summary == {"rays": 8, "located": 8, "empty": 0, "failed_solves": 0,
+                       "scanned_rays": 0}
+
+
+@pytest.mark.parametrize("ensemble_b,scanned", [
+    ({"kind": "shifted", "n": 24}, 2),   # the limacon's two rays past the cusps have no root
+    ({"kind": "gue", "n": 24}, 8),       # degree 5: every ray is scanned
+], ids=["limacon", "degree5"])
+def test_boundary_summary_counts_scanned_rays(tmp_path, ensemble_b, scanned):
+    ensemble_a = {"kind": "shifted", "n": 24} if ensemble_b["kind"] == "shifted" else ensemble_b
+    out = tmp_path / "b.csv"
+    rc = run_cli(tmp_path, "boundary", {
+        "ensemble_a": ensemble_a, "ensemble_b": ensemble_b, "angular_samples": 8,
+        "output": str(out)})
+    assert rc == 0
+    _, summary, _, _ = read_csv(out)
+    assert summary["scanned_rays"] == scanned and summary["failed_solves"] == 0
 
 
 def test_boundary_empty_when_capped(tmp_path, capsys):

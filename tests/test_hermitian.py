@@ -339,6 +339,38 @@ def test_constant_green_pole_and_certificate():
         green_from_r(liar, 1.0 + 1j)
 
 
+NARROW = gaussian_transform(1e-4)
+NARROW_X = [-2e-4 + k * 1e-5 for k in range(41)]
+
+
+@pytest.mark.parametrize("route", ["affine", "ladder"])
+def test_narrow_spectrum_certifies_on_its_support(route):
+    # |g| ~ 1/sigma = 1e4 there, so rounding alone leaves |g - 1/(z - R(g))|
+    # near 1e-12; the scale-free |g (z - R(g)) - 1| stays at the rounding level
+    t = NARROW if route == "affine" else dataclasses.replace(NARROW, affine=None)
+    for x in NARROW_X:
+        got = green_from_r(t, complex(x, 1e-6))
+        assert got.residual <= 1e-12
+        assert got.g == pytest.approx(1e4 * semicircle_green(complex(x, 1e-6) / 1e-4),
+                                      rel=1e-9)
+
+
+def test_narrow_spectrum_non_root_still_fails():
+    # alpha off by 1%: the root of that quadratic misses R's own by |g|^2 1e-10
+    liar = dataclasses.replace(NARROW, affine=(0.0, 1.01e-8))
+    for x in NARROW_X[::10]:
+        with pytest.raises(ConvergenceError, match="certificate"):
+            green_from_r(liar, complex(x, 1e-6))
+
+
+def test_cli_transform_of_a_narrow_spectrum(tmp_path):
+    job = tmp_path / "transform.json"
+    job.write_text(json.dumps({
+        "ensemble_a": {"kind": "gue", "n": 24, "sigma": 1e-4}, "start": -2e-4,
+        "stop": 2e-4, "count": 41, "output": str(tmp_path / "t.csv")}))
+    assert cli.main(["transform", "--config", str(job)]) == 0
+
+
 NAN = complex(math.nan, 0.0)
 
 

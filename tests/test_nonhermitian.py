@@ -930,46 +930,126 @@ def test_lockstep_boundary_matches_oracle_route(pair, angles, monkeypatch):
 
 
 def test_array_route_rounds_within_bisection_budget(monkeypatch):
-    # a small fan rescans each bracket 25x narrower per round, so no ray, not
-    # even one next to a cusp, needs more rounds than the widest bracket: 4
-    # here, where bisection would take 16.  A fan whose brackets overfill a
-    # round goes on by Illinois, one point per ray, within bisection's 16
-    # (near this pair's cusps unprojected Illinois needs 17).
-    pair = (elliptic_rmap(1.0, 0.0, 0.6 - 0.8j), elliptic_rmap(0.7, 0.0, 1.1 + 0.2j))
-    r_max = 1.5 * nonhermitian._support_scale(pair[0]) * nonhermitian._support_scale(
-        pair[1]) + 1.0
+    # a degree-5 pair takes no quartic: one outward round, the whole scan in
+    # one round, then Illinois, one point per bracket and round, which keeps
+    # every ray within bisection's step count at every fan size
+    r_max = 1.5 * nonhermitian._support_scale(TAU_PAIR[0]) * nonhermitian._support_scale(
+        TAU_PAIR[1]) + 1.0
     width = (r_max - 1e-4) / 24
-    rounds = {16: math.ceil(math.log(width / 1e-5) / math.log(25)),
-              128: math.ceil(math.log2(width / 1e-5))}
-    assert rounds == {16: 4, 128: 16}
-    for rays, bound in rounds.items():
+    bound = math.ceil(math.log2(width / 1e-5))
+    assert bound == 16
+    for rays in (16, 128):
         handed = counting_probes(monkeypatch)
-        res = boundary_curve(*pair, angular_samples=rays)
+        res = boundary_curve(*TAU_PAIR, angular_samples=rays)
         monkeypatch.undo()
         sizes = [len(z) for z in handed]
         assert sizes[:2] == [rays, rays * 24]  # one probe round, then the whole scan
         assert len(sizes) - 2 <= bound
-        brackets = len(res.points)
-        if rays == 16:
-            assert brackets * 24 <= nonhermitian._ROUND_POINTS
-            assert all(size % 24 == 0 for size in sizes[2:])  # 24 points per bracket
-        else:
-            assert brackets * 24 > nonhermitian._ROUND_POINTS
-            assert all(size <= brackets for size in sizes[2:])  # 1 point per bracket
+        assert all(size <= len(res.points) for size in sizes[2:])  # 1 point per bracket
+        assert res.scanned_rays == rays
 
 
-def test_array_route_fan_size_keeps_radii(monkeypatch):
-    # rescanning and Illinois locate the same crossings on the same fan
+def test_array_route_fan_size_keeps_radii():
+    # no ray's radius depends on the other rays of its call: each crossing of
+    # a 40-ray fan is where the same ray alone locates it, bit for bit
     angles = [-math.pi + (k + 0.5) * math.pi / 20 for k in range(40)]
+    for pair in (TAU_PAIR, (SHIFTED, SHIFTED)):
+        fan = boundary_curve(*pair, angles=angles)
+        alone = [boundary_curve(*pair, angles=[phi]) for phi in angles]
+        assert fan.points == tuple(p for res in alone for p in res.points)
+        assert fan.empty_rays == tuple(phi for res in alone for phi in res.empty_rays)
+        assert fan.scanned_rays == sum(res.scanned_rays for res in alone)
+
+
+def without_quartic(monkeypatch):
+    """Send every ray of boundary_curve to the scan: no ray has a quartic root."""
+    monkeypatch.setattr(nonhermitian, "_quartic_roots",
+                        lambda rmap_a, rmap_b, units, r_min, r_max: np.full(len(units), -np.inf))
+
+
+# degree-1 pairs with sigma in [0, 2]: tau = 0 factors, or a tau != 0 factor
+# times a centered tau = 0 one, in either order
+BOUNDARY_SIGMAS = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+BOUNDARY_FLAT = st.builds(lambda s, re, im: elliptic_rmap(s, 0.0, complex(re, im)),
+                          BOUNDARY_SIGMAS, SHIFT_PARTS, SHIFT_PARTS)
+BOUNDARY_TILTED = st.builds(lambda s, t, re, im: elliptic_rmap(s, t, complex(re, im)),
+                            BOUNDARY_SIGMAS, TAUS.filter(bool), SHIFT_PARTS, SHIFT_PARTS)
+BOUNDARY_CENTERED = st.builds(elliptic_rmap, BOUNDARY_SIGMAS)
+BOUNDARY_PAIRS = st.one_of(st.tuples(BOUNDARY_FLAT, BOUNDARY_FLAT),
+                           st.tuples(BOUNDARY_TILTED, BOUNDARY_CENTERED),
+                           st.tuples(BOUNDARY_CENTERED, BOUNDARY_TILTED))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(BOUNDARY_PAIRS)
+@example((GIN, GIN))
+@example((SHIFTED, SHIFTED))
+@example((elliptic_rmap(1.3, 0.0, 0.4 + 0.9j), elliptic_rmap(0.8, 0.0, -1.1 + 0.2j)))
+@example((constant_rmap(0.8 - 0.3j), elliptic_rmap(1.2, 0.0, 0.5)))
+@example((elliptic_rmap(1.2, 0.0, 0.5), constant_rmap(0.8 - 0.3j)))
+@example((constant_rmap(0.8 - 0.3j), constant_rmap(1.1)))
+@example((elliptic_rmap(1.0, 0.5, 0.7), GIN))
+# the scan's 24 points pass over an inside interval near the origin on some rays
+@example((elliptic_rmap(1.0456, 0.0, 1.0309 + 0.1799j), elliptic_rmap(0.7624, 0.0, 1.0358 + 1.2016j)))
+def test_quartic_route_matches_scan_route(pair):
+    # the certified quartic roots against the scan and Illinois on every ray
+    assert nonhermitian._degree_one(*pair) is not None
+    got = boundary_curve(*pair, angular_samples=16)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_quartic(monkeypatch)
+        want = boundary_curve(*pair, angular_samples=16)
+    assert got.failed_solves == want.failed_solves == 0
+    assert got.scanned_rays <= want.scanned_rays
+    located, scanned = ({phi: r for r, phi in res.points} for res in (got, want))
+    assert set(got.empty_rays) <= set(want.empty_rays)
+    for phi, r in located.items():
+        r_scan = scanned.get(phi)
+        if r_scan is not None and abs(r - r_scan) <= 2e-5:
+            continue
+        # the scan's 24 points skipped an inside interval that ends at r, so
+        # it reports a crossing further in, or none: r must be a crossing
+        assert r_scan is None or r_scan < r
+        assert branch_indicator(*pair, cmath.rect(r - 2.5e-6, phi)) > 0.0
+        assert branch_indicator(*pair, cmath.rect(r + 2.5e-6, phi)) <= 0.0
+
+
+@pytest.mark.parametrize("move", [1e-3, -1e-3], ids=["outward", "inward"])
+def test_uncertified_roots_fall_back_to_the_scan(move, monkeypatch):
+    # roots moved 1e-3 fail their certificate, outward at the point below
+    # them and inward at the point above them, and every ray then takes the
+    # scan, exactly as with no quartic at all
+    angles = [-math.pi + (k + 0.5) * math.pi / 8 for k in range(16)]
+    real = nonhermitian._quartic_roots
     for pair in ((GIN, GIN), (SHIFTED, SHIFTED)):
-        monkeypatch.setattr(nonhermitian, "_ROUND_POINTS", 0)
-        illinois = boundary_curve(*pair, angles=angles)
-        monkeypatch.setattr(nonhermitian, "_ROUND_POINTS", 10 ** 9)
-        rescan = boundary_curve(*pair, angles=angles)
-        assert rescan.empty_rays == illinois.empty_rays
-        assert [phi for _, phi in rescan.points] == [phi for _, phi in illinois.points]
-        for (r, _), (r_want, _) in zip(rescan.points, illinois.points):
-            assert r == pytest.approx(r_want, abs=2e-5)
+        quartic = boundary_curve(*pair, angles=angles)
+        monkeypatch.setattr(nonhermitian, "_quartic_roots",
+                            lambda *args: real(*args) + move)
+        fallback = boundary_curve(*pair, angles=angles)
+        without_quartic(monkeypatch)
+        scan = boundary_curve(*pair, angles=angles)
+        monkeypatch.undo()
+        assert fallback == scan
+        assert fallback.scanned_rays == 16
+        assert quartic.scanned_rays == len(quartic.empty_rays)  # no root past the cusps
+        assert quartic.empty_rays == scan.empty_rays
+        assert [phi for _, phi in quartic.points] == [phi for _, phi in scan.points]
+        for (r, _), (r_scan, _) in zip(quartic.points, scan.points):
+            assert r == pytest.approx(r_scan, abs=1e-5)
+
+
+@pytest.mark.parametrize("pair", [(GIN, GIN), (SHIFTED, SHIFTED)], ids=["ginibre2", "limacon"])
+@pytest.mark.parametrize("offset", [0.05, 0.2, 0.4])
+def test_degree_one_fan_within_two_probe_rounds(pair, offset, monkeypatch):
+    # the benchmark's calls: 6 rays of a 12-ray fan.  One round probes r_max
+    # and certifies every root; a second scans the rays without one
+    fan = [math.remainder(-math.pi + offset + k * math.pi / 6, 2.0 * math.pi)
+           for k in range(12)]
+    for angles in (fan[0::2], fan[1::2]):
+        handed = counting_probes(monkeypatch)
+        res = boundary_curve(*pair, angles=angles)
+        monkeypatch.undo()
+        assert len(handed) == (1 if res.scanned_rays == 0 else 2)
+        assert res.scanned_rays == len(res.empty_rays)
 
 
 @pytest.mark.parametrize("offset", [0.05, 0.2, 0.4])
@@ -992,9 +1072,15 @@ def test_boundary_counts_failed_solves_on_array_route():
     a, b = elliptic_rmap(0.01, 0.0, 2.0), elliptic_rmap(0.01, 0.0, 1.0)
     probe = boundary_curve(a, b, angles=[0.0], r_max=2.0)
     assert probe.empty_rays == (0.0,) and probe.failed_solves == 1
-    scan = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)  # z = 2 ends the scan
-    assert scan.failed_solves == 1
-    assert scan.points[0][0] == pytest.approx(2.02, abs=0.01)
+    # the quartic's root near 2.02 is certified without a probe at z = 2
+    quartic = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)
+    assert quartic.failed_solves == quartic.scanned_rays == 0
+    assert quartic.points[0][0] == pytest.approx(2.02, abs=0.01)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_quartic(monkeypatch)
+        scan = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)  # z = 2 ends the scan
+    assert scan.failed_solves == scan.scanned_rays == 1
+    assert scan.points[0][0] == pytest.approx(quartic.points[0][0], abs=1e-5)
 
 
 def test_boundary_counts_failed_solves(monkeypatch):
