@@ -47,7 +47,6 @@ from .hermitian import (
 from .montecarlo import (
     ComparisonReport,
     EigenCloud,
-    Exclusions,
     RadialProfile,
     SliceHistogram,
     compare_density,

@@ -48,6 +48,9 @@ _PROFILE_TRIALS = {"quick": 100, "paper-scale": 20000}
 _DEFAULT_EPSILON = {"transform": 1e-6, "compare": 1e-2}
 # a boundary scan round holds rays x 25 values; 16x acceptance criterion 3's 256 rays
 _MAX_RAYS = 4096
+# solve-product and density on the generic route peak at about 5 KB a node
+# (219 MB at 40,000 nodes of a tau = 0.5 pair), so a grid stays below 0.5 GB
+_MAX_NODES = 100_000
 
 
 @dataclass
@@ -151,10 +154,15 @@ def _grid(raw, key, problems):
         problems.append(f"{key} must be an object with kind/ranges/resolution")
         return None
     try:
-        return GridSpec.from_dict(raw)
+        grid = GridSpec.from_dict(raw)
     except GridError as exc:
         problems.append(f"{key}: {exc}")
         return None
+    n0, n1 = grid.resolution
+    if n0 * n1 <= _MAX_NODES:
+        return grid
+    problems.append(f"{key}: {n0} x {n1} nodes exceed the limit of {_MAX_NODES}")
+    return None
 
 
 class _Option(NamedTuple):

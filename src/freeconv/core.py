@@ -39,10 +39,6 @@ class Complex2x2:
             self.q21 * other.q12 + self.q22 * other.q22,
         )
 
-    def __add__(self, other: "Complex2x2") -> "Complex2x2":
-        return Complex2x2(self.q11 + other.q11, self.q12 + other.q12,
-                          self.q21 + other.q21, self.q22 + other.q22)
-
     def __sub__(self, other: "Complex2x2") -> "Complex2x2":
         return Complex2x2(self.q11 - other.q11, self.q12 - other.q12,
                           self.q21 - other.q21, self.q22 - other.q22)

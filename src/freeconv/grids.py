@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError
+
+
+def _finite_real(x) -> bool:
+    """x is a real number, not a bool, with a finite float value.  Pure
+    Python: boundary_curve validates its inputs with it too, where every
+    distinct numpy function would cost tens of microseconds."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -27,23 +40,29 @@ class GridSpec:
         problems = []
         if self.kind not in ("cartesian", "polar"):
             problems.append(f"grid kind must be 'cartesian' or 'polar', got {self.kind!r}")
-        if len(self.ranges) != 2 or any(len(r) != 2 for r in self.ranges):
-            problems.append("ranges must be ((lo, hi), (lo, hi))")
+        ranges, resolution = (x if isinstance(x, (list, tuple)) else ()
+                              for x in (self.ranges, self.resolution))
+        if not (len(ranges) == 2 and all(isinstance(r, (list, tuple)) and len(r) == 2
+                                         and all(map(_finite_real, r)) for r in ranges)):
+            problems.append("ranges must be ((lo, hi), (lo, hi)) of finite real numbers, "
+                            f"got {self.ranges!r}")
         else:
-            for axis, (lo, hi) in enumerate(self.ranges):
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    problems.append(f"axis {axis}: range ({lo}, {hi}) is not finite")
-                elif not hi > lo:
+            ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
+            for axis, (lo, hi) in enumerate(ranges):
+                if not hi > lo:
                     problems.append(f"axis {axis}: range ({lo}, {hi}) is empty")
-            if self.kind == "polar" and self.ranges[0][0] <= 0:
+            if self.kind == "polar" and ranges[0][0] <= 0:
                 problems.append("polar grids need r > 0")
-        if len(self.resolution) != 2 or any(int(n) < 2 for n in self.resolution):
+        if not (len(resolution) == 2 and all(isinstance(n, numbers.Integral)
+                                             and not isinstance(n, bool) for n in resolution)):
+            problems.append(f"resolution must be two integers, got {self.resolution!r}")
+        elif min(resolution) < 2:
             problems.append("need at least 2 points per axis (steps() divides by n - 1)")
         if problems:
             raise GridError("; ".join(problems))
         # normalize to plain tuples of floats/ints so equality is structural
-        object.__setattr__(self, "ranges", tuple((float(lo), float(hi)) for lo, hi in self.ranges))
-        object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "resolution", tuple(int(n) for n in resolution))
 
     def axes(self):
         """The two 1-d coordinate arrays (x, y) or (r, phi)."""
@@ -75,8 +94,6 @@ class GridSpec:
     @staticmethod
     def from_dict(d: dict) -> "GridSpec":
         try:
-            return GridSpec(kind=d["kind"],
-                            ranges=tuple(tuple(r) for r in d["ranges"]),
-                            resolution=tuple(d["resolution"]))
+            return GridSpec(kind=d["kind"], ranges=d["ranges"], resolution=d["resolution"])
         except KeyError as exc:
             raise GridError(f"grid spec missing key {exc}") from exc

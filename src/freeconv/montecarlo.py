@@ -17,6 +17,14 @@ _RETRY_OFFSET = 1 << 32  # trial index shift for the one retry per failed trial
 # numpy's linalg gufuncs release the GIL only when stack size * n > 500;
 # trials are stacked k = ceil(_GIL_ITEMS / n) at a time to clear that
 _GIL_ITEMS = 512
+# cells that density comparisons leave out: the disk |z| < _CORE_RADIUS
+# around the origin, where 1/r-type densities overwhelm cell averaging; a
+# collar of _COLLAR_CELLS cells around the support boundary, where the
+# analytic density jumps; cells expecting fewer than _MIN_EXPECTED samples,
+# too few for the normal approximation
+_CORE_RADIUS = 0.1
+_COLLAR_CELLS = 2
+_MIN_EXPECTED = 10.0
 
 
 def _mix(seed: int, salt: int) -> int:
@@ -192,22 +200,6 @@ def histogram2d(cloud: EigenCloud, grid: GridSpec) -> DensityField:
 
 
 @dataclass(frozen=True)
-class Exclusions:
-    """Cells left out of density comparisons.
-
-    core_radius removes the neighborhood of the origin where 1/r-type
-    densities overwhelm cell averaging; collar_cells removes a band of cells
-    around the support boundary (where the analytic density jumps);
-    min_expected removes cells whose expected count is too small for the
-    normal approximation.
-    """
-
-    core_radius: float = 0.1
-    collar_cells: int = 2
-    min_expected: float = 10.0
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     l1_distance: float
     max_deviation: float
@@ -233,11 +225,10 @@ def _dilate(mask: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
-def comparison_cells(analytic: DensityField, total: float,
-                     exclusions: Exclusions = Exclusions()):
+def comparison_cells(analytic: DensityField, total: float):
     """(included, expected, excluded): the cells of analytic.grid left after
     dropping the origin core, a collar around the analytic support boundary
-    and the cells expecting fewer than min_expected of total samples; the
+    and the cells expecting fewer than _MIN_EXPECTED of total samples; the
     expected counts; the size of each dropped set.  Only the last set depends
     on total, shrinking as it grows.  Raises GridError when no cell is left."""
     grid = analytic.grid
@@ -248,11 +239,11 @@ def comparison_cells(analytic: DensityField, total: float,
     boundary[1:, :] |= inside[1:, :] != inside[:-1, :]
     boundary[:, :-1] |= inside[:, :-1] != inside[:, 1:]
     boundary[:, 1:] |= inside[:, 1:] != inside[:, :-1]
-    collar = _dilate(boundary, exclusions.collar_cells)
+    collar = _dilate(boundary, _COLLAR_CELLS)
 
-    core = np.abs(grid.points()) < exclusions.core_radius
+    core = np.abs(grid.points()) < _CORE_RADIUS
     expected = analytic.rho * (hx * hy) * total
-    low = expected < exclusions.min_expected
+    low = expected < _MIN_EXPECTED
 
     included = ~(core | collar | low)
     if not included.any():
@@ -261,8 +252,7 @@ def comparison_cells(analytic: DensityField, total: float,
                                 "low_count": int(low.sum())}
 
 
-def compare_density(empirical: DensityField, analytic: DensityField,
-                    exclusions: Exclusions = Exclusions()) -> ComparisonReport:
+def compare_density(empirical: DensityField, analytic: DensityField) -> ComparisonReport:
     """Masked L1 and max deviation between an empirical and an analytic field.
 
     Both fields must live on the identical grid.  The comparison keeps the
@@ -275,7 +265,7 @@ def compare_density(empirical: DensityField, analytic: DensityField,
         raise FreeconvError("empirical field lacks raw counts; use histogram2d")
     hx, hy = empirical.grid.steps()
     total = float(empirical.counts.sum())
-    included, expected, excluded = comparison_cells(analytic, total, exclusions)
+    included, expected, excluded = comparison_cells(analytic, total)
     diff = np.abs(empirical.rho - analytic.rho)[included]
     report = ComparisonReport(
         l1_distance=float(np.sum(diff) * (hx * hy)),

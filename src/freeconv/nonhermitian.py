@@ -37,13 +37,14 @@ from .errors import (
     OriginError,
     SingularMatrixError,
 )
-from .grids import GridSpec
+from .grids import GridSpec, _finite_real
 from . import hermitian
 from .hermitian import ScalarTransform
 
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
+_SCAN_POINTS = 24      # boundary_curve's scan points per ray, inward from r_max
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
@@ -803,11 +804,17 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     reports r*: a crossing lies within delta of it, where a scanned ray's
     midpoint lies within _RADIAL_TOL / 2 of one.
 
+    A ray that reads inside at r_max reports empty.  The internal r_max,
+    1.5 s_A s_B + 1 with s = |shift| + 2 sigma, lies past the whole support:
+    the support of A B lies in its spectrum, so within |z| <= ||A|| ||B||
+    (Burda, Janik & Nowak, arXiv:1104.2452), and an elliptic factor's norm
+    is at most |shift| + 2 sigma (its singular values end at 2 sigma for
+    every tau).
+
     Every other ray is scanned: every ray of a degree-2/5 pair, and a
-    degree-1 ray with no real root, an uncertified root or r_max inside.
-    The outward probe doubles r_max up to twice when r_max is the internal
-    estimate, one round (_scan) probes 24 points inward to r_min and keeps
-    the first inside one, and Illinois regula falsi (_illinois), projected
+    degree-1 ray with no real root or an uncertified root.  One round
+    (_scan) probes _SCAN_POINTS points inward to r_min and keeps the first
+    inside one, and Illinois regula falsi (_illinois), projected
     so that no ray takes more steps than bisection would, narrows that
     bracket below _RADIAL_TOL; the ray reports its midpoint.  The scan keeps
     the outermost crossing it brackets, so it can pass over an inside
@@ -816,7 +823,8 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
 
     A point whose solve fails counts as inside, and is counted in
     failed_solves; a ray whose r_min lies outside the support reads as
-    empty.  A non-finite angle, radii other than 0 < r_min < r_max, or
+    empty.  Angles that are not an iterable of real numbers, a non-finite
+    or non-real angle or radius, radii other than 0 < r_min < r_max, or
     angular_samples that is not an integer of at least 8 raises
     FreeconvError before any probe.
     """
@@ -827,11 +835,17 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         angles = [-math.pi + (k + 0.5) * 2.0 * math.pi / angular_samples
                   for k in range(angular_samples)]
     else:
-        angles = [float(p) for p in angles]
-    nonfinite = [x for x in (*angles, r_min, r_max) if x is not None and not math.isfinite(x)]
-    if nonfinite:
-        raise FreeconvError(f"angles, r_min and r_max must be finite, got {nonfinite[0]}")
-    expandable = r_max is None  # only the internal estimate may be enlarged
+        try:
+            angles = list(angles)
+        except TypeError:
+            raise FreeconvError(f"angles must be an iterable of real numbers, "
+                                f"got {angles!r}") from None
+    given = (*angles, r_min) if r_max is None else (*angles, r_min, r_max)
+    bad = [x for x in given if not _finite_real(x)]
+    if bad:
+        raise FreeconvError(
+            f"angles, r_min and r_max must be finite real numbers, got {bad[0]!r}")
+    angles = [float(p) for p in angles]
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0
     if not 0 < r_min < r_max:
@@ -853,26 +867,13 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     delta = 0.25 * _RADIAL_TOL
     held = np.flatnonzero((root - delta > r_min) & (root + delta < r_max))
     r_out = np.full(n, float(r_max))
-    rays = np.arange(n)
     values, bad = indicator(np.concatenate([r_out, root[held] - delta, root[held] + delta]),
-                            np.concatenate([rays, held, held]))
+                            np.concatenate([np.arange(n), held, held]))
     failed += int(bad.sum())
     f_out = values[:n]
     below, above = values[n:].reshape(2, -1)
     certified = held[(below > 0.0) & (above <= 0.0) & (f_out[held] <= 0.0)]
-
-    # outward probe on the rest: find an outside radius r_out on every ray
-    rays = rays[f_out > 0.0]
-    for _ in range(2 if expandable else 0):
-        if not rays.size:
-            break
-        r_out[rays] *= 2.0
-        v, bad = indicator(r_out[rays], rays)
-        failed += int(bad.sum())
-        f_out[rays] = v
-        rays = rays[v > 0.0]
-    empty = np.zeros(n, dtype=bool)
-    empty[rays] = True  # the support reaches past r_max along these
+    empty = f_out > 0.0  # inside at r_max: past an explicit cap, or a failed solve
 
     # scan inward to the first inside radius, then narrow every bracket
     # [lo, hi], indicator(lo) > 0 >= indicator(hi)
@@ -883,7 +884,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     lo, f_lo = np.full(scanned, float(r_min)), np.zeros(scanned)
     hi, f_hi = r_out[rays], f_out[rays]
     if scanned:
-        found, bad = _scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan=24)
+        found, bad = _scan(indicator, rays, lo, hi, f_lo, f_hi)
         failed += bad
         empty[rays[~found]] = True
         rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
@@ -926,24 +927,24 @@ def _quartic_roots(rmap_a: MatrixRMap, rmap_b: MatrixRMap, units: np.ndarray,
     return np.where(real, roots.real, -np.inf).max(axis=1)
 
 
-def _scan(indicator, rays, lo, hi, f_lo, f_hi, n_scan: int):
-    """Scan boundary_curve's rays inward from hi to lo (r_min) at n_scan
-    points each, all in one probe call, and narrow the brackets [lo, hi] in
-    place to the first inside point and the point before it, with their
-    values in f_lo and f_hi.  The points run to lo itself, whose sign is not
-    yet known.  Returns the mask of rays with an inside point, and the
-    failed solves, counted only at a ray's first inside point."""
-    # columns: hi, then the n_scan points, the last of them at lo
-    r = hi[:, None] + (lo - hi)[:, None] * np.arange(n_scan + 1) / n_scan
-    v, bad = indicator(r[:, 1:].ravel(), np.repeat(rays, n_scan))
+def _scan(indicator, rays, lo, hi, f_lo, f_hi):
+    """Scan boundary_curve's rays inward from hi to lo (r_min) at
+    _SCAN_POINTS points each, all in one probe call, and narrow the brackets
+    [lo, hi] in place to the first inside point and the point before it,
+    with their values in f_lo and f_hi.  The points run to lo itself, whose
+    sign is not yet known.  Returns the mask of rays with an inside point,
+    and the failed solves, counted only at a ray's first inside point."""
+    # columns: hi, then the _SCAN_POINTS points, the last of them at lo
+    r = hi[:, None] + (lo - hi)[:, None] * np.arange(_SCAN_POINTS + 1) / _SCAN_POINTS
+    v, bad = indicator(r[:, 1:].ravel(), np.repeat(rays, _SCAN_POINTS))
     f = np.empty_like(r)
-    f[:, 0], f[:, 1:] = f_hi, v.reshape(-1, n_scan)
+    f[:, 0], f[:, 1:] = f_hi, v.reshape(-1, _SCAN_POINTS)
     j = np.argmax(f > 0.0, axis=1)  # 0 where no point is inside: hi never is
     found = j > 0
     rows, j = np.flatnonzero(found), j[found]
     lo[rows], f_lo[rows] = r[rows, j], f[rows, j]
     hi[rows], f_hi[rows] = r[rows, j - 1], f[rows, j - 1]
-    return found, int(bad.reshape(-1, n_scan)[rows, j - 1].sum())
+    return found, int(bad.reshape(-1, _SCAN_POINTS)[rows, j - 1].sum())
 
 
 def _illinois(indicator, rays, lo, hi, f_lo, f_hi) -> int:
@@ -1143,33 +1144,36 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> PointDensi
     return PointDensity(rho=float(dbar.real[0]) / math.pi, rot=float(_curl(dbar)[0][0]))
 
 
-def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec,
-                  force_generic: bool = False) -> DensityField:
+def density_field(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec) -> DensityField:
     """Eigenvalue density of A B on a full grid.
 
     Registered pairs (centered elliptic x centered elliptic; unit-shift
-    Ginibre squares) evaluate their closed forms.  Everything else solves the
-    product system at every node with _solve_nodes and applies the Gauss law
-    at each node on its own, with _dbar_g11's exact derivative:
-    rho = Re dG11/dconj(z) / pi and rot = -2 Im dG11/dconj(z).  Nodes where
-    the solver fails or the derivative is not finite are holes (NaN rho and
-    rot); more than 5% holes aborts with GridError.
+    Ginibre squares) evaluate their closed forms.  Everything else takes the
+    generic route, _generic_density.  A grid that contains z = 0 raises
+    GridError.
     """
-    points = grid.points()
     if grid.contains_origin():
         raise GridError("grid contains z = 0; offset the ranges to avoid the origin")
-    law = None if force_generic else closed_form(rmap_a, rmap_b)
+    law = closed_form(rmap_a, rmap_b)
+    if law is None:
+        return _generic_density(rmap_a, rmap_b, grid)
+    points = grid.points()
+    g11, rho = zip(*map(law.point, points.ravel().tolist()))
+    return DensityField(grid=grid, rho=np.array(rho, dtype=float).reshape(points.shape),
+                        g11=np.array(g11, dtype=complex).reshape(points.shape),
+                        rot=np.zeros(points.shape), rot_residual=0.0,
+                        route=f"closed-form:{law.kind}")
 
-    if law is not None:
-        g11 = np.empty(points.shape, dtype=complex)
-        rho = np.empty(points.shape, dtype=float)
-        it = np.nditer(points, flags=["multi_index"])
-        for zv in it:
-            g11[it.multi_index], rho[it.multi_index] = law.point(complex(zv))
-        return DensityField(grid=grid, rho=rho, g11=g11,
-                            rot=np.zeros(points.shape), rot_residual=0.0,
-                            route=f"closed-form:{law.kind}")
 
+def _generic_density(rmap_a: MatrixRMap, rmap_b: MatrixRMap, grid: GridSpec) -> DensityField:
+    """density_field's generic route, which the tests also run on registered
+    pairs against their closed forms: solve the product system at every node
+    with _solve_nodes and apply the Gauss law at each node on its own, with
+    _dbar_g11's exact derivative: rho = Re dG11/dconj(z) / pi and
+    rot = -2 Im dG11/dconj(z).  Nodes where the solver fails or the
+    derivative is not finite are holes (NaN rho and rot); more than 5% holes
+    aborts with GridError."""
+    points = grid.points()
     solved = _solve_nodes(rmap_a, rmap_b, points)
     dbar = _dbar_g11(rmap_a, rmap_b, solved)
     holes = int(np.count_nonzero(~np.isfinite(dbar)))
@@ -1219,10 +1223,10 @@ class IdentityReport:
     retried: bool = False
 
 
-def _matrix_fixed_point(step, seed: Complex2x2, tol: float, handoff: float):
+def _matrix_fixed_point(step, seed: Complex2x2, handoff: float):
     """Fixed point of step on 2x2 matrices, by _fixed_point on the entries
     (one node, at most _IDENTITY_MAX_FP damped steps, the given hand-off);
-    raises ConvergenceError unless its update is below tol."""
+    raises ConvergenceError unless its update is below _IDENTITY_TOL."""
 
     def entries(m: Complex2x2):
         return m.q11, m.q12, m.q21, m.q22
@@ -1231,13 +1235,13 @@ def _matrix_fixed_point(step, seed: Complex2x2, tol: float, handoff: float):
         return np.array([entries(step(Complex2x2(*c))) for c in x.T.tolist()],
                         dtype=complex).T
 
-    fp = _fixed_point(columns, np.array(entries(seed), dtype=complex)[:, None], tol,
-                      _IDENTITY_MAX_FP, handoff)
+    fp = _fixed_point(columns, np.array(entries(seed), dtype=complex)[:, None],
+                      _IDENTITY_TOL, _IDENTITY_MAX_FP, handoff)
     if fp.failed[0]:
         raise ConvergenceError("matrix fixed point hit non-finite values")
     x = Complex2x2(*fp.values[:, 0].tolist())
     delta = (step(x) - x).norm_max()
-    if delta < tol:
+    if delta < _IDENTITY_TOL:
         return x
     raise ConvergenceError("matrix fixed point stalled", residual=delta)
 
@@ -1296,8 +1300,8 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
         """(S_A^(L), S_B^(R), factorization defect), or None where a fixed
         point does not converge."""
         try:
-            s_left = _matrix_fixed_point(step_left, seed_a, _IDENTITY_TOL, handoff)
-            s_right = _matrix_fixed_point(step_right, seed_b, _IDENTITY_TOL, handoff)
+            s_left = _matrix_fixed_point(step_left, seed_a, handoff)
+            s_right = _matrix_fixed_point(step_right, seed_b, handoff)
         except ConvergenceError:
             return None
         return s_left, s_right, float((invert(rm) - s_right @ s_left).norm_max())

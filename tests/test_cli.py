@@ -11,6 +11,7 @@ import pytest
 
 from freeconv import cli, nonhermitian
 from freeconv.errors import ConvergenceError, SpecValidationError
+from freeconv.grids import GridSpec
 
 GIN = {"kind": "ginibre", "n": 24}
 GUE = {"kind": "gue", "n": 24}
@@ -222,6 +223,41 @@ def test_solve_product_partial_failure(tmp_path, capsys):
 
 
 EDGE_GRID = {"kind": "polar", "ranges": [[0.85, 1.15], [-0.3, 0.3]], "resolution": [6, 3]}
+
+
+def singular_everywhere(monkeypatch):
+    """Make the certificate find Z - Sigma_A^L Sigma_B^R singular at every
+    node, so that every product solve fails."""
+    real_certificate = nonhermitian._product_equations
+
+    def singular(*args):
+        sal, sbr, residuals, det = real_certificate(*args)
+        return sal, sbr, residuals, np.zeros_like(det)
+
+    monkeypatch.setattr(nonhermitian, "_product_equations", singular)
+
+
+def test_solve_product_total_failure(tmp_path, capsys, monkeypatch):
+    singular_everywhere(monkeypatch)
+    out = tmp_path / "sp.csv"
+    rc = run_cli(tmp_path, "solve-product", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "grid": EDGE_GRID, "output": str(out)})
+    assert rc == 3
+    assert "error: all 18 grid points failed to solve" in capsys.readouterr().err
+    _, summary, _, rows = read_csv(out)    # the table still records every node
+    assert summary["failed"] == summary["points"] == 18
+    assert all(r[-1] == "failed" for r in rows)
+
+
+def test_density_aborts_on_many_holes(tmp_path, capsys, monkeypatch):
+    # ELLIPTIC x GIN has no closed form, so every node is a generic solve
+    singular_everywhere(monkeypatch)
+    out = tmp_path / "d.csv"
+    rc = run_cli(tmp_path, "density", {
+        "ensemble_a": ELLIPTIC, "ensemble_b": GIN, "grid": EDGE_GRID, "output": str(out)})
+    assert rc == 2
+    assert "error: 18 of 18 grid nodes have no density" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_product_counts_capped_nodes(tmp_path):
@@ -465,6 +501,69 @@ def test_compare_json(tmp_path):
     assert "output" not in prov and "workers" not in prov
 
 
+def test_compare_aborts_on_many_holes_before_sampling(tmp_path, capsys, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sampled after the analytic field failed")
+
+    singular_everywhere(monkeypatch)
+    monkeypatch.setattr(cli.montecarlo, "product_eigenvalues", unexpected)
+    out = tmp_path / "cmp.json"
+    rc = run_cli(tmp_path, "compare", {
+        "ensemble_a": ELLIPTIC, "ensemble_b": GIN, "trials": 8,
+        "grid": COMPARE_GRID, "output": str(out)})
+    assert rc == 2
+    assert "error: 324 of 324 grid nodes have no density" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # every eigensolve fails, the stacked one, each trial's and its retry
+    def failing(a):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    out = tmp_path / "ev.csv"
+    rc = run_cli(tmp_path, "sample", {
+        "ensemble_a": {"kind": "ginibre", "n": 8}, "ensemble_b": {"kind": "ginibre", "n": 8},
+        "trials": 3, "output": str(out)})
+    assert rc == 2
+    assert "error: 3 of 3 trials failed the eigensolve twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ensemble_a,ensemble_b,grid,trials,route", [
+    # the limacon's closed form; its 2-cell collar around the cusp at the
+    # origin leaves cells to compare only from about 32 trials of n = 24
+    ({"kind": "shifted", "n": 24}, {"kind": "shifted", "n": 24},
+     {"kind": "cartesian", "ranges": [[-1.7, 3.9], [-2.9, 2.9]], "resolution": [18, 18]},
+     32, "closed-form:limacon"),
+    # no closed form: every slice bin takes density_at
+    (ELLIPTIC, GIN,
+     {"kind": "cartesian", "ranges": [[-2.5, 2.5], [-2.5, 2.5]], "resolution": [20, 20]},
+     8, "generic"),
+], ids=["limacon", "density_at"])
+def test_compare_paper_scale_slice(tmp_path, ensemble_a, ensemble_b, grid, trials, route):
+    config = {"ensemble_a": ensemble_a, "ensemble_b": ensemble_b, "grid": grid,
+              "profile": "paper-scale", "trials": trials, "epsilon": 0.25}
+    blobs = []
+    for name in ("first.json", "second.json"):
+        assert run_cli(tmp_path, "compare", dict(config, output=str(tmp_path / name))) == 0
+        blobs.append((tmp_path / name).read_bytes())
+    assert blobs[0] == blobs[1]
+    payload = json.loads(blobs[0])
+    assert payload["analytic_route"] == route
+    assert payload["provenance"]["trials"] == trials
+    sl = payload["slice"]
+    assert set(sl) == {"eps", "count", "empty", "normalization", "edges", "density",
+                       "analytic_rho", "analytic_density"}
+    assert sl["eps"] == 0.25 and sl["count"] > 0 and sl["empty"] is False
+    assert len(sl["edges"]) == 17 and len(sl["density"]) == len(sl["analytic_rho"]) == 16
+    width = sl["edges"][1] - sl["edges"][0]
+    bins = [v for v in sl["analytic_density"] if v is not None]
+    assert bins and sum(bins) * width == pytest.approx(1.0, abs=1e-12)
+    assert sum(sl["density"]) * width == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -615,6 +714,59 @@ def test_nonnumeric_spec_rejected(tmp_path, capsys, ensemble_b, fragment):
     assert run_cli(tmp_path, "boundary", config) == 1
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid,fragment", [
+    ({"resolution": ["x", 2]}, "resolution must be two integers"),
+    ({"resolution": [2.5, 3]}, "resolution must be two integers"),
+    ({"resolution": [1e9, 1e9]}, "resolution must be two integers"),
+    ({"resolution": [True, 3]}, "resolution must be two integers"),
+    ({"resolution": 5}, "resolution must be two integers"),
+    ({"resolution": [3, 3, 3]}, "resolution must be two integers"),
+    ({"ranges": [["a", 1.0], [-1.0, 1.0]]}, "of finite real numbers"),
+    ({"ranges": [[0.1, None], [-1.0, 1.0]]}, "of finite real numbers"),
+    ({"ranges": [[0.1, True], [-1.0, 1.0]]}, "of finite real numbers"),
+    ({"ranges": 5}, "ranges must be ((lo, hi), (lo, hi))"),
+    ({"ranges": [0.1, 1.0]}, "ranges must be ((lo, hi), (lo, hi))"),
+    ({"ranges": [[0.1, 10 ** 400], [-1.0, 1.0]]}, "of finite real numbers"),
+], ids=["string_resolution", "float_resolution", "huge_float_resolution", "bool_resolution",
+        "scalar_resolution", "three_resolutions", "string_range", "null_range", "bool_range",
+        "scalar_ranges", "flat_ranges", "huge_integer_range"])
+def test_malformed_grid_rejected(tmp_path, capsys, grid, fragment):
+    out = tmp_path / "d.csv"
+    grid = dict({"kind": "polar", "ranges": [[0.1, 1.0], [-1.0, 1.0]],
+                 "resolution": [3, 3]}, **grid)
+    rc = run_cli(tmp_path, "density", {
+        "ensemble_a": GIN, "ensemble_b": GIN, "grid": grid, "output": str(out)})
+    assert rc == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-product", "density", "compare"])
+@pytest.mark.parametrize("resolution", [[cli._MAX_NODES // 2 + 1, 2], [10 ** 9, 10 ** 9]],
+                         ids=["past_the_limit", "a_billion_squared"])
+def test_grid_nodes_bounded_before_allocation(tmp_path, capsys, monkeypatch, command,
+                                              resolution):
+    def unexpected(self):
+        raise AssertionError("grid nodes allocated")
+
+    monkeypatch.setattr(GridSpec, "points", unexpected)
+    out = tmp_path / "o.json"
+    rc = run_cli(tmp_path, command, {
+        "ensemble_a": GIN, "ensemble_b": GIN, "trials": 2, "output": str(out),
+        "grid": {"kind": "cartesian", "ranges": [[0.1, 1.0], [0.1, 1.0]],
+                 "resolution": resolution}})
+    assert rc == 1
+    n0, n1 = resolution
+    assert (f"{n0} x {n1} nodes exceed the limit of {cli._MAX_NODES}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # the limit itself is accepted
+    job = cli.build_job("density", {"ensemble_a": GIN, "ensemble_b": GIN, "output": "d.csv",
+                                    "grid": {"kind": "polar", "ranges": [[0.1, 1.0], [0.1, 1.0]],
+                                             "resolution": [cli._MAX_NODES // 2, 2]}})
+    assert job.grid.resolution == (cli._MAX_NODES // 2, 2)
 
 
 def test_validation_aggregates_everything(tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from freeconv import montecarlo
 from freeconv.ensembles import EnsembleSpec, sample
 from freeconv.errors import (EmptyCloudError, FreeconvError, GridError,
                              SampleFailureError)
@@ -14,7 +15,6 @@ from freeconv.grids import GridSpec
 from freeconv.montecarlo import (
     _RETRY_OFFSET,
     EigenCloud,
-    Exclusions,
     _mix,
     compare_density,
     comparison_cells,
@@ -312,10 +312,12 @@ def test_compare_gue_product_same_circular_law():
     assert report.l1_distance <= 0.08
 
 
-def test_compare_collar_growth_shrinks_region():
+def test_compare_collar_growth_shrinks_region(monkeypatch):
     empirical, analytic = _circular_pair(trials=20)
-    small = compare_density(empirical, analytic, Exclusions(collar_cells=1))
-    large = compare_density(empirical, analytic, Exclusions(collar_cells=3))
+    monkeypatch.setattr(montecarlo, "_COLLAR_CELLS", 1)
+    small = compare_density(empirical, analytic)
+    monkeypatch.setattr(montecarlo, "_COLLAR_CELLS", 3)
+    large = compare_density(empirical, analytic)
     assert large.included_cells < small.included_cells
     assert large.excluded["collar"] > small.excluded["collar"]
 

@@ -326,9 +326,20 @@ def test_boundary_respects_explicit_cap():
     # an empty radial range used to report every ray as empty
     ({"angles": [0.3], "r_min": 5.0, "r_max": 3.0}, "r_min < r_max"),
     ({"angles": [0.3], "r_min": 2.0, "r_max": 2.0}, "r_min < r_max"),
+    # inputs that are not real numbers, and an angle list that is not one
+    ({"angles": ["a"]}, "must be finite real numbers"),
+    ({"angles": [None]}, "must be finite real numbers"),
+    ({"angles": [0.3, 1j]}, "must be finite real numbers"),
+    ({"angles": [True]}, "must be finite real numbers"),
+    ({"angles": 5}, "iterable of real numbers"),
+    ({"angular_samples": 8, "r_max": "2"}, "must be finite real numbers"),
+    ({"angles": [0.3], "r_min": None}, "must be finite real numbers"),
+    ({"angles": [10 ** 400]}, "must be finite real numbers"),
 ], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max",
         "negative_r_max", "zero_r_min", "negative_r_min", "zero_r_max", "fractional_samples",
-        "too_few_samples", "reversed_radii", "equal_radii"])
+        "too_few_samples", "reversed_radii", "equal_radii", "string_angle", "none_angle",
+        "complex_angle", "bool_angle", "scalar_angles", "string_r_max", "none_r_min",
+        "huge_integer_angle"])
 def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, match, monkeypatch):
     def no_probe(*args):
         raise AssertionError("probe built for invalid input")
@@ -961,6 +972,52 @@ def test_array_route_fan_size_keeps_radii():
         assert fan.scanned_rays == sum(res.scanned_rays for res in alone)
 
 
+# degree 1, 2 and 5 pairs, at random angles
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(STABILITY_PAIRS, st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=16))
+@example((GIN, GIN), [0.0, 2.0])
+@example((SHIFTED, SHIFTED), [0.0, 2.0, math.pi])
+@example((gue_rmap(1.0), gue_rmap(1.0)), [0.0, math.pi / 2, math.pi])
+@example(TAU_PAIR, [0.0, 2.0, -2.0])
+def test_internal_r_max_lies_outside_the_support(maps, angles):
+    # the support lies within |z| <= ||A|| ||B||, and an elliptic factor's
+    # norm is at most |shift| + 2 sigma, so the internal r_max reads outside
+    rmap_a, rmap_b = maps
+    r_max = 1.5 * nonhermitian._support_scale(rmap_a) * nonhermitian._support_scale(
+        rmap_b) + 1.0
+    indicator, _, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(
+        r_max * np.exp(1j * np.array(angles)))
+    assert ok.all()
+    assert (indicator <= 0.0).all()
+
+
+def test_ray_inside_at_internal_r_max_reports_empty(monkeypatch):
+    # a probe made to read inside from r_max outward on the ray at 0.3: that
+    # ray is reported empty, as under an explicit cap, and no point past
+    # r_max is probed
+    r_max = 1.5 * nonhermitian._support_scale(GIN) ** 2 + 1.0
+    real = nonhermitian._holomorphic_probe
+    radii = []
+
+    def build(rmap_a, rmap_b):
+        probe = real(rmap_a, rmap_b)
+
+        def inside_far_out(z):
+            indicator, pg, ok = probe(z)
+            radii.extend(np.abs(z).tolist())
+            far = (np.abs(z) >= r_max * (1.0 - 1e-12)) & (abs(np.angle(z) - 0.3) < 1e-9)
+            return np.where(far, 1.0, indicator), pg, ok
+
+        return inside_far_out
+
+    monkeypatch.setattr(nonhermitian, "_holomorphic_probe", build)
+    res = boundary_curve(GIN, GIN, angles=[0.3, 1.7])
+    assert res.empty_rays == (0.3,)
+    assert [phi for _, phi in res.points] == [1.7]
+    assert res.points[0][0] == pytest.approx(1.0, abs=1e-5)
+    assert max(radii) <= r_max * (1.0 + 1e-12)
+
+
 def without_quartic(monkeypatch):
     """Send every ray of boundary_curve to the scan: no ray has a quartic root."""
     monkeypatch.setattr(nonhermitian, "_quartic_roots",
@@ -1372,7 +1429,7 @@ def test_density_field_closed_limacon():
 def test_density_field_generic_matches_closed():
     grid = GridSpec("polar", ((0.4, 0.8), (-0.4, 0.4)), (9, 9))
     closed = density_field(GIN, GIN, grid)
-    generic = density_field(GIN, GIN, grid, force_generic=True)
+    generic = nonhermitian._generic_density(GIN, GIN, grid)
     assert generic.route == "generic"
     assert generic.holes == 0
     assert np.max(np.abs(generic.rho - closed.rho)) <= 5e-4
@@ -1399,7 +1456,7 @@ def test_grid_nodes_equal_one_point_solves(pair):
     # and residual are bit-identical to its own solve_product's, whatever
     # else shares the batch
     grid = GridSpec("polar", ((0.3, 7.0), (0.6, 2.2)), (9, 7))
-    fld = density_field(*pair, grid, force_generic=True)
+    fld = nonhermitian._generic_density(*pair, grid)
     assert fld.holes == 0
     solved = nonhermitian._solve_nodes(*pair, grid.points())
     for z, g, out in zip(grid.points().ravel().tolist(), fld.g11.ravel().tolist(),
@@ -1509,7 +1566,7 @@ def inject_singular(monkeypatch, where):
 def test_density_field_tolerates_few_holes(monkeypatch):
     grid = GridSpec("polar", ((0.4, 0.8), (-0.4, 0.4)), (7, 7))
     inject_singular(monkeypatch, lambda z: z == grid.points()[3, 3])
-    fld = density_field(GIN, GIN, grid, force_generic=True)
+    fld = nonhermitian._generic_density(GIN, GIN, grid)
     assert fld.holes == 1
     # the hole is the failed node alone: its neighbours keep their densities
     assert np.flatnonzero(~np.isfinite(fld.rho)).tolist() == [3 * 7 + 3]
@@ -1522,7 +1579,7 @@ def test_density_field_aborts_on_many_holes(monkeypatch):
     grid = GridSpec("polar", ((0.4, 0.8), (-0.4, 0.4)), (7, 7))
     inject_singular(monkeypatch, lambda z: z.real > 0.5)
     with pytest.raises(GridError):
-        density_field(GIN, GIN, grid, force_generic=True)
+        nonhermitian._generic_density(GIN, GIN, grid)
 
 
 # ---------------------------------------------------------------------------
