@@ -47,7 +47,7 @@ _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a cros
 _SCAN_POINTS = 24      # boundary_curve's scan points per ray, inward from r_max
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
-_MAX_NEWTON = 40       # cap on the least-squares Newton steps after it
+_MAX_NEWTON = 40       # cap on the Newton steps after it
 _X_STEP = 1e-6         # _real_jacobian's step in the unknowns, Newton's and _dbar_g11's
 _Z_STEP = 1e-5         # _dbar_g11's step in Re z and Im z, relative to |z|
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
@@ -398,18 +398,18 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int, handoff: flo
     call.  A damped iteration (half-way to step(x)) carries each node until
     it has picked its root; below a handoff update (the callers pass
     _HANDOFF = 1e-3), or after max_fp steps where the multiplier is close
-    to one, least-squares Newton takes over on the real and imaginary parts
-    (_real_jacobian with steps _X_STEP, minimal-norm steps, at most
-    _MAX_NEWTON steps) until the residual is below 0.05 tol.  From an update
-    of 1e-3 Newton needs about two steps, each costing about as much as five
-    damped ones.  An early hand-off can let Newton reach a root that the
-    damped path would have left, such as b = 0 for the product system; the
-    callers check their roots and solve again with the hand-off at
-    _GUARD_HANDOFF = 1e-6 where the check fails.
-    phase, a 0/1 mask over the k unknowns, marks those whose common phase
-    rotation maps step to itself (the b parts); _drop_phase takes that
-    redundant direction out of every Newton step.  Every node stops on its
-    own.  A node whose iterate or Jacobian turns non-finite is marked failed
+    to one, Newton takes over on the real and imaginary parts (_real_jacobian
+    with steps _X_STEP, one _bordered_solve per step, at most _MAX_NEWTON
+    steps) until the residual is below 0.05 tol.  From an update of 1e-3
+    Newton needs about two steps, each costing about as much as five damped
+    ones.  An early hand-off can let Newton reach a root that the damped
+    path would have left, such as b = 0 for the product system; the callers
+    check their roots and solve again with the hand-off at _GUARD_HANDOFF =
+    1e-6 where the check fails.  phase, a 0/1 mask over the k unknowns,
+    marks those whose common phase rotation maps step to itself (the b
+    parts); every Newton step is held orthogonal to that direction.  Every
+    node stops on its own.  A node whose iterate or Jacobian turns
+    non-finite, or whose Newton system is exactly singular, is marked failed
     and dropped, so it fails alone.
     """
     x = np.array(values, dtype=complex)
@@ -450,18 +450,13 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int, handoff: flo
             if not act.size:
                 break
             jac = _real_jacobian(residual, r, act, _X_STEP)
-            finite = np.isfinite(jac).all(axis=(1, 2))
+            # LU can take a finite step past an infinite entry; NaN fails the node below
+            jac[~np.isfinite(jac).all(axis=(1, 2))] = np.nan
+            dx = _bordered_solve(jac, _as_complex(r), phase, f.T[..., None])
+            real[:, act] = r - dx[..., 0].T
+            finite = np.isfinite(real[:, act]).all(axis=0)
             failed[act[~finite]] = True
-            act, r, f, jac = act[finite], r[:, finite], f[:, finite], jac[finite]
-            if phase is not None:
-                jac = _drop_phase(jac, _as_complex(r), phase)
-            try:
-                real[:, act] = r - _min_norm_solve(jac, f.T[..., None])[..., 0].T
-            except np.linalg.LinAlgError:
-                # a batched SVD fails as a whole; LAPACK's does not fail on
-                # finite 2k x 2k input in practice
-                failed[act] = True
-                break
+            act = act[finite]
         x = _as_complex(real)
     return _FixedPoint(x, iterations, capped, failed)
 
@@ -492,38 +487,38 @@ def _real_jacobian(fun, r: np.ndarray, nodes: np.ndarray, h) -> np.ndarray:
     rp[diag, diag] += h
     rp[diag, p + diag] -= h
     f = fun(rp.reshape(p, 2 * p * n), np.tile(nodes, 2 * p)).reshape(-1, 2 * p, n)
-    # node-major and C-contiguous, see _min_norm_solve
+    # node-major and C-contiguous: einsum rounds a strided operand differently
+    # from a contiguous one, and a node's result must not depend on its batch
     return np.ascontiguousarray(((f[:, :p] - f[:, p:]) / (2.0 * h)).transpose(2, 0, 1))
 
 
-def _drop_phase(jac: np.ndarray, x: np.ndarray, phase) -> np.ndarray:
-    """The Jacobians jac[node] (q rows, one column per real part of the k
-    unknowns x[:, node]) with the direction d = i x * phase projected out of
-    their columns.
-
-    Where a common phase rotation of the unknowns that phase marks maps the
-    equations to themselves, d is a null direction of the exact Jacobian at
-    a solution; difference noise leaves it a small nonzero singular value
-    that a minimal-norm solve would amplify.  Where d is 0 nothing is dropped.
+def _bordered_solve(jac: np.ndarray, x: np.ndarray, phase, rhs: np.ndarray) -> np.ndarray:
+    """Solutions dx of the stacked systems jac[n] dx[n] = rhs[n] (each rhs[n]
+    a (2k, m) matrix) by one batched LU, NaN where a system is exactly
+    singular.  With phase (a 0/1 mask over the k unknowns x, as for
+    _fixed_point) a common phase rotation of the marked unknowns maps the
+    equations to themselves, so the exact jac[n] is singular along the unit
+    real direction d = i x * phase, and the system is bordered by the phase
+    condition (Keller 1977): [[jac, d], [d^T, c]] [dx; l] = [rhs; 0], with
+    c = 1 only where d = 0 (a b = 0 node has no phase).  LAPACK solves each
+    matrix on its own, so a node's dx does not depend on its batch.
     """
-    d = np.ascontiguousarray(_as_real(1j * x * np.asarray(phase)[:, None]).T)
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), np.finfo(float).tiny)
-    return jac - np.einsum("nij,nj->ni", jac, d)[..., None] * d[:, None, :]
-
-
-def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimal-norm least-squares solutions of the stacked systems
-    a[i] x[i] = b[i], each b[i] an (m, c) matrix, with lstsq's default
-    cutoff: singular values at or below eps * size * the largest count as
-    zero.  The products are einsum's on C-contiguous stacks, not matmul's:
-    matmul rounds a stack of one differently from a longer stack, and einsum
-    a strided operand differently from a contiguous one, and a node's result
-    must not depend on the batch it shares."""
-    u, s, vt = np.linalg.svd(a)
-    keep = (s > np.finfo(float).eps * a.shape[-1] * s[:, :1])[..., None]
-    w = np.einsum("nji,njc->nic", u, np.ascontiguousarray(b))
-    w = np.where(keep, w / np.where(keep, s[..., None], 1.0), 0.0)
-    return np.einsum("nji,njc->nic", vt, w)
+    p = jac.shape[-1]
+    if phase is not None:
+        d = _as_real(1j * x * np.asarray(phase)[:, None]).T
+        norm = np.linalg.norm(d, axis=1)
+        bordered = np.zeros((len(jac), p + 1, p + 1))
+        bordered[:, :p, :p] = jac
+        bordered[:, :p, p] = bordered[:, p, :p] = d / np.where(norm > 0, norm, 1.0)[:, None]
+        bordered[:, p, p] = ~(norm > 0)
+        jac, rhs = bordered, np.concatenate([rhs, np.zeros_like(rhs[:, :1])], axis=1)
+    try:
+        return np.linalg.solve(jac, rhs)[:, :p]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole batch
+        regular = np.linalg.slogdet(jac)[0] != 0  # the same LU's pivots
+        dx = np.full(rhs.shape, np.nan)
+        dx[regular] = np.linalg.solve(jac[regular], rhs[regular])
+        return dx[:, :p]
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +705,16 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
     Holomorphic nodes, outside the support or in a hole of it, give exactly
     0.  At a nonholomorphic node the flat unknowns x = (a_A, b_A, a_B, b_B)
     solve F(x, z) = x - _product_step(x; z) = 0, so by the implicit function
-    theorem dx/dz_j = -(dF/dx)^+ dF/dz_j for z_j = Re z, Im z, and the chain
+    theorem dF/dx dx/dz_j = -dF/dz_j for z_j = Re z, Im z, and the chain
     rule through _product_sweep's G_M gives dG11/dz_j.  One _real_jacobian
     call on the real parts of (x, z) gives dF and dG11 together (steps
-    _X_STEP in x, _Z_STEP |z| in z), and _drop_phase takes the common phase
-    of b_A and b_B, which leaves G11 alone, out of dF/dx.  A perturbed z
-    takes the phase u = e^{i arg(z) / 2} continued from the node's own, so
-    no difference straddles the cut of arg on the negative axis.
+    _X_STEP in x, _Z_STEP |z| in z), and _bordered_solve takes dx/dz_j
+    orthogonal to the common phase of b_A and b_B, which leaves G11 alone
+    (NaN where dF/dx is exactly singular).  A perturbed z takes the phase
+    u = e^{i arg(z) / 2} continued from the node's own, so no difference
+    straddles the cut of arg on the negative axis.
     """
-    dbar = np.where(np.isfinite(solved.g11.ravel()), 0j, complex("nan"))
+    dbar = np.where(np.isfinite(solved.g11.ravel()), 0j, complex(math.nan, math.nan))
     nodes = [k for k, o in enumerate(solved.outcomes)
              if isinstance(o, NonHermSolution) and o.branch == "nonholomorphic"]
     if nodes:
@@ -739,14 +735,10 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
         h = np.concatenate([np.full((8, len(nodes)), _X_STEP), [_Z_STEP * abs(z0)] * 2])
         with np.errstate(all="ignore"):  # a non-finite node fails alone
             jac = _real_jacobian(equations, r, np.arange(len(nodes)), h)
-            finite = np.isfinite(jac).all(axis=(1, 2))
+            jac[~np.isfinite(jac).all(axis=(1, 2))] = np.nan  # NaN dx, as in _fixed_point
+            dx = _bordered_solve(jac[:, :8, :8], x, _PRODUCT_PHASE, -jac[:, :8, 8:])
             # d(Re G11, Im G11) / d(Re z, Im z)
-            dg = np.full((len(nodes), 2, 2), math.nan)
-            if finite.any():
-                jac = jac[finite]
-                fx = _drop_phase(jac[:, :8, :8], x[:, finite], _PRODUCT_PHASE)
-                dx = _min_norm_solve(fx, -jac[:, :8, 8:])
-                dg[finite] = jac[:, 8:, 8:] + np.einsum("nij,njc->nic", jac[:, 8:, :8], dx)
+            dg = jac[:, 8:, 8:] + np.einsum("nij,njc->nic", jac[:, 8:, :8], dx)
             dbar[nodes] = 0.5 * ((dg[:, 0, 0] - dg[:, 1, 1]) + 1j * (dg[:, 1, 0] + dg[:, 0, 1]))
     return dbar.reshape(solved.g11.shape)
 

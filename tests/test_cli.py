@@ -246,6 +246,8 @@ def test_solve_product_total_failure(tmp_path, capsys, monkeypatch):
     assert "error: all 18 grid points failed to solve" in capsys.readouterr().err
     _, summary, _, rows = read_csv(out)    # the table still records every node
     assert summary["failed"] == summary["points"] == 18
+    # no node has a derivative, so no rot either: not a rot of 0
+    assert summary["rot_residual"] is None
     assert all(r[-1] == "failed" for r in rows)
 
 

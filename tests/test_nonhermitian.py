@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1516,6 +1517,7 @@ def test_density_at_inside_solves_once(monkeypatch):
 def test_density_field_nodes_equal_point_densities():
     # each node's density is its own exact derivative: no solved node loses
     # its density to a failed neighbour, and every node equals density_at
+    # bit for bit, whatever else shares the derivative's batched solve
     rmap = nan_inside_map(0.8)
     grid = GridSpec("cartesian", ((-1.5, 2.0), (-1.2, 1.3)), (12, 11))
     fld = density_field(rmap, rmap, grid)
@@ -1525,8 +1527,8 @@ def test_density_field_nodes_equal_point_densities():
     for z, rho, rot in zip(grid.points()[solved].tolist(), fld.rho[solved].tolist(),
                            fld.rot[solved].tolist()):
         got = density_at(rmap, rmap, z)
-        assert got.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
-        assert got.rot == pytest.approx(rot, rel=1e-12, abs=0.0)
+        assert got.rho == rho
+        assert got.rot == rot
 
 
 def test_two_node_grid_densities_equal_point_densities():
@@ -1536,7 +1538,7 @@ def test_two_node_grid_densities_equal_point_densities():
     assert fld.route == "generic" and fld.holes == 0
     assert (fld.rho > 0).any()
     for z, rho in zip(grid.points().ravel().tolist(), fld.rho.ravel().tolist()):
-        assert density_at(*TAU_PAIR, z).rho == pytest.approx(rho, rel=1e-12, abs=0.0)
+        assert density_at(*TAU_PAIR, z).rho == rho
 
 
 @pytest.mark.parametrize("resolution", [(1, 2), (2, 1)])
@@ -1568,8 +1570,10 @@ def test_density_field_tolerates_few_holes(monkeypatch):
     inject_singular(monkeypatch, lambda z: z == grid.points()[3, 3])
     fld = nonhermitian._generic_density(GIN, GIN, grid)
     assert fld.holes == 1
-    # the hole is the failed node alone: its neighbours keep their densities
+    # the hole is the failed node alone: its neighbours keep their densities,
+    # and its rot is NaN like its rho, not 0
     assert np.flatnonzero(~np.isfinite(fld.rho)).tolist() == [3 * 7 + 3]
+    assert np.flatnonzero(np.isnan(fld.rot)).tolist() == [3 * 7 + 3]
     expected = 1.0 / (2.0 * math.pi * np.abs(grid.points()))
     assert np.allclose(fld.rho[np.isfinite(fld.rho)], expected[np.isfinite(fld.rho)],
                        rtol=1e-6, atol=0.0)
@@ -1580,6 +1584,149 @@ def test_density_field_aborts_on_many_holes(monkeypatch):
     inject_singular(monkeypatch, lambda z: z.real > 0.5)
     with pytest.raises(GridError):
         nonhermitian._generic_density(GIN, GIN, grid)
+
+
+# ---------------------------------------------------------------------------
+# bordered Newton solves against the minimal-norm SVD oracle
+# ---------------------------------------------------------------------------
+
+
+def _drop_phase(jac, x, phase):
+    """The Jacobians jac[node] with the unit phase direction d = i x * phase
+    projected out of their columns; where d is 0 nothing is dropped."""
+    d = np.ascontiguousarray(nonhermitian._as_real(1j * x * np.asarray(phase)[:, None]).T)
+    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), np.finfo(float).tiny)
+    return jac - np.einsum("nij,nj->ni", jac, d)[..., None] * d[:, None, :]
+
+
+def _min_norm_solve(a, b):
+    """Minimal-norm least-squares solutions of a[i] x[i] = b[i] by a batched
+    SVD, with lstsq's default cutoff."""
+    u, s, vt = np.linalg.svd(a)
+    keep = (s > np.finfo(float).eps * a.shape[-1] * s[:, :1])[..., None]
+    w = np.einsum("nji,njc->nic", u, np.ascontiguousarray(b))
+    w = np.where(keep, w / np.where(keep, s[..., None], 1.0), 0.0)
+    return np.einsum("nji,njc->nic", vt, w)
+
+
+def svd_oracle_solve(jac, x, phase, rhs):
+    """The minimal-norm solve that _bordered_solve replaces: the phase
+    direction projected out of jac, then a batched SVD."""
+    return _min_norm_solve(jac if phase is None else _drop_phase(jac, x, phase), rhs)
+
+
+# tau != 0 in the first factor: degree 5 against a tilted factor, degree 2
+# against a tau = 0 one or a sigma = 0 one; every shift complex
+ORACLE_PAIRS = st.one_of(st.tuples(TILTED, TILTED), st.tuples(TILTED, ROTATION_INVARIANT),
+                         st.tuples(TILTED, CONSTANT), st.tuples(CONSTANT, TILTED))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ORACLE_PAIRS)
+@example(TAU_PAIR)
+def test_bordered_solves_match_svd_oracle(maps):
+    rmap_a, rmap_b = maps
+    scale = nonhermitian._support_scale(rmap_a) * nonhermitian._support_scale(rmap_b)
+    points = GridSpec("polar", ((0.02 * scale, 0.6 * scale), (-3.1, 3.1)), (9, 9)).points()
+    routes = []
+    for solve in (None, svd_oracle_solve):
+        with mock.patch.object(nonhermitian, "_bordered_solve",
+                               solve or nonhermitian._bordered_solve):
+            solved = nonhermitian._solve_nodes(rmap_a, rmap_b, points)
+            routes.append((solved, nonhermitian._dbar_g11(rmap_a, rmap_b, solved)))
+    (lu, lu_dbar), (svd, svd_dbar) = routes
+    assert (lu.failed, lu.capped, lu.collapsed, lu.retried) == (
+        svd.failed, svd.capped, svd.collapsed, svd.retried)
+    assert (np.isnan(lu.g11) == np.isnan(svd.g11)).all()
+    assert (np.isnan(lu_dbar) == np.isnan(svd_dbar)).all()
+    ok = np.isfinite(svd.g11)
+    assert (abs(lu.g11 - svd.g11)[ok] <= 1e-12 * np.maximum(1.0, abs(svd.g11[ok]))).all()
+    ok = np.isfinite(svd_dbar)
+    assert (abs(lu_dbar - svd_dbar)[ok] <= 1e-7 * abs(svd_dbar[ok])).all()
+
+
+def test_bordered_solve_is_batch_independent():
+    # one node's Newton step (one right-hand side) and derivative solve (two)
+    # are bit-identical alone and inside a batch, with and without the phase
+    # border, and at a b = 0 node (no phase to drop)
+    rng = np.random.default_rng(2)
+    jac = rng.standard_normal((7, 8, 8))
+    x = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    x[1, 3] = x[3, 3] = 0.0
+    d = nonhermitian._as_real(1j * x * np.array(nonhermitian._PRODUCT_PHASE)[:, None]).T
+    for rhs in (rng.standard_normal((7, 8, 1)), rng.standard_normal((7, 8, 2))):
+        for phase in (nonhermitian._PRODUCT_PHASE, None):
+            batch = nonhermitian._bordered_solve(jac, x, phase, rhs)
+            assert np.isfinite(batch).all()
+            for n in range(7):
+                one = nonhermitian._bordered_solve(jac[n:n + 1], x[:, n:n + 1], phase,
+                                                   rhs[n:n + 1])
+                np.testing.assert_array_equal(one[0], batch[n])
+            if phase is None:
+                assert np.allclose(jac @ batch, rhs, atol=1e-12)
+            else:
+                # the step is orthogonal to the phase direction, and solves
+                # the system where that direction is absent (b = 0)
+                assert np.allclose(np.einsum("ni,nic->nc", d, batch), 0.0, atol=1e-12)
+                assert np.allclose(jac[3] @ batch[3], rhs[3], atol=1e-12)
+
+
+def poison(jac, where, kind):
+    """jac with the systems where where holds made exactly singular (a zero
+    block) or given one infinite entry.  LU raises on the first for the
+    whole batch and gives the second a finite step."""
+    if kind == "singular":
+        jac[where, :8, :8] = 0.0
+    else:
+        jac[where, 0, 0] = np.inf
+    return jac
+
+
+@pytest.mark.parametrize("kind", ["singular", "infinite"])
+def test_bad_newton_system_fails_its_node_alone(kind, monkeypatch):
+    real = nonhermitian._real_jacobian
+    monkeypatch.setattr(nonhermitian, "_real_jacobian",
+                        lambda fun, r, nodes, h: poison(real(fun, r, nodes, h), nodes == 1, kind))
+
+    def step(x, nodes):
+        return np.array([0.5 * x[0] + 1.0 + 0.5j, 0.5 * x[1] - x[0], x[2] ** 2 + 0.1,
+                         1.0 / (2.0 + x[3])])
+
+    seeds = np.zeros((4, 3), dtype=complex)
+    fp = nonhermitian._fixed_point(step, seeds, 1e-12, 5, 1e-3)
+    assert fp.failed.tolist() == [False, True, False]
+    monkeypatch.setattr(nonhermitian, "_real_jacobian", real)
+    alone = nonhermitian._fixed_point(step, seeds[:, :1], 1e-12, 5, 1e-3)
+    assert not alone.failed[0]
+    np.testing.assert_array_equal(fp.values[:, [0, 2]], np.repeat(alone.values, 2, axis=1))
+
+
+@pytest.mark.parametrize("kind", ["singular", "infinite"])
+def test_bad_derivative_system_is_one_hole(kind, monkeypatch):
+    # a bad d F/dx at one node of the tau != 0 grid: that node alone is a
+    # hole, and every other node keeps its density bit for bit
+    grid = GridSpec("polar", ((0.3, 3.0), (-2.0, 2.0)), (7, 6))
+    want = nonhermitian._generic_density(*TAU_PAIR, grid)
+    inside = np.flatnonzero(want.rho.ravel() > 0)
+    target = inside[len(inside) // 2]
+    real = nonhermitian._real_jacobian
+
+    def bad_at_target(fun, r, nodes, h):
+        jac = real(fun, r, nodes, h)
+        if len(r) == 10:  # _dbar_g11's call: the rows after x hold Re z and Im z
+            poison(jac, r[8] + 1j * r[9] == grid.points().ravel()[target], kind)
+        return jac
+
+    monkeypatch.setattr(nonhermitian, "_real_jacobian", bad_at_target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fld = nonhermitian._generic_density(*TAU_PAIR, grid)
+    assert fld.holes == 1
+    assert np.flatnonzero(np.isnan(fld.rho.ravel())).tolist() == [target]
+    assert np.isnan(fld.rot.ravel()[target])
+    keep = np.isfinite(fld.rho)
+    np.testing.assert_array_equal(fld.rho[keep], want.rho[keep])
+    np.testing.assert_array_equal(fld.rot[keep], want.rot[keep])
 
 
 # ---------------------------------------------------------------------------
