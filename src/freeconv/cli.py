@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import hermitian, montecarlo, nonhermitian
-from .core import QuaternionicGreen
+from .core import embed_parts
 from .ensembles import EnsembleSpec, analytic_transforms
 from .errors import (
     FreeconvError,
@@ -440,16 +440,20 @@ def cmd_transform(cfg: JobConfig) -> int:
         header = ["z_re", "z_im", "a_re", "a_im", "b_abs", "correlator", "branch",
                   "r11_re", "r11_im", "r12_re", "r12_im",
                   "r21_re", "r21_im", "r22_re", "r22_im", "s"]
-        # one batched solve of each z as the product with the identity
+        # one batched solve of each z as the product with the identity, read
+        # as solve_single reads it: G = G_M with b replaced by |b|
         solved = nonhermitian._solve_nodes(matrix, nonhermitian._IDENTITY_FACTOR,
                                            values.astype(complex))
-        for x, out in zip(values.tolist(), solved.outcomes):
-            if isinstance(out, FreeconvError):
-                raise FreeconvError(f"transform failed at z = {complex(x)}: {out}") from out
-            sol = nonhermitian._single_view(out)
-            sig = QuaternionicGreen(*matrix.apply_q(sol.gm.a, sol.gm.b)).embed()
-            rows.append([x, 0.0, sol.gm.a.real, sol.gm.a.imag,
-                         abs(sol.gm.b), sol.correlator, sol.branch,
+        for k in np.flatnonzero(solved.status != nonhermitian._OK)[:1]:  # the first failure
+            try:
+                solved.solution(k)
+            except FreeconvError as exc:
+                raise FreeconvError(
+                    f"transform failed at z = {complex(values[k])}: {exc}") from exc
+        for x, (a, b) in zip(values.tolist(), solved.gm.T.tolist()):
+            b = abs(b)
+            sig = embed_parts(*matrix.apply_q(a, b))
+            rows.append([x, 0.0, a.real, a.imag, b, b ** 2, nonhermitian._branch(b ** 2),
                          sig.q11.real, sig.q11.imag, sig.q12.real, sig.q12.imag,
                          sig.q21.real, sig.q21.imag, sig.q22.real, sig.q22.imag,
                          "undefined"])
@@ -474,19 +478,16 @@ def cmd_solve_product(cfg: JobConfig) -> int:
               "b_abs", "correlator", "branch", "residual", "iterations", "rot", "status"]
     axis0, axis1 = cfg.grid.axes()
     rows = []
-    for i in range(n0):
-        for j in range(n1):
-            z = complex(points[i, j])
-            sol = solved.outcomes[i * n1 + j]
-            if not isinstance(sol, nonhermitian.NonHermSolution):
-                row = [float(axis0[i]), float(axis1[j]), z.real, z.imag,
-                       None, None, None, None, "", None, None, None, "failed"]
-            else:
-                row = [float(axis0[i]), float(axis1[j]), z.real, z.imag,
-                       sol.gm.a.real, sol.gm.a.imag, abs(sol.gm.b),
-                       sol.correlator, sol.branch, sol.residual,
-                       sol.iterations, float(rot[i, j]), "ok"]
-            rows.append(row)
+    nodes = zip(solved.z.tolist(), solved.status.tolist(), solved.gm.T.tolist(),
+                solved.x.T.tolist(), solved.residual.tolist(), solved.iterations.tolist(),
+                rot.ravel().tolist())
+    for k, (z, status, (a, b), (_, b_a, _, b_b), residual, iterations, r) in enumerate(nodes):
+        cells = [None, None, None, None, "", None, None, None, "failed"]
+        if status == nonhermitian._OK:
+            corr = abs(b_a) * abs(b_b)  # Python's abs: numpy's differs in the last bit
+            cells = [a.real, a.imag, abs(b), corr, nonhermitian._branch(corr), residual,
+                     iterations, r, "ok"]
+        rows.append([float(axis0[k // n1]), float(axis1[k % n1]), z.real, z.imag] + cells)
 
     summary = {"points": n0 * n1, "failed": failures,
                "capped": solved.capped, "collapsed": solved.collapsed,

@@ -81,8 +81,13 @@ class QuaternionicGreen:
     b: complex
 
     def embed(self) -> Complex2x2:
-        return Complex2x2(self.a, 1j * self.b,
-                          1j * self.b.conjugate(), self.a.conjugate())
+        return embed_parts(self.a, self.b)
+
+
+def embed_parts(a, b) -> Complex2x2:
+    """The full matrix [[a, i b], [i conj(b), conj(a)]] of the structured
+    block with parts (a, b), which may be numpy arrays of matching shape."""
+    return Complex2x2(a, 1j * b, 1j * b.conjugate(), a.conjugate())
 
 
 def qmul_parts(xa, xb, ya, yb):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     _DET_FLOOR,
     Complex2x2,
     QuaternionicGreen,
+    embed_parts,
     invert,
     phase_split,
     qinv_parts,
@@ -357,27 +358,15 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     A single matrix A is the product A 1 with the deterministic identity,
     whose R map is the constant 1: there Sigma_B = 1, and the product's G_M
     equation is exactly this one, so the product certificate covers it.
-    This is the one-point call of _solve_nodes with _IDENTITY_FACTOR, read
-    by _single_view; iterations counts the product's damped steps.
-    """
-    out = _solve_nodes(rmap, _IDENTITY_FACTOR, np.array([z])).outcomes[0]
-    if isinstance(out, FreeconvError):
-        raise out
-    return _single_view(out)
-
-
-def _single_view(sol: NonHermSolution) -> NonHermSolution:
-    """The single-matrix solution of A, from the product solution of A 1.
-
-    G = G_M with its b replaced by |b|: a common phase of b maps solutions to
+    This is the one-point call of _solve_nodes with _IDENTITY_FACTOR.  G is
+    G_M with its b replaced by |b|: a common phase of b maps solutions to
     solutions, and |b| fixes the gauge.  ga = gb = G, the correlator is
-    |b|^2, and the residual and iterations are the product's.
+    |b|^2, and the residual and iterations (damped steps) are the product's.
     """
+    sol = _solve_nodes(rmap, _IDENTITY_FACTOR, np.array([z])).solution()
     gm = QuaternionicGreen(sol.gm.a, abs(sol.gm.b))
     corr = eigenvector_correlator(gm)
-    return NonHermSolution(z=sol.z, gm=gm, ga=gm, gb=gm, correlator=corr,
-                           branch=_branch(corr), residual=sol.residual,
-                           iterations=sol.iterations)
+    return replace(sol, gm=gm, ga=gm, gb=gm, correlator=corr, branch=_branch(corr))
 
 
 class _FixedPoint(NamedTuple):
@@ -450,8 +439,6 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int, handoff: flo
             if not act.size:
                 break
             jac = _real_jacobian(residual, r, act, _X_STEP)
-            # LU can take a finite step past an infinite entry; NaN fails the node below
-            jac[~np.isfinite(jac).all(axis=(1, 2))] = np.nan
             dx = _bordered_solve(jac, _as_complex(r), phase, f.T[..., None])
             real[:, act] = r - dx[..., 0].T
             finite = np.isfinite(real[:, act]).all(axis=0)
@@ -494,9 +481,10 @@ def _real_jacobian(fun, r: np.ndarray, nodes: np.ndarray, h) -> np.ndarray:
 
 def _bordered_solve(jac: np.ndarray, x: np.ndarray, phase, rhs: np.ndarray) -> np.ndarray:
     """Solutions dx of the stacked systems jac[n] dx[n] = rhs[n] (each rhs[n]
-    a (2k, m) matrix) by one batched LU, NaN where a system is exactly
-    singular.  With phase (a 0/1 mask over the k unknowns x, as for
-    _fixed_point) a common phase rotation of the marked unknowns maps the
+    a (2k, m) matrix) by one batched LU of the finite systems, NaN where a
+    system has a non-finite entry (which LU could step past, or meet as a
+    zero pivot) or is exactly singular.  With phase (a 0/1 mask over the k
+    unknowns x, as for _fixed_point) a common phase rotation of the marked unknowns maps the
     equations to themselves, so the exact jac[n] is singular along the unit
     real direction d = i x * phase, and the system is bordered by the phase
     condition (Keller 1977): [[jac, d], [d^T, c]] [dx; l] = [rhs; 0], with
@@ -512,13 +500,14 @@ def _bordered_solve(jac: np.ndarray, x: np.ndarray, phase, rhs: np.ndarray) -> n
         bordered[:, :p, p] = bordered[:, p, :p] = d / np.where(norm > 0, norm, 1.0)[:, None]
         bordered[:, p, p] = ~(norm > 0)
         jac, rhs = bordered, np.concatenate([rhs, np.zeros_like(rhs[:, :1])], axis=1)
+    dx = np.full(rhs.shape, np.nan)
+    ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
     try:
-        return np.linalg.solve(jac, rhs)[:, :p]
+        dx[ok] = np.linalg.solve(jac[ok], rhs[ok])
     except np.linalg.LinAlgError:  # one singular matrix fails the whole batch
-        regular = np.linalg.slogdet(jac)[0] != 0  # the same LU's pivots
-        dx = np.full(rhs.shape, np.nan)
-        dx[regular] = np.linalg.solve(jac[regular], rhs[regular])
-        return dx[:, :p]
+        ok[ok] = np.linalg.slogdet(jac[ok])[0] != 0  # the same LU's pivots
+        dx[ok] = np.linalg.solve(jac[ok], rhs[ok])
+    return dx[:, :p]
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +548,12 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
     elementwise, so a node's residuals do not depend on the other nodes.
     The G_M residual is NaN where the determinant is 0.
     """
-    qa, qb = QuaternionicGreen(*x[:2]).embed(), QuaternionicGreen(*x[2:]).embed()
-    sal = _turn(QuaternionicGreen(*rmap_a.apply_q(x[2], x[3])).embed(), u)
-    sbr = _turn(QuaternionicGreen(*rmap_b.apply_q(x[0], x[1])).embed(), u.conjugate())
+    qa, qb = embed_parts(*x[:2]), embed_parts(*x[2:])
+    sal = _turn(embed_parts(*rmap_a.apply_q(x[2], x[3])), u)
+    sbr = _turn(embed_parts(*rmap_b.apply_q(x[0], x[1])), u.conjugate())
     m = Complex2x2.diagonal(z, z.conjugate()) - sal @ sbr
     det = m.det
-    gm_full = QuaternionicGreen(*gm).embed()
+    gm_full = embed_parts(*gm)
     with np.errstate(all="ignore"):  # a singular node's G_M residual is NaN
         inverse = Complex2x2(m.q22 / det, -m.q12 / det, -m.q21 / det, m.q11 / det)
     r_gm = (gm_full - inverse).norm_max()
@@ -594,22 +583,59 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHerm
     _fixed_point converges the nonholomorphic solution to _TOL; iterations
     counts its damped steps.
     """
-    out = _solve_nodes(rmap_a, rmap_b, np.array([z])).outcomes[0]
-    if isinstance(out, FreeconvError):
-        raise out
-    return out
+    return _solve_nodes(rmap_a, rmap_b, np.array([z])).solution()
+
+
+_OK, _ORIGIN, _NON_FINITE, _SINGULAR, _STALLED = range(5)  # _NodeSolves.status
 
 
 class _NodeSolves(NamedTuple):
-    outcomes: list     # per node: a NonHermSolution, or the FreeconvError that stopped it
-    g11: np.ndarray    # G_M's 11 entry shaped like the points, NaN where a solve failed
-    capped: int        # inside nodes whose damped loop ran to _MAX_FP before Newton
-    collapsed: int     # inside nodes whose fixed point sank to b = 0 (holomorphic)
-    retried: int       # inside nodes re-solved on the slow schedule after sinking to b = 0
+    """_solve_nodes' product solutions as arrays over the N nodes, in
+    points.ravel() order.
+
+    status is _OK at a solved node, else why it failed: _ORIGIN (z = 0),
+    _NON_FINITE (a non-finite iterate), _SINGULAR (|det| of
+    Z - Sigma_A^L Sigma_B^R at or below the floor) or _STALLED (an inside
+    node that missed the certificate).  A failed node's values are not a
+    solution.  solution(k) builds node k's NonHermSolution, or raises the
+    FreeconvError that stopped it; no other code builds one per node.
+    """
+
+    z: np.ndarray           # (N,) the points
+    x: np.ndarray           # (4, N): (a_A, b_A, a_B, b_B)
+    gm: np.ndarray          # (2, N): G_M's (a, b)
+    residual: np.ndarray    # worst defining-equation residual, NaN where not certified
+    det: np.ndarray         # |det (Z - Sigma_A^L Sigma_B^R)|, 0 where not certified
+    iterations: np.ndarray  # damped steps
+    status: np.ndarray      # _OK, _ORIGIN, _NON_FINITE, _SINGULAR or _STALLED
+    g11: np.ndarray         # G_M's 11 entry shaped like the points, NaN where failed
+    capped: int             # inside nodes whose damped loop ran to _MAX_FP before Newton
+    collapsed: int          # inside nodes whose fixed point sank to b = 0 (holomorphic)
+    retried: int            # inside nodes re-solved on the slow schedule after sinking
 
     @property
     def failed(self) -> int:
-        return sum(isinstance(o, FreeconvError) for o in self.outcomes)
+        return int(np.count_nonzero(self.status != _OK))
+
+    def solution(self, k: int = 0) -> NonHermSolution:
+        """Node k's NonHermSolution; raises the FreeconvError that stopped it."""
+        z, status = complex(self.z[k]), self.status[k]
+        if status == _ORIGIN:
+            raise OriginError()
+        if status == _NON_FINITE:
+            raise ConvergenceError(f"product solve hit non-finite values at z = {z}")
+        if status == _SINGULAR:
+            raise SingularMatrixError(float(self.det[k]))
+        residual = float(self.residual[k])
+        if status == _STALLED:
+            raise ConvergenceError(f"product solve stalled at z = {z}", residual=residual)
+        a_a, b_a, a_b, b_b = self.x[:, k].tolist()
+        corr = abs(b_a) * abs(b_b)  # Python's abs: numpy's differs in the last bit
+        return NonHermSolution(
+            z=z, gm=QuaternionicGreen(*self.gm[:, k].tolist()),
+            ga=QuaternionicGreen(a_a, b_a), gb=QuaternionicGreen(a_b, b_b),
+            correlator=corr, branch=_branch(corr), residual=residual,
+            iterations=int(self.iterations[k]))
 
 
 def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
@@ -632,8 +658,8 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     one array pass of _product_equations; an inside node must meet the
     point solvers' bound.  A node that fails (the origin, a non-finite
     iterate, a singular Z - Sigma_A^L Sigma_B^R, a missed certificate) fails
-    alone, with its FreeconvError as its outcome.  _dbar_g11 differentiates
-    the result.
+    alone, with that reason as its status.  _dbar_g11 differentiates the
+    result.
     """
     zs = np.asarray(points, dtype=complex).ravel()
     live = zs != 0
@@ -671,30 +697,14 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     _, _, residuals, det[nodes] = _product_equations(rmap_a, rmap_b, zs[nodes], u[nodes],
                                                      x[:, nodes], gm[:, nodes])
     residual[nodes] = np.maximum.reduce(residuals)
-    singular = ~(det > _DET_FLOOR)
-    stalled = inside & ~(residual <= max(10.0 * _TOL, 1e-10))
-    outcomes = []
-    for z, on, bad, sing, stall, res, d, it, (a_a, b_a, a_b, b_b), (g, g_b) in zip(
-            zs.tolist(), live.tolist(), failed.tolist(), singular.tolist(), stalled.tolist(),
-            residual.tolist(), det.tolist(), iterations.tolist(), x.T.tolist(),
-            gm.T.tolist()):
-        if not on:
-            outcomes.append(OriginError())
-        elif bad:
-            outcomes.append(ConvergenceError(f"product solve hit non-finite values at z = {z}"))
-        elif sing:
-            outcomes.append(SingularMatrixError(d))
-        elif stall:
-            outcomes.append(ConvergenceError(f"product solve stalled at z = {z}", residual=res))
-        else:
-            corr = abs(b_a) * abs(b_b)
-            outcomes.append(NonHermSolution(
-                z=z, gm=QuaternionicGreen(g, g_b), ga=QuaternionicGreen(a_a, b_a),
-                gb=QuaternionicGreen(a_b, b_b), correlator=corr, branch=_branch(corr),
-                residual=res, iterations=it))
-    solved = live & ~failed & ~singular & ~stalled
-    g11 = np.where(solved, gm[0], complex("nan")).reshape(np.shape(points))
-    return _NodeSolves(outcomes, g11, int(np.count_nonzero(capped)), int(sunk.size),
+    # each reason overrides the ones set before it
+    status = np.where(inside & ~(residual <= max(10.0 * _TOL, 1e-10)), _STALLED, _OK)
+    status[~(det > _DET_FLOOR)] = _SINGULAR
+    status[failed] = _NON_FINITE
+    status[~live] = _ORIGIN
+    g11 = np.where(status == _OK, gm[0], complex("nan")).reshape(np.shape(points))
+    return _NodeSolves(zs, x, gm, residual, det, iterations, status, g11,
+                       int(np.count_nonzero(capped)), int(sunk.size),
                        int(np.count_nonzero(retried)))
 
 
@@ -710,18 +720,16 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
     call on the real parts of (x, z) gives dF and dG11 together (steps
     _X_STEP in x, _Z_STEP |z| in z), and _bordered_solve takes dx/dz_j
     orthogonal to the common phase of b_A and b_B, which leaves G11 alone
-    (NaN where dF/dx is exactly singular).  A perturbed z takes the phase
+    (NaN where dF/dx is not finite or exactly singular).  A perturbed z takes the phase
     u = e^{i arg(z) / 2} continued from the node's own, so no difference
     straddles the cut of arg on the negative axis.
     """
     dbar = np.where(np.isfinite(solved.g11.ravel()), 0j, complex(math.nan, math.nan))
-    nodes = [k for k, o in enumerate(solved.outcomes)
-             if isinstance(o, NonHermSolution) and o.branch == "nonholomorphic"]
-    if nodes:
-        sols = [solved.outcomes[k] for k in nodes]
-        z0 = np.array([s.z for s in sols])
+    nodes = np.flatnonzero((solved.status == _OK)
+                           & (abs(solved.x[1]) * abs(solved.x[3]) > _COLLAPSE))
+    if nodes.size:
+        z0, x = solved.z[nodes], solved.x[:, nodes]
         u0 = np.exp(0.5j * np.angle(z0))
-        x = np.array([(s.ga.a, s.ga.b, s.gb.a, s.gb.b) for s in sols]).T
 
         def equations(r, k):
             # rows: the 8 real parts of F, then Re G11 and Im G11
@@ -735,7 +743,6 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
         h = np.concatenate([np.full((8, len(nodes)), _X_STEP), [_Z_STEP * abs(z0)] * 2])
         with np.errstate(all="ignore"):  # a non-finite node fails alone
             jac = _real_jacobian(equations, r, np.arange(len(nodes)), h)
-            jac[~np.isfinite(jac).all(axis=(1, 2))] = np.nan  # NaN dx, as in _fixed_point
             dx = _bordered_solve(jac[:, :8, :8], x, _PRODUCT_PHASE, -jac[:, :8, 8:])
             # d(Re G11, Im G11) / d(Re z, Im z)
             dg = jac[:, 8:, 8:] + np.einsum("nij,njc->nic", jac[:, 8:, :8], dx)
@@ -1128,8 +1135,7 @@ def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> PointDensi
     fails, and ConvergenceError where the derivative is not finite.
     """
     solved = _solve_nodes(rmap_a, rmap_b, np.array([z]))
-    if isinstance(solved.outcomes[0], FreeconvError):
-        raise solved.outcomes[0]
+    solved.solution()  # raises where the solve failed
     dbar = _dbar_g11(rmap_a, rmap_b, solved)
     if not np.isfinite(dbar[0]):
         raise ConvergenceError(f"non-finite density derivative at z = {z}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from freeconv import cli, nonhermitian
-from freeconv.errors import ConvergenceError, SpecValidationError
+from freeconv.errors import SpecValidationError
 from freeconv.grids import GridSpec
 
 GIN = {"kind": "ginibre", "n": 24}
@@ -121,7 +121,7 @@ def test_transform_failure_is_total(tmp_path, capsys, monkeypatch):
 
     def stalled(rmap_a, rmap_b, points):
         solved = solve_nodes(rmap_a, rmap_b, points)
-        solved.outcomes[1] = ConvergenceError(f"product solve stalled at z = {points[1]}")
+        solved.status[1] = nonhermitian._STALLED
         return solved
 
     monkeypatch.setattr(nonhermitian, "_solve_nodes", stalled)
@@ -129,7 +129,9 @@ def test_transform_failure_is_total(tmp_path, capsys, monkeypatch):
         "ensemble_a": GIN, "start": 0.5, "stop": 1.0, "count": 3,
         "output": str(tmp_path / "x.csv")})
     assert rc == 3
-    assert "transform failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "transform failed" in err
+    assert "at z = (0.75+0j): product solve stalled at z = (0.75+0j)" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -799,7 +799,7 @@ def test_hole_point_takes_the_stable_root():
     # point runs, and G11 is the root the slow schedule has always returned
     solved = nonhermitian._solve_nodes(*HOLE_PAIR, np.array([HOLE_Z]))
     assert solved.retried == solved.collapsed == 0
-    assert abs(solved.outcomes[0].gm.a - (-0.02283 + 0.19704j)) <= 5e-6
+    assert abs(solved.solution(0).gm.a - (-0.02283 + 0.19704j)) <= 5e-6
 
 
 def test_hole_point_indicator_reads_the_stable_root():
@@ -852,17 +852,17 @@ def test_collapsed_node_returns_its_own_stable_root(pa, pb, z, monkeypatch):
     assert ok and indicator < 0.0  # the probe's root is stable here
     solved = nonhermitian._solve_nodes(a, b, np.array([z, z]))
     assert solved.retried == solved.collapsed == 0
-    sol = solved.outcomes[0]
+    sol = solved.solution(0)
     assert sol.branch == "holomorphic" and sol.correlator == 0.0
-    assert sol.gm.a == solved.outcomes[1].gm.a == solve_product(a, b, z).gm.a == probed.g
+    assert sol.gm.a == solved.solution(1).gm.a == solve_product(a, b, z).gm.a == probed.g
     assert sol.residual <= 1e-10
     # called inside, the nodes' fixed points sink to b = 0 at that same root
     force_inside(monkeypatch)
     collapsed = nonhermitian._solve_nodes(a, b, np.array([z, z]))
     assert collapsed.collapsed == 2
-    own = collapsed.outcomes[0]
+    own = collapsed.solution(0)
     assert own.branch == "holomorphic" and own.correlator == 0.0
-    assert own.gm.a == collapsed.outcomes[1].gm.a
+    assert own.gm.a == collapsed.solution(1).gm.a
     assert abs(own.gm.a - sol.gm.a) <= 5e-6
     assert own.residual <= 1e-10
     ta, tb = a.diagonal_section(), b.diagonal_section()
@@ -1216,8 +1216,8 @@ def test_collapse_guard_recovers_early_handoff(pair, monkeypatch):
     rmap, refs = inside_references(pair)
     solved = nonhermitian._solve_nodes(rmap, rmap, np.array([z for z, _, _ in refs]))
     assert solved.retried > 0 and solved.collapsed == 0
-    for sol, (_, g_ref, c_ref) in zip(solved.outcomes, refs):
-        assert_matches_reference(sol, g_ref, c_ref)
+    for k, (_, g_ref, c_ref) in enumerate(refs):
+        assert_matches_reference(solved.solution(k), g_ref, c_ref)
 
 
 @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.7])
@@ -1460,10 +1460,10 @@ def test_grid_nodes_equal_one_point_solves(pair):
     fld = nonhermitian._generic_density(*pair, grid)
     assert fld.holes == 0
     solved = nonhermitian._solve_nodes(*pair, grid.points())
-    for z, g, out in zip(grid.points().ravel().tolist(), fld.g11.ravel().tolist(),
-                         solved.outcomes):
+    for z, g, residual in zip(grid.points().ravel().tolist(), fld.g11.ravel().tolist(),
+                              solved.residual.tolist()):
         one = solve_product(*pair, z)
-        assert one.gm.a == g and one.residual == out.residual
+        assert one.gm.a == g and one.residual == residual
 
 
 @pytest.mark.parametrize("limit", [0.3, 0.45])
@@ -1477,25 +1477,69 @@ def test_grid_nodes_fail_alone(limit):
         warnings.simplefilter("error")
         solved = nonhermitian._solve_nodes(rmap, rmap, grid.points())
     assert 0 < solved.failed < grid.points().size
-    converged = sum(isinstance(out, nonhermitian.NonHermSolution)
-                    and out.branch == "nonholomorphic" for out in solved.outcomes)
+    ok = np.flatnonzero(solved.status == nonhermitian._OK)
+    converged = sum(solved.solution(k).branch == "nonholomorphic" for k in ok)
     assert (converged > 0) == (limit > 0.3)
-    for z, out, g in zip(grid.points().ravel().tolist(), solved.outcomes,
-                         solved.g11.ravel().tolist()):
-        if isinstance(out, FreeconvError):
-            assert math.isnan(g.real)
-            with pytest.raises(type(out)):
-                solve_product(rmap, rmap, z)
+    for k, (z, g) in enumerate(zip(grid.points().ravel().tolist(),
+                                   solved.g11.ravel().tolist())):
+        if k in ok:
+            assert solve_product(rmap, rmap, z).gm.a == solved.solution(k).gm.a == g
         else:
-            assert solve_product(rmap, rmap, z).gm.a == out.gm.a == g
+            assert math.isnan(g.real)
+            assert_raises_as_one_point_solve(solved, k, rmap, rmap)
+
+
+def assert_raises_as_one_point_solve(solved, k, rmap_a, rmap_b):
+    """Node k of a _solve_nodes result raises the exception type and message
+    that solve_product raises at its z."""
+    with pytest.raises(FreeconvError) as node:
+        solved.solution(k)
+    with pytest.raises(FreeconvError) as one:
+        solve_product(rmap_a, rmap_b, complex(solved.z[k]))
+    assert type(one.value) is type(node.value)
+    assert str(one.value) == str(node.value)
+
+
+@pytest.mark.parametrize("kind", ["origin", "non-finite", "singular", "stalled"])
+def test_failed_node_raises_as_its_one_point_solve(kind, monkeypatch):
+    # each failure status of a batch maps to the exception of the node's own
+    # solve; the determinant floor and the Newton cap force the last two
+    rmap = nan_inside_map() if kind == "non-finite" else SHIFTED
+    if kind == "singular":
+        monkeypatch.setattr(nonhermitian, "_DET_FLOOR", math.inf)
+    if kind == "stalled":
+        monkeypatch.setattr(nonhermitian, "_MAX_NEWTON", 0)
+    code = {"origin": nonhermitian._ORIGIN, "non-finite": nonhermitian._NON_FINITE,
+            "singular": nonhermitian._SINGULAR, "stalled": nonhermitian._STALLED}[kind]
+    points = np.array([0.0, 0.5 + 0.5j, 0.8 - 0.3j, 1.2 + 0.1j, 3.0 + 1.0j])
+    solved = nonhermitian._solve_nodes(rmap, rmap, points)
+    failed = np.flatnonzero(solved.status == code)
+    assert failed.size and solved.failed >= failed.size
+    for k in failed:
+        assert_raises_as_one_point_solve(solved, k, rmap, rmap)
+
+
+def test_generic_density_builds_no_solution_objects(monkeypatch):
+    # a grid keeps its node solves as arrays: no NonHermSolution and no
+    # QuaternionicGreen on the whole route, on a tau = 0.5 pair
+    def unexpected(*args, **kwargs):
+        raise AssertionError("per-node object built on the grid route")
+
+    monkeypatch.setattr(nonhermitian, "NonHermSolution", unexpected)
+    monkeypatch.setattr(nonhermitian, "QuaternionicGreen", unexpected)
+    grid = GridSpec("polar", ((0.3, 3.0), (-2.0, 2.0)), (7, 6))
+    fld = nonhermitian._generic_density(*TAU_PAIR, grid)
+    assert fld.holes == 0 and (fld.rho > 0).any() and (fld.rho == 0).any()
 
 
 def test_grid_origin_node_fails_up_front():
     # z = 0 has no phase split: it is an OriginError without a solve, and
     # neither holds the lockstep batch nor shows in its counts
     solved = nonhermitian._solve_nodes(SHIFTED, SHIFTED, np.array([0.0, 0.5 + 0.5j]))
-    assert isinstance(solved.outcomes[0], OriginError)
-    assert solved.outcomes[1].branch == "nonholomorphic"
+    assert solved.status.tolist() == [nonhermitian._ORIGIN, nonhermitian._OK]
+    with pytest.raises(OriginError):
+        solved.solution(0)
+    assert solved.solution(1).branch == "nonholomorphic"
     assert solved.capped == solved.collapsed == 0
 
 
@@ -1673,16 +1717,17 @@ def test_bordered_solve_is_batch_independent():
 
 def poison(jac, where, kind):
     """jac with the systems where where holds made exactly singular (a zero
-    block) or given one infinite entry.  LU raises on the first for the
-    whole batch and gives the second a finite step."""
+    block) or given one infinite or NaN entry.  LU raises on the first for
+    the whole batch; it could take a finite step past the second, and meet
+    the third as a zero pivot."""
     if kind == "singular":
         jac[where, :8, :8] = 0.0
     else:
-        jac[where, 0, 0] = np.inf
+        jac[where, 0, 0] = np.inf if kind == "infinite" else np.nan
     return jac
 
 
-@pytest.mark.parametrize("kind", ["singular", "infinite"])
+@pytest.mark.parametrize("kind", ["singular", "infinite", "nan"])
 def test_bad_newton_system_fails_its_node_alone(kind, monkeypatch):
     real = nonhermitian._real_jacobian
     monkeypatch.setattr(nonhermitian, "_real_jacobian",
@@ -1701,10 +1746,12 @@ def test_bad_newton_system_fails_its_node_alone(kind, monkeypatch):
     np.testing.assert_array_equal(fp.values[:, [0, 2]], np.repeat(alone.values, 2, axis=1))
 
 
-@pytest.mark.parametrize("kind", ["singular", "infinite"])
+@pytest.mark.parametrize("kind", ["singular", "infinite", "nan"])
 def test_bad_derivative_system_is_one_hole(kind, monkeypatch):
     # a bad d F/dx at one node of the tau != 0 grid: that node alone is a
-    # hole, and every other node keeps its density bit for bit
+    # hole, and every other node keeps its density bit for bit; only an
+    # exactly singular system sends the batch to the slogdet fallback, a
+    # non-finite one is left out of the LU
     grid = GridSpec("polar", ((0.3, 3.0), (-2.0, 2.0)), (7, 6))
     want = nonhermitian._generic_density(*TAU_PAIR, grid)
     inside = np.flatnonzero(want.rho.ravel() > 0)
@@ -1718,9 +1765,12 @@ def test_bad_derivative_system_is_one_hole(kind, monkeypatch):
         return jac
 
     monkeypatch.setattr(nonhermitian, "_real_jacobian", bad_at_target)
+    slogdet, fallbacks = np.linalg.slogdet, []
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: fallbacks.append(len(a)) or slogdet(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fld = nonhermitian._generic_density(*TAU_PAIR, grid)
+    assert bool(fallbacks) == (kind == "singular")
     assert fld.holes == 1
     assert np.flatnonzero(np.isnan(fld.rho.ravel())).tolist() == [target]
     assert np.isnan(fld.rot.ravel()[target])
