@@ -121,10 +121,14 @@ class MatrixRMap:
         return Complex2x2(c + t * s2 * m.q11, s2 * m.q12,
                           s2 * m.q21, c.conjugate() + t * s2 * m.q22)
 
+    @property
+    def affine(self) -> tuple:
+        """(c, alpha) of the diagonal section R(g) = c + alpha g."""
+        return self.shift, self.tau * self.sigma ** 2
+
     def diagonal_section(self) -> ScalarTransform:
         """Restriction to diagonal arguments, as a scalar R transform."""
-        return hermitian._affine_transform(f"{self.name}|diag", self.shift,
-                                           self.tau * self.sigma ** 2)
+        return hermitian._affine_transform(f"{self.name}|diag", *self.affine)
 
 
 elliptic_rmap = MatrixRMap
@@ -239,8 +243,7 @@ def _degree_one(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     That is every tau = 0 pair, and a tau != 0 factor times a centered
     tau = 0 one; pa = |c_A|^2 L_B and pb = |c_B|^2 L_A are _stability_radius's.
     """
-    ca, aa = rmap_a.shift, rmap_a.tau * rmap_a.sigma ** 2  # diagonal_section().affine
-    cb, ab = rmap_b.shift, rmap_b.tau * rmap_b.sigma ** 2
+    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
     if aa * ab != 0 or aa * cb * cb + ab * ca * ca != 0:
         return None
     return ca * cb, abs(ca) ** 2 * rmap_b.sigma ** 2, abs(cb) ** 2 * rmap_a.sigma ** 2
@@ -271,7 +274,7 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     The arithmetic is elementwise, so a point's values do not depend on the
     other points of the call.
     """
-    (ca, aa), (cb, ab) = rmap_a.diagonal_section().affine, rmap_b.diagonal_section().affine
+    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
     coupling = rmap_a.sigma * rmap_b.sigma
     a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
@@ -500,6 +503,13 @@ def _bordered_solve(jac: np.ndarray, x: np.ndarray, phase, rhs: np.ndarray) -> n
         bordered[:, :p, p] = bordered[:, p, :p] = d / np.where(norm > 0, norm, 1.0)[:, None]
         bordered[:, p, p] = ~(norm > 0)
         jac, rhs = bordered, np.concatenate([rhs, np.zeros_like(rhs[:, :1])], axis=1)
+    # one finiteness test for the batch; an overflowing sum of finite entries
+    # only sends the batch to the masked path
+    if np.isfinite(jac.sum() + rhs.sum()):
+        try:
+            return np.linalg.solve(jac, rhs)[:, :p]
+        except np.linalg.LinAlgError:
+            pass
     dx = np.full(rhs.shape, np.nan)
     ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
     try:
@@ -765,9 +775,11 @@ class BoundaryResult:
     indicator points the search consulted whose holomorphic solve raised or
     failed its certificate, and which it therefore treated as inside.
     scanned_rays counts the rays that boundary_curve scanned rather than
-    took from a certified root of the degree-1 quartic: every ray of a
-    degree-2/5 pair that has an outside radius, and every degree-1 ray
-    without a certified root.
+    settled from the degree-1 quartic: every ray of a degree-2/5 pair that
+    has an outside radius, and every degree-1 ray on which the quartic
+    cannot tell (an uncertified root, a tangent ray, or a rootless ray
+    through the pole).  A degree-1 ray whose quartic has no root is empty,
+    unscanned; its one probe, at r_max, is all it can add to failed_solves.
     """
 
     points: tuple
@@ -803,6 +815,14 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     reports r*: a crossing lies within delta of it, where a scanned ray's
     midpoint lies within _RADIAL_TOL / 2 of one.
 
+    Away from the pole z = c the indicator changes sign only at a root of Q,
+    so a ray with r_max outside and no root in (r_min, r_max) reads outside
+    all the way in: it reports empty after its one probe at r_max.  Three kinds of degree-1
+    ray get no verdict from Q and are scanned: a root that fails the
+    certificate, a near-double root that comes back as a complex pair (a
+    ray tangent to the support), and a rootless ray through the pole z = c,
+    where a probe fails and reads as inside (_quartic_roots).
+
     A ray that reads inside at r_max reports empty.  The internal r_max,
     1.5 s_A s_B + 1 with s = |shift| + 2 sigma, lies past the whole support:
     the support of A B lies in its spectrum, so within |z| <= ||A|| ||B||
@@ -810,12 +830,13 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     is at most |shift| + 2 sigma (its singular values end at 2 sigma for
     every tau).
 
-    Every other ray is scanned: every ray of a degree-2/5 pair, and a
-    degree-1 ray with no real root or an uncertified root.  One round
-    (_scan) probes _SCAN_POINTS points inward to r_min and keeps the first
-    inside one, and Illinois regula falsi (_illinois), projected
-    so that no ray takes more steps than bisection would, narrows that
-    bracket below _RADIAL_TOL; the ray reports its midpoint.  The scan keeps
+    Every other ray is scanned: every ray of a degree-2/5 pair, and those
+    three kinds of degree-1 ray; with none of them, a degree-1 call is one
+    quartic solve and one probe round.  One round (_scan) probes
+    _SCAN_POINTS points inward to r_min and keeps the first inside one, and
+    Illinois regula falsi (_illinois), projected so that no ray takes more
+    steps than bisection would, narrows that bracket below _RADIAL_TOL; the
+    ray reports its midpoint.  The scan keeps
     the outermost crossing it brackets, so it can pass over an inside
     interval shorter than its step, which the quartic finds.  A ray's
     radius depends on no other ray of the call.
@@ -852,7 +873,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     probe = _holomorphic_probe(rmap_a, rmap_b)
     units = np.exp(1j * np.array(angles, dtype=float))
     n = len(angles)
-    failed = 0
+    constant = _degree_one(rmap_a, rmap_b)
 
     def indicator(r: np.ndarray, rays: np.ndarray):
         """Indicator values at radii r on the given rays, and the failed mask;
@@ -860,19 +881,23 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         values, _, ok = probe(r * units[rays])
         return np.where(ok, values, 1.0), ~ok
 
-    # the first round: r_max on every ray, and the certificate of every
-    # degree-1 root whose two points lie in (r_min, r_max)
-    root = _quartic_roots(rmap_a, rmap_b, units, r_min, r_max)
+    # each ray's verdict: a degree-1 root to certify, -inf for no crossing,
+    # or NaN for the scan.  The first round: r_max on every ray, and the
+    # certificate of every root whose two points lie in (r_min, r_max)
+    root = (np.full(n, np.nan) if constant is None else
+            _quartic_roots(constant, rmap_a.sigma * rmap_b.sigma, units, r_min, r_max))
     delta = 0.25 * _RADIAL_TOL
     held = np.flatnonzero((root - delta > r_min) & (root + delta < r_max))
-    r_out = np.full(n, float(r_max))
-    values, bad = indicator(np.concatenate([r_out, root[held] - delta, root[held] + delta]),
+    values, bad = indicator(np.concatenate([np.full(n, float(r_max)), root[held] - delta,
+                                            root[held] + delta]),
                             np.concatenate([np.arange(n), held, held]))
-    failed += int(bad.sum())
+    failed = int(bad.sum())
     f_out = values[:n]
     below, above = values[n:].reshape(2, -1)
     certified = held[(below > 0.0) & (above <= 0.0) & (f_out[held] <= 0.0)]
-    empty = f_out > 0.0  # inside at r_max: past an explicit cap, or a failed solve
+    # inside at r_max (past an explicit cap, or a failed solve), or no crossing
+    empty = (f_out > 0.0) | (root == -np.inf)
+    located = dict(zip(certified.tolist(), root[certified].tolist()))
 
     # scan inward to the first inside radius, then narrow every bracket
     # [lo, hi], indicator(lo) > 0 >= indicator(hi)
@@ -880,17 +905,16 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     todo[certified] = False
     rays = np.flatnonzero(todo)
     scanned = len(rays)
-    lo, f_lo = np.full(scanned, float(r_min)), np.zeros(scanned)
-    hi, f_hi = r_out[rays], f_out[rays]
     if scanned:
+        lo, f_lo = np.full(scanned, float(r_min)), np.zeros(scanned)
+        hi, f_hi = np.full(scanned, float(r_max)), f_out[rays]
         found, bad = _scan(indicator, rays, lo, hi, f_lo, f_hi)
         failed += bad
         empty[rays[~found]] = True
         rays, lo, hi, f_lo, f_hi = (x[found] for x in (rays, lo, hi, f_lo, f_hi))
         failed += _illinois(indicator, rays, lo, hi, f_lo, f_hi)
+        located.update(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
 
-    located = dict(zip(certified.tolist(), root[certified].tolist()))
-    located.update(zip(rays.tolist(), (0.5 * (lo + hi)).tolist()))
     points = tuple((located[i], phi) for i, phi in enumerate(angles) if i in located)
     return BoundaryResult(points=points,
                           empty_rays=tuple(phi for i, phi in enumerate(angles)
@@ -898,22 +922,27 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
                           failed_solves=failed, scanned_rays=scanned)
 
 
-def _quartic_roots(rmap_a: MatrixRMap, rmap_b: MatrixRMap, units: np.ndarray,
+def _quartic_roots(constant, coupling: float, units: np.ndarray,
                    r_min: float, r_max: float) -> np.ndarray:
-    """The largest real root in (r_min, r_max) of boundary_curve's quartic Q
-    on each ray of the unit directions units, -inf on a ray without one and
-    on every ray of a pair that is not of degree 1.
+    """Each ray's verdict from boundary_curve's quartic Q, for a degree-1
+    pair with _degree_one's constant (c, p_A, p_B) and coupling
+    sigma_A sigma_B, on the unit directions units: the largest real root in
+    (r_min, r_max); -inf where Q has no root there, so that the ray has no
+    crossing; NaN where Q cannot tell, and the ray is scanned.
 
     One np.linalg.eigvals call on the (rays, 4, 4) real companion matrices;
-    a real matrix's real eigenvalues come back with imaginary part 0, and a
-    near-double root that comes back as a complex pair is left to the scan.
+    a real matrix's real eigenvalues come back with imaginary part 0.  Q
+    cannot tell on two kinds of ray: one where a root closer than
+    _RADIAL_TOL to the real axis, but not on it, lies beyond every real
+    root (a near-double root that came back as a complex pair: the ray is
+    tangent to the support there), and a rootless one whose point at radius
+    |c| in (r_min, r_max) lies within _RADIAL_TOL of the pole z = c, where
+    a scan point can land on the pole, fail and read as inside.
     """
-    constant = _degree_one(rmap_a, rmap_b)
-    if constant is None:
-        return np.full(len(units), -np.inf)
     c, pa, pb = constant
-    beta = (c * units.conj()).real  # Re(c e^{-i phi})
-    m, s, k2 = abs(c) ** 2, pa + pb, (rmap_a.sigma * rmap_b.sigma) ** 2
+    turned = c * units.conj()  # c e^{-i phi}; |c| on a ray through the pole
+    beta = turned.real
+    m, s, k2 = abs(c) ** 2, pa + pb, coupling ** 2
     # r^4 + a3 r^3 + a2 r^2 + a1 r + a0: the first row is -a3, -a2, -a1, -a0
     companion = np.zeros((len(units), 4, 4))
     companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
@@ -922,8 +951,13 @@ def _quartic_roots(rmap_a: MatrixRMap, rmap_b: MatrixRMap, units: np.ndarray,
     companion[:, 0, 2] = beta * (4.0 * m - 2.0 * s)
     companion[:, 0, 3] = (s - m) * m - pa * pb
     roots = np.linalg.eigvals(companion)
-    real = (roots.imag == 0) & (roots.real > r_min) & (roots.real < r_max)
-    return np.where(real, roots.real, -np.inf).max(axis=1)
+    # the near-real root of largest real part (a complex max orders by the
+    # real part first), -inf where there is none
+    outer = np.where((abs(roots.imag) < _RADIAL_TOL) & (roots.real > r_min)
+                     & (roots.real < r_max), roots, -np.inf).max(axis=1)
+    pole = abs(turned - abs(c)) < _RADIAL_TOL if r_min < abs(c) < r_max else False
+    unclear = (outer.imag != 0) | (pole & (outer.real == -np.inf))
+    return np.where(unclear, np.nan, outer.real)
 
 
 def _scan(indicator, rays, lo, hi, f_lo, f_hi):

@@ -406,7 +406,7 @@ def test_boundary_summary_counts_failed_solves(tmp_path):
 
 
 @pytest.mark.parametrize("ensemble_b,scanned", [
-    ({"kind": "shifted", "n": 24}, 2),   # the limacon's two rays past the cusps have no root
+    ({"kind": "shifted", "n": 24}, 0),   # the limacon's rays past the cusps: no root, so empty
     ({"kind": "gue", "n": 24}, 8),       # degree 5: every ray is scanned
 ], ids=["limacon", "degree5"])
 def test_boundary_summary_counts_scanned_rays(tmp_path, ensemble_b, scanned):

@@ -1020,9 +1020,29 @@ def test_ray_inside_at_internal_r_max_reports_empty(monkeypatch):
 
 
 def without_quartic(monkeypatch):
-    """Send every ray of boundary_curve to the scan: no ray has a quartic root."""
+    """Send every ray of boundary_curve to the scan: the quartic gives no
+    ray a verdict."""
     monkeypatch.setattr(nonhermitian, "_quartic_roots",
-                        lambda rmap_a, rmap_b, units, r_min, r_max: np.full(len(units), -np.inf))
+                        lambda constant, coupling, units, r_min, r_max:
+                        np.full(len(units), np.nan))
+
+
+def internal_r_max(rmap_a, rmap_b):
+    return 1.5 * nonhermitian._support_scale(rmap_a) * nonhermitian._support_scale(
+        rmap_b) + 1.0
+
+
+def quartic_verdicts(rmap_a, rmap_b, angles):
+    """_quartic_roots' verdict on each ray, at boundary_curve's default radii."""
+    return nonhermitian._quartic_roots(
+        nonhermitian._degree_one(rmap_a, rmap_b), rmap_a.sigma * rmap_b.sigma,
+        np.exp(1j * np.array(angles)), 1e-4, internal_r_max(rmap_a, rmap_b))
+
+
+def probes_on(handed, phi):
+    """How many of the probed points lie on the ray at angle phi."""
+    z = np.concatenate(handed)
+    return int((abs(np.angle(z) - phi) < 1e-9).sum())
 
 
 # degree-1 pairs with sigma in [0, 2]: tau = 0 factors, or a tau != 0 factor
@@ -1050,32 +1070,44 @@ BOUNDARY_PAIRS = st.one_of(st.tuples(BOUNDARY_FLAT, BOUNDARY_FLAT),
 # the scan's 24 points pass over an inside interval near the origin on some rays
 @example((elliptic_rmap(1.0456, 0.0, 1.0309 + 0.1799j), elliptic_rmap(0.7624, 0.0, 1.0358 + 1.2016j)))
 def test_quartic_route_matches_scan_route(pair):
-    # the certified quartic roots against the scan and Illinois on every ray
+    # the quartic's verdicts against the scan and Illinois on every ray, at
+    # 16 and 64 rays
     assert nonhermitian._degree_one(*pair) is not None
-    got = boundary_curve(*pair, angular_samples=16)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        without_quartic(monkeypatch)
-        want = boundary_curve(*pair, angular_samples=16)
-    assert got.failed_solves == want.failed_solves == 0
-    assert got.scanned_rays <= want.scanned_rays
-    located, scanned = ({phi: r for r, phi in res.points} for res in (got, want))
-    assert set(got.empty_rays) <= set(want.empty_rays)
-    for phi, r in located.items():
-        r_scan = scanned.get(phi)
-        if r_scan is not None and abs(r - r_scan) <= 2e-5:
-            continue
-        # the scan's 24 points skipped an inside interval that ends at r, so
-        # it reports a crossing further in, or none: r must be a crossing
-        assert r_scan is None or r_scan < r
-        assert branch_indicator(*pair, cmath.rect(r - 2.5e-6, phi)) > 0.0
-        assert branch_indicator(*pair, cmath.rect(r + 2.5e-6, phi)) <= 0.0
+    for rays in (16, 64):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            handed = counting_probes(monkeypatch)
+            got = boundary_curve(*pair, angular_samples=rays)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            without_quartic(monkeypatch)
+            want = boundary_curve(*pair, angular_samples=rays)
+        assert got.failed_solves == want.failed_solves == 0
+        assert got.scanned_rays <= want.scanned_rays
+        # a ray with no root of Q is empty on both routes, and the quartic
+        # route probes it at r_max alone
+        angles = [-math.pi + (k + 0.5) * 2.0 * math.pi / rays for k in range(rays)]
+        rootless = [phi for phi, r in zip(angles, quartic_verdicts(*pair, angles))
+                    if r == -math.inf]
+        assert set(rootless) <= set(got.empty_rays) & set(want.empty_rays)
+        assert all(probes_on(handed, phi) == 1 for phi in rootless)
+        located, scanned = ({phi: r for r, phi in res.points} for res in (got, want))
+        assert set(got.empty_rays) <= set(want.empty_rays)
+        for phi, r in located.items():
+            r_scan = scanned.get(phi)
+            if r_scan is not None and abs(r - r_scan) <= 2e-5:
+                continue
+            # the scan's 24 points skipped an inside interval that ends at r,
+            # so it reports a crossing further in, or none: r must be a crossing
+            assert r_scan is None or r_scan < r
+            assert branch_indicator(*pair, cmath.rect(r - 2.5e-6, phi)) > 0.0
+            assert branch_indicator(*pair, cmath.rect(r + 2.5e-6, phi)) <= 0.0
 
 
 @pytest.mark.parametrize("move", [1e-3, -1e-3], ids=["outward", "inward"])
 def test_uncertified_roots_fall_back_to_the_scan(move, monkeypatch):
     # roots moved 1e-3 fail their certificate, outward at the point below
-    # them and inward at the point above them, and every ray then takes the
-    # scan, exactly as with no quartic at all
+    # them and inward at the point above them, and every ray with a root then
+    # takes the scan, exactly as with no quartic at all; the rays past the
+    # limacon's cusps have no root and stay empty unscanned
     angles = [-math.pi + (k + 0.5) * math.pi / 8 for k in range(16)]
     real = nonhermitian._quartic_roots
     for pair in ((GIN, GIN), (SHIFTED, SHIFTED)):
@@ -1086,9 +1118,11 @@ def test_uncertified_roots_fall_back_to_the_scan(move, monkeypatch):
         without_quartic(monkeypatch)
         scan = boundary_curve(*pair, angles=angles)
         monkeypatch.undo()
-        assert fallback == scan
-        assert fallback.scanned_rays == 16
-        assert quartic.scanned_rays == len(quartic.empty_rays)  # no root past the cusps
+        assert fallback.points == scan.points and fallback.empty_rays == scan.empty_rays
+        assert fallback.failed_solves == scan.failed_solves == 0
+        assert fallback.scanned_rays == 16 - len(quartic.empty_rays)
+        assert scan.scanned_rays == 16
+        assert quartic.scanned_rays == 0
         assert quartic.empty_rays == scan.empty_rays
         assert [phi for _, phi in quartic.points] == [phi for _, phi in scan.points]
         for (r, _), (r_scan, _) in zip(quartic.points, scan.points):
@@ -1099,15 +1133,19 @@ def test_uncertified_roots_fall_back_to_the_scan(move, monkeypatch):
 @pytest.mark.parametrize("offset", [0.05, 0.2, 0.4])
 def test_degree_one_fan_within_two_probe_rounds(pair, offset, monkeypatch):
     # the benchmark's calls: 6 rays of a 12-ray fan.  One round probes r_max
-    # and certifies every root; a second scans the rays without one
+    # and certifies every root; a ray without one (past the limacon's cusps)
+    # is empty after its probe at r_max
     fan = [math.remainder(-math.pi + offset + k * math.pi / 6, 2.0 * math.pi)
            for k in range(12)]
     for angles in (fan[0::2], fan[1::2]):
         handed = counting_probes(monkeypatch)
         res = boundary_curve(*pair, angles=angles)
         monkeypatch.undo()
-        assert len(handed) == (1 if res.scanned_rays == 0 else 2)
-        assert res.scanned_rays == len(res.empty_rays)
+        assert len(handed) == 1 and res.scanned_rays == 0
+        rootless = [phi for phi, r in zip(angles, quartic_verdicts(*pair, angles))
+                    if r == -math.inf]
+        assert list(res.empty_rays) == rootless
+        assert len(res.points) + len(rootless) == 6
 
 
 @pytest.mark.parametrize("offset", [0.05, 0.2, 0.4])
@@ -1139,6 +1177,39 @@ def test_boundary_counts_failed_solves_on_array_route():
         scan = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)  # z = 2 ends the scan
     assert scan.failed_solves == scan.scanned_rays == 1
     assert scan.points[0][0] == pytest.approx(quartic.points[0][0], abs=1e-5)
+    # R_AB = 1.5 with no spread: Q = (r - 1.5)^4 on the ray at 0, whose roots
+    # come back apart from the real axis.  The ray through the pole is
+    # scanned as on the scan route, whose point at r = 1.5 fails; the ray at
+    # 0.3 has no root and is empty
+    a, b = constant_rmap(1.5), constant_rmap(1.0)
+    through = boundary_curve(a, b, angles=[0.0, 0.3], r_min=0.5, r_max=2.5)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_quartic(monkeypatch)
+        scan = boundary_curve(a, b, angles=[0.0, 0.3], r_min=0.5, r_max=2.5)
+    assert through.points == scan.points and through.empty_rays == scan.empty_rays == (0.3,)
+    assert through.failed_solves == scan.failed_solves == 1
+    assert through.scanned_rays == 1 and scan.scanned_rays == 2
+    assert through.points[0][0] == pytest.approx(1.5, abs=1e-5)
+
+
+def test_tangent_ray_is_scanned():
+    # a shifted pair whose support, around R_AB = 2, misses the origin; at its
+    # angular edge Q has a double root, which comes back as a complex pair
+    # near the real axis.  That ray is scanned, not called empty
+    pair = elliptic_rmap(0.5, 0.0, 2.0), elliptic_rmap(0.5, 0.0, 1.0)
+    assert boundary_curve(*pair, angles=[math.pi]).empty_rays == (math.pi,)
+    lo, hi = 0.0, 1.0  # Q has a real root on the ray at lo, none at hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if quartic_verdicts(*pair, [mid])[0] > -math.inf else (lo, mid)
+    assert lo < hi and math.isnan(quartic_verdicts(*pair, [hi])[0])
+    tangent = boundary_curve(*pair, angles=[hi, 1.0])
+    assert tangent.scanned_rays == 1 and tangent.failed_solves == 0
+    assert tangent.empty_rays[-1] == 1.0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_quartic(monkeypatch)
+        scan = boundary_curve(*pair, angles=[hi, 1.0])
+    assert tangent.points == scan.points and tangent.empty_rays == scan.empty_rays
 
 
 def test_boundary_counts_failed_solves(monkeypatch):
