@@ -49,8 +49,11 @@ _DEFAULT_EPSILON = {"transform": 1e-6, "compare": 1e-2}
 # a boundary scan round holds rays x 25 values; 16x acceptance criterion 3's 256 rays
 _MAX_RAYS = 4096
 # solve-product and density on the generic route peak at about 5 KB a node
-# (219 MB at 40,000 nodes of a tau = 0.5 pair), so a grid stays below 0.5 GB
+# (219 MB at 40,000 nodes of a tau = 0.5 pair), so a grid stays below 0.5 GB;
+# transform's matrix section solves one node per value, so count shares it
 _MAX_NODES = 100_000
+# compare's radial and slice profiles: far more bins than any sample fills
+_MAX_BINS = 10_000
 
 
 @dataclass
@@ -195,7 +198,8 @@ _OPTIONS = {
                         "tabulate against spectral 'z' or moment variable 'y'", ("transform",)),
     "start": _Option(_real, float, "first value", ("transform",)),
     "stop": _Option(_real, float, "last value", ("transform",)),
-    "count": _Option(partial(_integer, minimum=2), int, "number of values", ("transform",)),
+    "count": _Option(partial(_integer, minimum=2, maximum=_MAX_NODES), int,
+                     f"number of values (2 to {_MAX_NODES})", ("transform",)),
     "epsilon": _Option(partial(_real, positive=True), float,
                        "transform: offset above the real axis; "
                        "compare: half-width of the real-axis slice", ("transform", "compare")),
@@ -203,8 +207,8 @@ _OPTIONS = {
                                f"number of rays (8 to {_MAX_RAYS})", ("boundary",)),
     "r_max": _Option(partial(_real, positive=True), float,
                      "outer radius for the boundary search", ("boundary",)),
-    "bins": _Option(partial(_integer, minimum=4), int, "bins for radial/slice profiles",
-                    ("compare",)),
+    "bins": _Option(partial(_integer, minimum=4, maximum=_MAX_BINS), int,
+                    f"bins for radial/slice profiles (4 to {_MAX_BINS})", ("compare",)),
 }
 
 # config keys accepted per command, in _OPTIONS order

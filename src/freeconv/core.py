@@ -127,13 +127,17 @@ def phase_split(z: complex) -> PhasePoint:
     return PhasePoint(z=z, w=w, phi=phi, psi=0.5 * phi)
 
 
+def _turn(m: Complex2x2, u) -> Complex2x2:
+    """[m]^L for u = e^{i psi}, and [m]^R for u = e^{-i psi}: q12 times u,
+    q21 over u; diagonal untouched.  The entries and u may be arrays."""
+    return Complex2x2(m.q11, u * m.q12, m.q21 / u, m.q22)
+
+
 def rotate_left(m: Complex2x2, psi: float) -> Complex2x2:
     """[X]^L: multiply q12 by e^{i psi} and q21 by e^{-i psi}; diagonal untouched."""
-    u = cmath.exp(1j * psi)
-    return Complex2x2(m.q11, u * m.q12, m.q21 / u, m.q22)
+    return _turn(m, cmath.exp(1j * psi))
 
 
 def rotate_right(m: Complex2x2, psi: float) -> Complex2x2:
     """[X]^R: multiply q12 by e^{-i psi} and q21 by e^{i psi}; diagonal untouched."""
-    u = cmath.exp(1j * psi)
-    return Complex2x2(m.q11, m.q12 / u, u * m.q21, m.q22)
+    return _turn(m, cmath.exp(-1j * psi))

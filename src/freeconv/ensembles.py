@@ -124,9 +124,6 @@ class EnsembleSpec:
         return EnsembleSpec(kind=d["kind"], n=d["n"], sigma=d.get("sigma", 1.0),
                             tau=d.get("tau"), shift=shift)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
 
 @dataclass(frozen=True)
 class SampledMatrix:

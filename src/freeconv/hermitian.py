@@ -8,9 +8,11 @@ climbs a homotopy ladder in |z| (one _stage_solve per stage) from far out,
 where g ~ 1/z is certified, down to z; its S transform is s_from_green's.
 
 Two affine factors multiply in closed form: the auxiliary pair of the
-product law is linear, so R_AB and its derivative are rational, and R_AB is
-declared affine (c_A c_B, 0) when it is constant (alpha_A alpha_B = 0 and
-alpha_A c_B^2 + alpha_B c_A^2 = 0, e.g. any factor pair with tau = 0).
+product law is linear (_affine_aux), so R_AB and its derivative are rational
+(_affine_product_r), and R_AB is declared affine (c_A c_B, 0) when it is
+constant (_constant_product, e.g. any factor pair with tau = 0).  These three
+are the one statement of the affine product law; the non-hermitian
+holomorphic probe evaluates its roots with them, elementwise on arrays.
 Other pairs take the generic route (damped fixed point plus Newton), which
 stays as the test oracle, as the ladder does for _affine_root.
 """
@@ -259,24 +261,41 @@ class ProductGreens(NamedTuple):
     residual: float
 
 
-def _affine_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex):
-    """(P, Q, D) of the exact affine auxiliary solution.
+def _affine_aux(fa: tuple, fb: tuple, x):
+    """(P, Q, D) of the exact affine auxiliary solution, elementwise.
 
-    With R_A = c_A + alpha_A g and R_B = c_B + alpha_B g the pair solves to
+    With R_A = c_A + alpha_A g and R_B = c_B + alpha_B g, given as the pairs
+    fa = (c_A, alpha_A) and fb = (c_B, alpha_B), the pair solves to
     g_a = x P / D and g_b = x Q / D, where P = c_A + x alpha_A c_B = D R_A(g_b),
     Q = c_B + x alpha_B c_A = D R_B(g_a) and D = 1 - x^2 alpha_A alpha_B.
+    x may be a scalar or a numpy array.
     """
-    (ca, aa), (cb, ab) = ta.affine, tb.affine
-    d = 1.0 - x * x * aa * ab
-    if d == 0:
-        raise ConvergenceError(f"auxiliary product system is singular at x = {x}")
-    return ca + x * aa * cb, cb + x * ab * ca, d
+    (ca, aa), (cb, ab) = fa, fb
+    return ca + x * aa * cb, cb + x * ab * ca, 1.0 - x * x * (aa * ab)
+
+
+def _affine_product_r(fa: tuple, fb: tuple, x):
+    """R_AB = P Q / D^2 of two affine factors (as for _affine_aux) at x, and
+    its derivative R_AB', elementwise; not finite where D = 0 on arrays."""
+    (ca, aa), (cb, ab) = fa, fb
+    p, q, d = _affine_aux(fa, fb, x)
+    return (p * q / (d * d),
+            ((aa * cb * q + p * ab * ca) * d + 4.0 * x * (aa * ab) * p * q) / (d * d * d))
+
+
+def _constant_product(fa: tuple, fb: tuple) -> bool:
+    """Whether R_AB of two affine factors (as for _affine_aux) is the
+    constant c_A c_B: alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0."""
+    (ca, aa), (cb, ab) = fa, fb
+    return aa * ab == 0 and aa * cb * cb + ab * ca * ca == 0
 
 
 def _product_aux(ta: ScalarTransform, tb: ScalarTransform, x: complex):
     """Solve the auxiliary pair g_a = x R_A(g_b), g_b = x R_B(g_a)."""
     if ta.affine is not None and tb.affine is not None:
-        p, q, d = _affine_aux(ta, tb, x)
+        p, q, d = _affine_aux(ta.affine, tb.affine, x)
+        if d == 0:
+            raise ConvergenceError(f"auxiliary product system is singular at x = {x}")
         return x * p / d, x * q / d
     ga = x * ta.kappa1
     gb = x * tb.kappa1
@@ -316,29 +335,26 @@ def product_r_transform(ta: ScalarTransform, tb: ScalarTransform) -> ScalarTrans
 
     R_AB(x) = R_A(g_b) R_B(g_a) where (g_a, g_b) solve the auxiliary pair at x.
     Feeding this map to green_from_r yields the Green's function of A B.
-    For two affine factors R_AB = P Q / D^2 (see _affine_aux), with an exact
-    derivative; it is the constant c_A c_B, and declared so, when
-    alpha_A alpha_B = 0 and alpha_A c_B^2 + alpha_B c_A^2 = 0.  Otherwise every
-    evaluation solves the auxiliary pair.
+    Every evaluation solves the auxiliary pair, in closed form for two
+    affine factors (_affine_aux), whose R_AB = P Q / D^2 also has the exact
+    derivative of _affine_product_r; it is the constant c_A c_B, and
+    declared so, when _constant_product holds.
     """
     r_deriv = affine = None
     if ta.affine is not None and tb.affine is not None:
-        (ca, aa), (cb, ab) = ta.affine, tb.affine
-        dp, dq = aa * cb, ab * ca  # dP/dx, dQ/dx
-        if aa * ab == 0 and aa * cb * cb + ab * ca * ca == 0:
-            affine = (ca * cb, 0.0)
-
-        def r_eval(x: complex) -> complex:
-            p, q, d = _affine_aux(ta, tb, x)
-            return p * q / (d * d)
+        if _constant_product(ta.affine, tb.affine):
+            affine = (ta.affine[0] * tb.affine[0], 0.0)
 
         def r_deriv(x: complex) -> complex:
-            p, q, d = _affine_aux(ta, tb, x)
-            return ((dp * q + p * dq) * d + 4.0 * x * aa * ab * p * q) / (d * d * d)
-    else:
-        def r_eval(x: complex) -> complex:
-            ga, gb = _product_aux(ta, tb, x)
-            return ta.r_eval(gb) * tb.r_eval(ga)
+            try:
+                return _affine_product_r(ta.affine, tb.affine, x)[1]
+            except ZeroDivisionError:
+                raise ConvergenceError(
+                    f"auxiliary product system is singular at x = {x}") from None
+
+    def r_eval(x: complex) -> complex:
+        ga, gb = _product_aux(ta, tb, x)
+        return ta.r_eval(gb) * tb.r_eval(ga)
 
     return ScalarTransform(
         name=f"({ta.name})*({tb.name})",

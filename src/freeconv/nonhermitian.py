@@ -23,13 +23,11 @@ from .core import (
     _DET_FLOOR,
     Complex2x2,
     QuaternionicGreen,
+    _turn,
     embed_parts,
     invert,
-    phase_split,
     qinv_parts,
     qmul_parts,
-    rotate_left,
-    rotate_right,
 )
 from .errors import (
     ConvergenceError,
@@ -238,14 +236,15 @@ def _stability_radius(z, g, pa, pb, coupling):
 
 
 def _degree_one(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
-    """(c, pa, pb) when R_AB is the constant c = c_A c_B, else None.
+    """(c, pa, pb) when R_AB is the constant c = c_A c_B
+    (hermitian._constant_product), else None.
 
     That is every tau = 0 pair, and a tau != 0 factor times a centered
     tau = 0 one; pa = |c_A|^2 L_B and pb = |c_B|^2 L_A are _stability_radius's.
     """
-    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
-    if aa * ab != 0 or aa * cb * cb + ab * ca * ca != 0:
+    if not hermitian._constant_product(rmap_a.affine, rmap_b.affine):
         return None
+    ca, cb = rmap_a.shift, rmap_b.shift
     return ca * cb, abs(ca) ** 2 * rmap_b.sigma ** 2, abs(cb) ** 2 * rmap_a.sigma ** 2
 
 
@@ -257,41 +256,33 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     values (_stability_radius), the holomorphic solution (g, g_a, g_b and
     the worst of its three residuals), and a mask that is False at z = 0
     and where no root meets the certificate (every residual at most
-    10 _TOL); callers read that as inside.  With R_X = c_X + alpha_X g on
-    the diagonal, g_a = g P / D and g_b = g Q / D (hermitian._affine_aux),
-    so g is a root of p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when
-    alpha_A alpha_B = 0, or 1 when R_AB is the constant c = c_A c_B (every
-    tau = 0 pair, and a tau != 0 factor times a centered tau = 0 one): then
-    g = 1/(z - c) and s_X = c_X, in numpy ufuncs (a scalar z as a numpy
-    scalar, so the pole gives inf, and a degree-1 point is ok only where its
-    indicator is finite too).  Otherwise p(0) = -1, so w = 1/g are the
+    10 _TOL); callers read that as inside.  The affine product law is
+    hermitian's: with R_X = c_X + alpha_X g on the diagonal,
+    g_a = g P / D and g_b = g Q / D (hermitian._affine_aux), so g is a root
+    of p(g) = g (z D^2 - P Q) - D^2, of degree 5, or 2 when
+    alpha_A alpha_B = 0, or 1 when R_AB is the constant c = c_A c_B
+    (_degree_one).  Degree 1 is exact: g = 1/(z - c), g_a = g c_A and
+    g_b = g c_B, in numpy ufuncs (a scalar z as a numpy scalar, so the pole
+    gives inf).  There s_A = c_A and s_B = c_B, so each of the three
+    residuals is 0 wherever g is finite, but for the rounding of c_A c_B,
+    which numpy's array multiply may round otherwise than Python's and
+    which |g|^2 magnifies next to the pole.  So the residual reads 0 where
+    g is finite and NaN elsewhere, and a point is ok where its indicator is
+    finite and z != 0.  Otherwise p(0) = -1, so w = 1/g are the
     eigenvalues of a companion matrix that divides by no coefficient, one
     batched np.linalg.eigvals call for all z.  Each root takes one Newton
-    step on g (z - R_AB(g)) = 1, R_AB = P Q / D^2, which lacks p's roots at
-    D = 0 that can crowd it (g = +-1 for GUE^2, near z = +-1).  Each z
-    keeps the certified root of least _stability_radius, the stable one
-    outside the support and in its holes, and that radius is the indicator.
-    The arithmetic is elementwise, so a point's values do not depend on the
-    other points of the call.
+    step on g (z - R_AB(g)) = 1 (hermitian._affine_product_r), which lacks
+    p's roots at D = 0 that can crowd it (g = +-1 for GUE^2, near z = +-1).
+    Each z keeps the certified root of least _stability_radius, the stable
+    one outside the support and in its holes, and that radius is the
+    indicator.  The arithmetic is elementwise, so a point's values do not
+    depend on the other points of the call.
     """
-    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
+    fa, fb = rmap_a.affine, rmap_b.affine
+    (ca, aa), (cb, ab) = fa, fb
     la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
     coupling = rmap_a.sigma * rmap_b.sigma
-    a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
     constant = _degree_one(rmap_a, rmap_b)
-
-    def greens(z, g):
-        """The ProductGreens of the roots g at z, and their s_A and s_B."""
-        ga = g * (ca + g * aa * cb)
-        gb = g * (cb + g * ab * ca)
-        if a2 != 0:
-            d = 1.0 - g * g * a2
-            ga, gb = ga / d, gb / d
-        sa = ca + aa * gb
-        sb = cb + ab * ga
-        residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
-                                         abs(ga - g * sa)), abs(gb - g * sb))
-        return hermitian.ProductGreens(g, ga, gb, residual), sa, sb
 
     if constant is not None:
         c, pa, pb = constant
@@ -300,28 +291,20 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
             z = np.asarray(z)[()]
             with np.errstate(all="ignore"):
                 g = 1.0 / (z - c)
-                pg, _, _ = greens(z, g)
                 indicator = _stability_radius(z, g, pa, pb, coupling)
-            ok = (pg.residual <= 10.0 * _TOL) & np.isfinite(indicator) & (z != 0)
-            return indicator, pg, ok
+                pg = hermitian.ProductGreens(g, g * ca, g * cb,
+                                             np.where(np.isfinite(g), 0.0, np.nan)[()])
+            return indicator, pg, np.isfinite(indicator) & (z != 0)
 
         return probe
 
     # p's coefficients of g^1 .. g^n (that of g^0 is -1), as z c1 + c0
+    a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
     n = 5 if a2 != 0 else 2
     c1 = np.array([1.0, 0.0, -2.0 * a2, 0.0, a2 * a2][:n], dtype=complex)
     c0 = np.array([-ca * cb, 2.0 * a2 - k1, -a2 * ca * cb, -a2 * a2, 0.0][:n],
                   dtype=complex)
     shift_down = np.eye(n, k=-1, dtype=complex)
-
-    def newton(z, g):
-        """One Newton step from each root g on g (z - R_AB(g)) - 1 = 0, where
-        R_AB = P Q / D^2 has no roots at D = 0 to crowd the root that counts."""
-        p, q = ca + g * aa * cb, cb + g * ab * ca
-        d = 1.0 - g * g * a2
-        r = p * q / (d * d)
-        dr = ((aa * cb * q + p * ab * ca) * d + 4.0 * g * a2 * p * q) / (d * d * d)
-        return g - (g * (z - r) - 1.0) / (z - r - g * dr)
 
     def probe(z):
         z = np.asarray(z, dtype=complex)
@@ -331,17 +314,23 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
         companion = np.repeat(shift_down[None], flat.shape[0], axis=0)
         companion[:, 0, :] = np.where(live, flat, 0.0) * c1 + c0
         with np.errstate(all="ignore"):
-            g = newton(flat, 1.0 / np.linalg.eigvals(companion))
-            pg, sa, sb = greens(flat, g)
+            g = 1.0 / np.linalg.eigvals(companion)
+            r, dr = hermitian._affine_product_r(fa, fb, g)
+            g = g - (g * (flat - r) - 1.0) / (flat - r - g * dr)
+            p, q, d = hermitian._affine_aux(fa, fb, g)
+            ga, gb = g * p / d, g * q / d
+            sa, sb = ca + aa * gb, cb + ab * ga
+            residual = np.maximum(np.maximum(abs(g - 1.0 / (flat - sa * sb)),
+                                             abs(ga - g * sa)), abs(gb - g * sb))
             indicator = _stability_radius(flat, g, abs(sa) ** 2 * lb, abs(sb) ** 2 * la,
                                           coupling)
-        ok = live & (pg.residual <= 10.0 * _TOL)
+        ok = live & (residual <= 10.0 * _TOL)
         best = np.argmin(np.where(ok, indicator, np.inf), axis=1)[:, None]
 
         def pick(v):
             return np.take_along_axis(v, best, axis=1).reshape(z.shape)[()]
 
-        return (pick(indicator), hermitian.ProductGreens(*map(pick, pg)),
+        return (pick(indicator), hermitian.ProductGreens(*map(pick, (g, ga, gb, residual))),
                 ok.any(axis=1).reshape(z.shape)[()])
 
     return probe
@@ -570,12 +559,6 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
     r_ga = (qa - _turn(gm_full @ sal, u)).norm_max()
     r_gb = (qb - _turn(sbr @ gm_full, u.conjugate())).norm_max()
     return sal, sbr, (r_gm, r_ga, r_gb), abs(det)
-
-
-def _turn(m: Complex2x2, u) -> Complex2x2:
-    """[m]^L for u = e^{i psi}, and [m]^R for u = e^{-i psi}: q12 times u,
-    q21 over u.  The entries and u may be arrays."""
-    return Complex2x2(m.q11, u * m.q12, m.q21 / u, m.q22)
 
 
 def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHermSolution:
@@ -1085,9 +1068,12 @@ def limacon_reference(r: float, phi: float) -> LimaconPoint:
     r = 0 is the supremum 6/pi (the phi = 0 limit), matching the convention
     that the density maximum sits at the origin.
     Outside, the trivial branch G = 1/(z - 1) with rho = 0 applies.
+    A non-finite or negative r, or a non-finite phi, raises FreeconvError.
     """
     r = float(r)
     phi = float(phi)
+    if not (math.isfinite(r) and math.isfinite(phi)):
+        raise FreeconvError(f"radius and angle must be finite, got r={r}, phi={phi}")
     if r < 0.0:
         raise FreeconvError("radius must be nonnegative")
     cos_phi = math.cos(phi)
@@ -1294,11 +1280,12 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     _FACTORIZES is solved again with the hand-off at _GUARD_HANDOFF, the
     slow schedule, and the report is the retry's.
     """
-    psi = phase_split(sol.z).psi
+    if sol.z == 0:
+        raise OriginError()
     z = np.array([sol.z])
+    u = np.exp(0.5j * np.angle(z))  # e^{i psi}, psi half the phase of z
     sal, sbr, residuals, det = _product_equations(
-        rmap_a, rmap_b, z, np.exp(0.5j * np.angle(z)),
-        np.array([[sol.ga.a], [sol.ga.b], [sol.gb.a], [sol.gb.b]]),
+        rmap_a, rmap_b, z, u, np.array([[sol.ga.a], [sol.ga.b], [sol.gb.a], [sol.gb.b]]),
         np.array([[sol.gm.a], [sol.gm.b]]))
     if not det[0] > _DET_FLOOR:
         raise SingularMatrixError(det[0])
@@ -1316,14 +1303,16 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
 
     y_left = rm @ gm
     y_right = gm @ rm
+    left = complex(u[0])
+    right = left.conjugate()
 
     def step_left(x: Complex2x2) -> Complex2x2:
-        inner = rotate_right(x @ y_left, psi)
-        return invert(rotate_left(rmap_a.apply_matrix(inner), psi))
+        inner = _turn(x @ y_left, right)
+        return invert(_turn(rmap_a.apply_matrix(inner), left))
 
     def step_right(x: Complex2x2) -> Complex2x2:
-        inner = rotate_left(y_right @ x, psi)
-        return invert(rotate_right(rmap_b.apply_matrix(inner), psi))
+        inner = _turn(y_right @ x, left)
+        return invert(_turn(rmap_b.apply_matrix(inner), right))
 
     seed_a = Complex2x2.identity().scale(1.0 / rmap_a.kappa1)
     seed_b = Complex2x2.identity().scale(1.0 / rmap_b.kappa1)

@@ -448,6 +448,28 @@ def test_boundary_angular_samples_capped_before_work(tmp_path, capsys, monkeypat
     assert job.angular_samples == cli._MAX_RAYS
 
 
+@pytest.mark.parametrize("command,key,cap", [("transform", "count", cli._MAX_NODES),
+                                             ("compare", "bins", cli._MAX_BINS)])
+@pytest.mark.parametrize("excess", [1, 10 ** 12])
+def test_sizes_capped_before_work(tmp_path, capsys, monkeypatch, command, key, cap, excess):
+    # transform's values and compare's bins are each allocated at once, so a
+    # huge count is refused at validation, before any solve or sample
+    def unexpected(*args, **kwargs):
+        raise AssertionError(f"{command} started")
+
+    monkeypatch.setitem(cli._DISPATCH, command, unexpected)
+    config = ({"ensemble_a": GIN, "start": 0.5, "stop": 2.0} if command == "transform"
+              else {"ensemble_a": GIN, "ensemble_b": GIN, "grid": COMPARE_GRID, "trials": 2})
+    out = tmp_path / "out"
+    rc = run_cli(tmp_path, command, dict(config, output=str(out), **{key: cap + excess}))
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert err.startswith("error:") and f"{key} must be <= {cap}, got {cap + excess}" in err
+    assert "Traceback" not in err
+    job = cli.build_job(command, dict(config, output="out", **{key: cap}))
+    assert getattr(job, key) == cap
+
+
 def test_parser_built_once_and_reused_after_usage_error(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"ensemble_a": GIN, "ensemble_b": GIN,

@@ -15,6 +15,8 @@ from freeconv import cli
 from freeconv.errors import CenteredTransformError, ConvergenceError, FreeconvError
 from freeconv.hermitian import (
     ScalarTransform,
+    _affine_aux,
+    _affine_transform,
     _product_aux,
     constant_transform,
     density_real,
@@ -230,6 +232,31 @@ def test_affine_aux_singular_raises():
     # D = 1 - x^2 alpha_A alpha_B vanishes at x = 1 for two unit semicircles
     with pytest.raises(ConvergenceError):
         _product_aux(GUE, GUE, 1.0)
+    product = product_r_transform(GUE, GUE)
+    for x in (1.0, -1.0 + 0j):
+        for evaluate in (product.r_eval, product.r_deriv):
+            with pytest.raises(ConvergenceError, match="singular"):
+                evaluate(x)
+
+
+AFFINE_PAIRS = st.tuples(st.complex_numbers(max_magnitude=3.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(AFFINE_PAIRS, AFFINE_PAIRS, st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0))
+def test_affine_product_r_is_pq_over_d_squared(fa, fb, x):
+    # r_eval is R_A(g_b) R_B(g_a) over the exact auxiliary pair for every
+    # pair; for two affine factors that is P Q / D^2, up to the rounding of
+    # the sums c_A + alpha_A g_b and c_B + alpha_B g_a
+    ta, tb = (_affine_transform(name, *f) for name, f in (("a", fa), ("b", fb)))
+    p, q, d = _affine_aux(fa, fb, x)
+    if abs(d) < 1e-3:
+        return  # next to a pole of R_AB
+    ga, gb = _product_aux(ta, tb, x)
+    scale = (abs(fa[0]) + abs(fa[1] * gb)) * (abs(fb[0]) + abs(fb[1] * ga))
+    got = product_r_transform(ta, tb).r_eval(x)
+    assert abs(got - p * q / (d * d)) <= 1e-14 * scale + 1e-300  # subnormal products
+    assert got == ta.r_eval(gb) * tb.r_eval(ga)
 
 
 @pytest.mark.parametrize("ta,tb,c", [

@@ -695,6 +695,153 @@ def test_gue_square_never_takes_the_double_root():
     assert boundary_curve(gue, gue, angular_samples=16).failed_solves == 0
 
 
+def reference_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
+    """_holomorphic_probe as it was when it wrote the affine product law out
+    itself: P, Q, D, R_AB' and the constant-R_AB test inline, and a degree-1
+    point certified by its three residuals like every other root."""
+    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
+    la, lb = rmap_a.sigma ** 2, rmap_b.sigma ** 2
+    coupling = rmap_a.sigma * rmap_b.sigma
+    a2, k1 = aa * ab, aa * cb * cb + ab * ca * ca
+    radius = nonhermitian._stability_radius
+
+    def greens(z, g):
+        ga = g * (ca + g * aa * cb)
+        gb = g * (cb + g * ab * ca)
+        if a2 != 0:
+            d = 1.0 - g * g * a2
+            ga, gb = ga / d, gb / d
+        sa = ca + aa * gb
+        sb = cb + ab * ga
+        residual = np.maximum(np.maximum(abs(g - 1.0 / (z - sa * sb)),
+                                         abs(ga - g * sa)), abs(gb - g * sb))
+        return hermitian.ProductGreens(g, ga, gb, residual), sa, sb
+
+    if a2 == 0 and k1 == 0:
+        c, pa, pb = ca * cb, abs(ca) ** 2 * lb, abs(cb) ** 2 * la
+
+        def probe(z):
+            z = np.asarray(z)[()]
+            with np.errstate(all="ignore"):
+                g = 1.0 / (z - c)
+                pg, _, _ = greens(z, g)
+                indicator = radius(z, g, pa, pb, coupling)
+            ok = (pg.residual <= 10.0 * nonhermitian._TOL) & np.isfinite(indicator) & (z != 0)
+            return indicator, pg, ok
+
+        return probe
+
+    n = 5 if a2 != 0 else 2
+    c1 = np.array([1.0, 0.0, -2.0 * a2, 0.0, a2 * a2][:n], dtype=complex)
+    c0 = np.array([-ca * cb, 2.0 * a2 - k1, -a2 * ca * cb, -a2 * a2, 0.0][:n],
+                  dtype=complex)
+
+    def newton(z, g):
+        p, q = ca + g * aa * cb, cb + g * ab * ca
+        d = 1.0 - g * g * a2
+        r = p * q / (d * d)
+        dr = ((aa * cb * q + p * ab * ca) * d + 4.0 * g * a2 * p * q) / (d * d * d)
+        return g - (g * (z - r) - 1.0) / (z - r - g * dr)
+
+    def probe(z):
+        z = np.asarray(z, dtype=complex)
+        flat = z.reshape(-1, 1)
+        live = np.isfinite(flat) & (flat != 0)
+        companion = np.repeat(np.eye(n, k=-1, dtype=complex)[None], flat.shape[0], axis=0)
+        companion[:, 0, :] = np.where(live, flat, 0.0) * c1 + c0
+        with np.errstate(all="ignore"):
+            g = newton(flat, 1.0 / eigvals(companion))
+            pg, sa, sb = greens(flat, g)
+            indicator = radius(flat, g, abs(sa) ** 2 * lb, abs(sb) ** 2 * la, coupling)
+        ok = live & (pg.residual <= 10.0 * nonhermitian._TOL)
+        best = np.argmin(np.where(ok, indicator, np.inf), axis=1)[:, None]
+
+        def pick(v):
+            return np.take_along_axis(v, best, axis=1).reshape(z.shape)[()]
+
+        return (pick(indicator), hermitian.ProductGreens(*map(pick, pg)),
+                ok.any(axis=1).reshape(z.shape)[()])
+
+    return probe
+
+
+def assert_same(got, want):
+    """Equal values and types, NaN where the other is NaN (a zero's sign aside)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all() and (got[~nan] == want[~nan]).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(STABILITY_PAIRS, st.lists(POINTS, min_size=1, max_size=20))
+@example((GIN, GIN), [0.5])
+@example((SHIFTED, SHIFTED), [0.5, 2.0j])
+@example((gue_rmap(1.0), gue_rmap(1.0)), [0.999, -1.001])
+@example(TAU_PAIR, [0.5, 2.0j, -3.0 + 1.0j])
+@example((constant_rmap(2.0 - 0.5j), TAU_PAIR[0]), [0.5, 2.0j])
+def test_probe_equals_its_inline_formulas(maps, zs):
+    # the probe through hermitian's affine product law gives the values the
+    # formulas written out in the probe gave: the origin, the pole z = c_A c_B
+    # and non-finite points included, as an array and one point at a time
+    rmap_a, rmap_b = maps
+    zs = np.array(zs + [0.0, rmap_a.shift * rmap_b.shift, complex("inf"), complex("nan"),
+                        complex(0.0, math.inf)], dtype=complex)
+    probe, reference = (build(rmap_a, rmap_b)
+                        for build in (nonhermitian._holomorphic_probe, reference_probe))
+    degree_one = nonhermitian._degree_one(rmap_a, rmap_b) is not None
+    (ca, aa), (cb, ab) = rmap_a.affine, rmap_b.affine
+    # alpha_A c_B^2 + alpha_B c_A^2 = 0 may hold by underflow alone; then the
+    # reference keeps g^2 alpha_A c_B in g_a and g^2 alpha_B c_A in g_b
+    dropped = (aa * cb, ab * ca) if degree_one else (0.0, 0.0)
+    for z in [zs, *zs[-5:]]:
+        (indicator, pg, ok), (want_indicator, want, want_ok) = probe(z), reference(z)
+        assert_same(indicator, want_indicator)
+        assert_same(ok, want_ok)
+        assert_same(pg.g, want.g)
+        for u, v, term in zip(pg[1:3], want[1:3], dropped):
+            if term == 0:
+                assert_same(u, v)
+            else:
+                assert np.all((abs(u - v) <= 2.0 * abs(pg.g) ** 2 * abs(term)) | ~ok)
+        if not degree_one:
+            assert_same(pg.residual, want.residual)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(DEGREE_ONE_PAIRS, st.lists(POINTS, min_size=1, max_size=20))
+@example((SHIFTED, SHIFTED), [0.5, 2.0j, 3.0])
+def test_degree_one_residual_is_rounding_only(maps, zs):
+    # s_A s_B = c_A c_B = c: the dropped residual is 0 at one point, and in
+    # an array call within the rounding of that one product (numpy's array
+    # multiply may round it otherwise), magnified by |g|^2
+    rmap_a, rmap_b = maps
+    c = rmap_a.shift * rmap_b.shift
+    zs = np.array(zs, dtype=complex)
+    indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
+    _, want, _ = reference_probe(rmap_a, rmap_b)(zs)
+    assert (pg.residual[ok] == 0.0).all()
+    bound = 64.0 * np.finfo(float).eps * abs(pg.g) ** 2 * max(abs(c), 1.0)
+    assert (want.residual[ok] <= bound[ok]).all()
+    for z in zs.tolist():
+        _, one, one_ok = reference_probe(rmap_a, rmap_b)(z)
+        assert not one_ok or one.residual == 0.0
+
+
+def test_degree_one_pole_neighbours_are_certified():
+    # next to the pole the reference's certificate can fail in array calls
+    # from the rounding of c_A c_B alone (here Im c = 1.2 0.6 - 0.9 0.8
+    # cancels, and Python's and numpy's array multiply leave different
+    # rounding errors in it); the probe keeps the exact root there
+    rmap_a, rmap_b = elliptic_rmap(0.5, 0.0, 1.2 - 0.9j), elliptic_rmap(0.7, 0.0, 0.8 + 0.6j)
+    c = rmap_a.shift * rmap_b.shift
+    zs = c + np.array([cmath.rect(10.0 ** -k, 0.7 * k) for k in range(2, 9)])
+    indicator, pg, ok = nonhermitian._holomorphic_probe(rmap_a, rmap_b)(zs)
+    _, _, want_ok = reference_probe(rmap_a, rmap_b)(zs)
+    assert ok.all() and (pg.g == 1.0 / (zs - c)).all() and (indicator > 0.0).all()
+    assert (ok >= want_ok).all()
+
+
 @dataclasses.dataclass(frozen=True)
 class NanInside(MatrixRMap):
     """An elliptic map whose apply_q turns the diagonal NaN where |a| > limit.
@@ -1451,6 +1598,13 @@ def test_limacon_density_consistent_with_greens_field(x, y):
 def test_limacon_negative_radius_rejected():
     with pytest.raises(FreeconvError):
         limacon_reference(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("r,phi", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                   (0.5, -math.inf)])
+def test_limacon_nonfinite_point_rejected(r, phi):
+    with pytest.raises(FreeconvError, match="finite"):
+        limacon_reference(r, phi)
 
 
 # ---------------------------------------------------------------------------
