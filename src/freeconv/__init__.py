@@ -9,7 +9,6 @@ from .core import (
     Complex2x2,
     QuaternionicGreen,
     invert,
-    phase_split,
     rotate_left,
     rotate_right,
 )

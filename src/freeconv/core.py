@@ -1,4 +1,4 @@
-"""2x2 quaternionic block algebra and phase bookkeeping for the spectral plane.
+"""2x2 quaternionic block algebra and the one-sided phase rotations.
 
 Non-hermitian resolvents are represented by matrices of the form
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OriginError, SingularMatrixError
+from .errors import SingularMatrixError
 
 _DET_FLOOR = 1e-300
 
@@ -103,28 +103,6 @@ def qinv_parts(a: np.ndarray, b: np.ndarray):
     d = abs(a) ** 2 + abs(b) ** 2
     d = np.where(d > _DET_FLOOR, d, np.nan)
     return a.conjugate() / d, -b / d
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A nonzero spectral point together with its principal phase data.
-
-    w is the principal square root of z, phi = Arg z in (-pi, pi], and
-    psi = phi / 2 is the rotation angle entering the one-sided phase maps.
-    """
-
-    z: complex
-    w: complex
-    phi: float
-    psi: float
-
-
-def phase_split(z: complex) -> PhasePoint:
-    if z == 0:
-        raise OriginError()
-    w = cmath.sqrt(z)  # principal branch: Re w >= 0, cut on the negative axis
-    phi = cmath.phase(z)
-    return PhasePoint(z=z, w=w, phi=phi, psi=0.5 * phi)
 
 
 def _turn(m: Complex2x2, u) -> Complex2x2:

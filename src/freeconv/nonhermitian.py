@@ -44,6 +44,7 @@ _TOL = 1e-12          # target of the point solvers' Newton polish and certifica
 _IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
 _SCAN_POINTS = 24      # boundary_curve's scan points per ray, inward from r_max
+_R_MIN = 1e-4          # boundary_curve's innermost radius, where every scan ends
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
 _IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the Newton steps after it
@@ -309,10 +310,12 @@ def _holomorphic_probe(rmap_a: MatrixRMap, rmap_b: MatrixRMap):
     def probe(z):
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1, 1)
-        live = np.isfinite(flat) & (flat != 0)
+        with np.errstate(all="ignore"):  # a huge finite z overflows its row
+            row = flat * c1 + c0
+        live = np.isfinite(row).all(axis=1, keepdims=True) & (flat != 0)
         # w^n - c_1 w^(n-1) - ... - c_n = 0, so the first row is c_1 .. c_n
         companion = np.repeat(shift_down[None], flat.shape[0], axis=0)
-        companion[:, 0, :] = np.where(live, flat, 0.0) * c1 + c0
+        companion[:, 0, :] = np.where(live, row, c0)
         with np.errstate(all="ignore"):
             g = 1.0 / np.linalg.eigvals(companion)
             r, dr = hermitian._affine_product_r(fa, fb, g)
@@ -527,9 +530,9 @@ def _product_sweep(rmap_a, rmap_b, z, u, x):
     return sal, sbr, qinv_parts(z - sm_a, -sm_b)
 
 
-def _product_step(rmap_a, rmap_b, z, u, x):
-    """One sweep of the coupled product system on the flat values of every node."""
-    sal, sbr, gm = _product_sweep(rmap_a, rmap_b, z, u, x)
+def _product_step(sal, sbr, gm, u):
+    """The next flat values (a_A, b_A, a_B, b_B) of every node from one
+    _product_sweep result, with u = e^{i psi} per node."""
     (ga_a, ga_b), (gb_a, gb_b) = qmul_parts(*gm, *sal), qmul_parts(*sbr, *gm)
     # [G_M Sigma_A^L]^L, [Sigma_B^R G_M]^R
     return np.array([ga_a, ga_b * u, gb_a, gb_b / u])
@@ -540,7 +543,7 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
     """Sigma_A^L and Sigma_B^R, the (G_M, G_A, G_B) defining-equation
     residuals and |det (Z - Sigma_A^L Sigma_B^R)| at every node.
 
-    The arguments are as for _product_step, with G_M's (a, b) parts gm
+    The arguments are as for _product_sweep, with G_M's (a, b) parts gm
     added; the results are arrays over the nodes (the Sigma's dense
     Complex2x2's of them).  Recomputed with dense 2x2 algebra, independent
     of the structured solver arithmetic (qmul_parts, qinv_parts), and
@@ -551,9 +554,10 @@ def _product_equations(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: np.ndarray,
     sal = _turn(embed_parts(*rmap_a.apply_q(x[2], x[3])), u)
     sbr = _turn(embed_parts(*rmap_b.apply_q(x[0], x[1])), u.conjugate())
     m = Complex2x2.diagonal(z, z.conjugate()) - sal @ sbr
-    det = m.det
     gm_full = embed_parts(*gm)
-    with np.errstate(all="ignore"):  # a singular node's G_M residual is NaN
+    # a singular node's G_M residual is NaN, and a huge z's det overflows
+    with np.errstate(all="ignore"):
+        det = m.det
         inverse = Complex2x2(m.q22 / det, -m.q12 / det, -m.q21 / det, m.q11 / det)
     r_gm = (gm_full - inverse).norm_max()
     r_ga = (qa - _turn(gm_full @ sal, u)).norm_max()
@@ -588,8 +592,9 @@ class _NodeSolves(NamedTuple):
 
     status is _OK at a solved node, else why it failed: _ORIGIN (z = 0),
     _NON_FINITE (a non-finite iterate), _SINGULAR (|det| of
-    Z - Sigma_A^L Sigma_B^R at or below the floor) or _STALLED (an inside
-    node that missed the certificate).  A failed node's values are not a
+    Z - Sigma_A^L Sigma_B^R at or below the floor) or _STALLED (a node that
+    missed the certificate: an inside node above the bound, or any node
+    whose residual is not finite).  A failed node's values are not a
     solution.  solution(k) builds node k's NonHermSolution, or raises the
     FreeconvError that stopped it; no other code builds one per node.
     """
@@ -649,10 +654,10 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     yet its fixed point is holomorphic, and the node keeps its own root
     with b = 0.  Every node is then certified in
     one array pass of _product_equations; an inside node must meet the
-    point solvers' bound.  A node that fails (the origin, a non-finite
-    iterate, a singular Z - Sigma_A^L Sigma_B^R, a missed certificate) fails
-    alone, with that reason as its status.  _dbar_g11 differentiates the
-    result.
+    point solvers' bound, and every node, outside ones included, needs a
+    finite residual.  A node that fails (the origin, a non-finite iterate,
+    a singular Z - Sigma_A^L Sigma_B^R, a missed certificate) fails alone,
+    with that reason as its status.  _dbar_g11 differentiates the result.
     """
     zs = np.asarray(points, dtype=complex).ravel()
     live = zs != 0
@@ -670,8 +675,12 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
         """Solve the given nodes from the cold seed; the ones that sank to b = 0."""
         z, un = zs[nodes], u[nodes]
         start = np.repeat([[0.0], [0.1], [0.0], [0.1]], nodes.size, axis=1)
-        fp = _fixed_point(lambda v, k: _product_step(rmap_a, rmap_b, z[k], un[k], v),
-                          start, _TOL, _MAX_FP, handoff, _PRODUCT_PHASE)
+
+        def step(v, k):
+            uk = un[k]
+            return _product_step(*_product_sweep(rmap_a, rmap_b, z[k], uk, v), uk)
+
+        fp = _fixed_point(step, start, _TOL, _MAX_FP, handoff, _PRODUCT_PHASE)
         x[:, nodes], iterations[nodes], capped[nodes], failed[nodes] = fp
         with np.errstate(all="ignore"):  # failed nodes' values may be non-finite
             gm[:, nodes] = _product_sweep(rmap_a, rmap_b, z, un, fp.values)[2]
@@ -684,14 +693,16 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     x[1, sunk] = x[3, sunk] = gm[1, sunk] = 0.0
 
     # certify every node in one pass; only the inside nodes are held to the
-    # bound, since the probe certified the outside ones
+    # bound, since the probe certified the outside ones, but any node whose
+    # residual is not finite (a huge z overflows it) fails
     nodes = np.flatnonzero(live & ~failed)
     residual, det = np.full(zs.size, np.nan), np.zeros(zs.size)
     _, _, residuals, det[nodes] = _product_equations(rmap_a, rmap_b, zs[nodes], u[nodes],
                                                      x[:, nodes], gm[:, nodes])
     residual[nodes] = np.maximum.reduce(residuals)
     # each reason overrides the ones set before it
-    status = np.where(inside & ~(residual <= max(10.0 * _TOL, 1e-10)), _STALLED, _OK)
+    stalled = ~np.isfinite(residual) | (inside & ~(residual <= max(10.0 * _TOL, 1e-10)))
+    status = np.where(stalled, _STALLED, _OK)
     status[~(det > _DET_FLOOR)] = _SINGULAR
     status[failed] = _NON_FINITE
     status[~live] = _ORIGIN
@@ -710,7 +721,8 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
     solve F(x, z) = x - _product_step(x; z) = 0, so by the implicit function
     theorem dF/dx dx/dz_j = -dF/dz_j for z_j = Re z, Im z, and the chain
     rule through _product_sweep's G_M gives dG11/dz_j.  One _real_jacobian
-    call on the real parts of (x, z) gives dF and dG11 together (steps
+    call on the real parts of (x, z) gives dF and dG11 together, from one
+    _product_sweep per perturbed copy (steps
     _X_STEP in x, _Z_STEP |z| in z), and _bordered_solve takes dx/dz_j
     orthogonal to the common phase of b_A and b_B, which leaves G11 alone
     (NaN where dF/dx is not finite or exactly singular).  A perturbed z takes the phase
@@ -728,9 +740,9 @@ def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np
             # rows: the 8 real parts of F, then Re G11 and Im G11
             xk, z = _as_complex(r[:8]), r[8] + 1j * r[9]
             u = u0[k] * np.exp(0.5j * np.angle(z / z0[k]))
-            g11 = _product_sweep(rmap_a, rmap_b, z, u, xk)[2][0]
-            return np.concatenate([r[:8] - _as_real(_product_step(rmap_a, rmap_b, z, u, xk)),
-                                   [g11.real, g11.imag]])
+            sal, sbr, gm = _product_sweep(rmap_a, rmap_b, z, u, xk)
+            return np.concatenate([r[:8] - _as_real(_product_step(sal, sbr, gm, u)),
+                                   [gm[0].real, gm[0].imag]])
 
         r = np.concatenate([_as_real(x), [z0.real, z0.imag]])
         h = np.concatenate([np.full((8, len(nodes)), _X_STEP), [_Z_STEP * abs(z0)] * 2])
@@ -772,8 +784,7 @@ class BoundaryResult:
 
 
 def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
-                   angular_samples: int = 64,
-                   r_min: float = 1e-4, r_max: float = None,
+                   angular_samples: int = 64, r_max: float = None,
                    angles=None) -> BoundaryResult:
     """Locate the support boundary of A B along rays, all rays in lockstep.
 
@@ -792,11 +803,11 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
 
     p_A = |c_A|^2 sigma_B^2, p_B = |c_B|^2 sigma_A^2, so every crossing is
     one of its roots; _quartic_roots gives each ray's largest real root r*
-    in (r_min, r_max).  The first round probes r_max on every ray and
-    r* -+ delta, delta = _RADIAL_TOL / 4, where both lie in (r_min, r_max).
-    A ray with r_max outside, r* - delta inside and r* + delta outside
-    reports r*: a crossing lies within delta of it, where a scanned ray's
-    midpoint lies within _RADIAL_TOL / 2 of one.
+    in (r_min, r_max), where r_min = _R_MIN = 1e-4.  The first round probes
+    r_max on every ray and r* -+ delta, delta = _RADIAL_TOL / 4, where both
+    lie in (r_min, r_max).  A ray with r_max outside, r* - delta inside and
+    r* + delta outside reports r*: a crossing lies within delta of it, where
+    a scanned ray's midpoint lies within _RADIAL_TOL / 2 of one.
 
     Away from the pole z = c the indicator changes sign only at a root of Q,
     so a ray with r_max outside and no root in (r_min, r_max) reads outside
@@ -827,7 +838,7 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
     A point whose solve fails counts as inside, and is counted in
     failed_solves; a ray whose r_min lies outside the support reads as
     empty.  Angles that are not an iterable of real numbers, a non-finite
-    or non-real angle or radius, radii other than 0 < r_min < r_max, or
+    or non-real angle or radius, an r_max at or below r_min, or
     angular_samples that is not an integer of at least 8 raises
     FreeconvError before any probe.
     """
@@ -843,16 +854,16 @@ def boundary_curve(rmap_a: MatrixRMap, rmap_b: MatrixRMap,
         except TypeError:
             raise FreeconvError(f"angles must be an iterable of real numbers, "
                                 f"got {angles!r}") from None
-    given = (*angles, r_min) if r_max is None else (*angles, r_min, r_max)
+    given = angles if r_max is None else (*angles, r_max)
     bad = [x for x in given if not _finite_real(x)]
     if bad:
-        raise FreeconvError(
-            f"angles, r_min and r_max must be finite real numbers, got {bad[0]!r}")
+        raise FreeconvError(f"angles and r_max must be finite real numbers, got {bad[0]!r}")
     angles = [float(p) for p in angles]
     if r_max is None:
         r_max = 1.5 * _support_scale(rmap_a) * _support_scale(rmap_b) + 1.0
-    if not 0 < r_min < r_max:
-        raise FreeconvError(f"r_min and r_max must be positive, r_min < r_max: {r_min}, {r_max}")
+    r_min = _R_MIN
+    if not r_min < r_max:
+        raise FreeconvError(f"r_max must be positive and above r_min = {r_min}, got {r_max}")
     probe = _holomorphic_probe(rmap_a, rmap_b)
     units = np.exp(1j * np.array(angles, dtype=float))
     n = len(angles)
@@ -1271,7 +1282,11 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     The left S transform of A solves X = (R_A^L([X Y_L]^R))^{-1} with
     Y_L = R_M G_M, the right S transform of B solves
     X = (R_B^R([Y_R X]^L))^{-1} with Y_R = G_M R_M, and together they must
-    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  Centered factors (kappa1 = 0)
+    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  The steps do not rotate: a
+    matrix R map scales the off-diagonal entries by sigma^2 and maps the
+    diagonal ones on their own, so it commutes with the one-sided rotations,
+    and with |e^{i psi}| = 1 the two rotations of each step cancel, leaving
+    X = R_A(X Y_L)^{-1} and X = R_B(Y_R X)^{-1}.  Centered factors (kappa1 = 0)
     have no S transform and are reported as such while the residual checks
     still run.  Both fixed points start from 1/kappa1 and hand off to Newton
     at _HANDOFF.  Which root they reach
@@ -1303,16 +1318,12 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
 
     y_left = rm @ gm
     y_right = gm @ rm
-    left = complex(u[0])
-    right = left.conjugate()
 
     def step_left(x: Complex2x2) -> Complex2x2:
-        inner = _turn(x @ y_left, right)
-        return invert(_turn(rmap_a.apply_matrix(inner), left))
+        return invert(rmap_a.apply_matrix(x @ y_left))
 
     def step_right(x: Complex2x2) -> Complex2x2:
-        inner = _turn(y_right @ x, left)
-        return invert(_turn(rmap_b.apply_matrix(inner), right))
+        return invert(rmap_b.apply_matrix(y_right @ x))
 
     seed_a = Complex2x2.identity().scale(1.0 / rmap_a.kappa1)
     seed_b = Complex2x2.identity().scale(1.0 / rmap_b.kappa1)

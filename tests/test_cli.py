@@ -428,6 +428,25 @@ def test_boundary_empty_when_capped(tmp_path, capsys):
     assert "no support boundary" in capsys.readouterr().err
 
 
+HUGE_A = {"kind": "elliptic", "n": 24, "sigma": 1.5, "tau": 0.8, "shift": 1.0}
+HUGE_B = {"kind": "elliptic", "n": 24, "sigma": 1.2, "tau": -0.7, "shift": 0.5}
+HUGE_GRID = {"kind": "polar", "ranges": [[1e300, 1e308], [0.5, 1.0]], "resolution": [3, 3]}
+
+
+@pytest.mark.parametrize("command,job,code,message", [
+    ("solve-product", {"grid": HUGE_GRID}, 3, "error: all 9 grid points failed to solve"),
+    ("density", {"grid": HUGE_GRID}, 2, "error: 9 of 9 grid nodes have no density"),
+    ("boundary", {"r_max": 1e308}, 3, "error: no support boundary found on any ray"),
+], ids=["solve-product", "density", "boundary"])
+def test_huge_finite_radii_fail_cleanly(tmp_path, capsys, command, job, code, message):
+    # the probe's companion row or the certificate's determinant overflows at
+    # these radii, so every node and ray fails with a library error
+    rc = run_cli(tmp_path, command, dict(job, ensemble_a=HUGE_A, ensemble_b=HUGE_B,
+                                         output=str(tmp_path / "out.csv")))
+    err = capsys.readouterr().err
+    assert rc == code and err.startswith(message)
+
+
 @pytest.mark.parametrize("rays", [cli._MAX_RAYS + 1, 10 ** 12])
 def test_boundary_angular_samples_capped_before_work(tmp_path, capsys, monkeypatch, rays):
     # every boundary round holds rays x 25 values, so a huge count is refused

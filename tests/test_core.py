@@ -12,13 +12,12 @@ from freeconv.core import (
     Complex2x2,
     QuaternionicGreen,
     invert,
-    phase_split,
     qinv_parts,
     qmul_parts,
     rotate_left,
     rotate_right,
 )
-from freeconv.errors import OriginError, SingularMatrixError
+from freeconv.errors import SingularMatrixError
 
 PAIRS = [
     (0.3 - 0.7j, 1.1 + 0.2j),
@@ -94,19 +93,6 @@ def test_invert_2x2():
 def test_invert_singular_raises():
     with pytest.raises(SingularMatrixError):
         invert(Complex2x2(1.0, 2.0, 2.0, 4.0))
-
-
-@pytest.mark.parametrize("z", [1.0, -1.0 + 0.001j, 0.3 - 0.4j, 2.0j])
-def test_phase_split(z):
-    p = phase_split(z)
-    assert p.w ** 2 == pytest.approx(z, rel=1e-15)
-    assert p.phi == pytest.approx(cmath.phase(z))
-    assert p.psi == pytest.approx(0.5 * cmath.phase(z))
-
-
-def test_phase_split_origin_raises():
-    with pytest.raises(OriginError):
-        phase_split(0.0)
 
 
 M = Complex2x2(0.3 + 1j, -0.7 + 0.2j, 1.5j, 0.4)

@@ -15,6 +15,7 @@ from numpy.linalg import eigvals  # bound here: some tests patch np.linalg.eigva
 from hypothesis import example, given, settings, strategies as st
 
 from freeconv import cli, hermitian, nonhermitian
+from freeconv.core import Complex2x2, _turn
 from freeconv.ensembles import EnsembleSpec, sample
 from freeconv.errors import ConvergenceError, FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
@@ -313,20 +314,15 @@ def test_boundary_respects_explicit_cap():
     ({"angles": [0.3, math.nan]}, "must be finite"),
     ({"angles": [math.inf, 0.3]}, "must be finite"),
     ({"angles": [-math.inf]}, "must be finite"),
-    ({"angular_samples": 8, "r_min": math.nan}, "must be finite"),
     ({"angular_samples": 8, "r_max": math.nan}, "must be finite"),
     ({"angular_samples": 8, "r_max": math.inf}, "must be finite"),
-    # a negative r_max would locate a point at a negative radius, and
-    # r_min = 0 would probe the origin
+    # a negative r_max would locate a point at a negative radius, and one at
+    # or below _R_MIN would leave an empty radial range
     ({"angles": [0.3], "r_max": -2.0}, "must be positive"),
-    ({"angles": [3.14159], "r_min": 0.0}, "must be positive"),
-    ({"angles": [0.3], "r_min": -1e-4}, "must be positive"),
     ({"angles": [0.3], "r_max": 0.0}, "must be positive"),
+    ({"angles": [0.3], "r_max": 5e-5}, "above r_min"),
     ({"angular_samples": 8.5}, "integer"),
     ({"angular_samples": 4}, "integer of at least 8"),
-    # an empty radial range used to report every ray as empty
-    ({"angles": [0.3], "r_min": 5.0, "r_max": 3.0}, "r_min < r_max"),
-    ({"angles": [0.3], "r_min": 2.0, "r_max": 2.0}, "r_min < r_max"),
     # inputs that are not real numbers, and an angle list that is not one
     ({"angles": ["a"]}, "must be finite real numbers"),
     ({"angles": [None]}, "must be finite real numbers"),
@@ -334,13 +330,11 @@ def test_boundary_respects_explicit_cap():
     ({"angles": [True]}, "must be finite real numbers"),
     ({"angles": 5}, "iterable of real numbers"),
     ({"angular_samples": 8, "r_max": "2"}, "must be finite real numbers"),
-    ({"angles": [0.3], "r_min": None}, "must be finite real numbers"),
     ({"angles": [10 ** 400]}, "must be finite real numbers"),
-], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_min", "nan_r_max", "inf_r_max",
-        "negative_r_max", "zero_r_min", "negative_r_min", "zero_r_max", "fractional_samples",
-        "too_few_samples", "reversed_radii", "equal_radii", "string_angle", "none_angle",
-        "complex_angle", "bool_angle", "scalar_angles", "string_r_max", "none_r_min",
-        "huge_integer_angle"])
+], ids=["nan_angle", "inf_angle", "minus_inf_angle", "nan_r_max", "inf_r_max",
+        "negative_r_max", "zero_r_max", "r_max_below_r_min", "fractional_samples",
+        "too_few_samples", "string_angle", "none_angle", "complex_angle", "bool_angle",
+        "scalar_angles", "string_r_max", "huge_integer_angle"])
 def test_boundary_rejects_nonfinite_inputs_before_any_probe(kwargs, match, monkeypatch):
     def no_probe(*args):
         raise AssertionError("probe built for invalid input")
@@ -634,6 +628,30 @@ def test_polynomial_probe_flags_origin_and_nonfinite_points():
             for call in (branch_indicator, solve_product, density_at):
                 with pytest.raises(error):
                     call(*pair, z)
+
+
+HUGE_PAIR = (elliptic_rmap(1.5, 0.8, 1.0), elliptic_rmap(1.2, -0.7, 0.5))
+
+
+def test_huge_finite_points_fail_with_library_errors():
+    # (alpha_A alpha_B)^2 = 3.29 overflows the companion row z c1 + c0 at
+    # 1e308 (1 + 1j), and at 1e300 (1 + 1j) the certificate's
+    # det (Z - Sigma_A^L Sigma_B^R) overflows: each point fails with a
+    # FreeconvError, not numpy's LinAlgError, and with no RuntimeWarning
+    huge, far = 1e308 * (1 + 1j), 1e300 * (1 + 1j)
+    _, _, ok = nonhermitian._holomorphic_probe(*HUGE_PAIR)(np.array([huge, 30.0 + 30j]))
+    assert ok.tolist() == [False, True]
+    with pytest.raises(ConvergenceError):
+        branch_indicator(*HUGE_PAIR, huge)
+    for z in (far, huge):
+        for call in (solve_product, density_at):
+            with pytest.raises(ConvergenceError):
+                call(*HUGE_PAIR, z)
+    # an outside node whose residual is not finite fails; its neighbour does not
+    solved = nonhermitian._solve_nodes(*HUGE_PAIR, np.array([far, 30.0 + 30j]))
+    assert solved.status.tolist() == [nonhermitian._STALLED, nonhermitian._OK]
+    res = boundary_curve(*HUGE_PAIR, angles=[0.3, 2.0], r_max=1e308)
+    assert not res.points and res.empty_rays == (0.3, 2.0) and res.failed_solves == 2
 
 
 def test_subnormal_leading_coefficient_certifies():
@@ -1310,18 +1328,19 @@ def test_array_route_limacon_fan_within_six_rounds(offset, monkeypatch):
             assert r == pytest.approx(1.0 + 2.0 * math.cos(phi), abs=1e-3)
 
 
-def test_boundary_counts_failed_solves_on_array_route():
+def test_boundary_counts_failed_solves_on_array_route(monkeypatch):
     # R_AB = 2 here, and z = 2 is the pole of g = 1/(z - 2), where the solve fails
     a, b = elliptic_rmap(0.01, 0.0, 2.0), elliptic_rmap(0.01, 0.0, 1.0)
     probe = boundary_curve(a, b, angles=[0.0], r_max=2.0)
     assert probe.empty_rays == (0.0,) and probe.failed_solves == 1
     # the quartic's root near 2.02 is certified without a probe at z = 2
-    quartic = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)
+    monkeypatch.setattr(nonhermitian, "_R_MIN", 2.0)
+    quartic = boundary_curve(a, b, angles=[0.0], r_max=4.0)
     assert quartic.failed_solves == quartic.scanned_rays == 0
     assert quartic.points[0][0] == pytest.approx(2.02, abs=0.01)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        without_quartic(monkeypatch)
-        scan = boundary_curve(a, b, angles=[0.0], r_min=2.0, r_max=4.0)  # z = 2 ends the scan
+    with pytest.MonkeyPatch.context() as quartic_off:
+        without_quartic(quartic_off)
+        scan = boundary_curve(a, b, angles=[0.0], r_max=4.0)  # z = 2 ends the scan
     assert scan.failed_solves == scan.scanned_rays == 1
     assert scan.points[0][0] == pytest.approx(quartic.points[0][0], abs=1e-5)
     # R_AB = 1.5 with no spread: Q = (r - 1.5)^4 on the ray at 0, whose roots
@@ -1329,10 +1348,11 @@ def test_boundary_counts_failed_solves_on_array_route():
     # scanned as on the scan route, whose point at r = 1.5 fails; the ray at
     # 0.3 has no root and is empty
     a, b = constant_rmap(1.5), constant_rmap(1.0)
-    through = boundary_curve(a, b, angles=[0.0, 0.3], r_min=0.5, r_max=2.5)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        without_quartic(monkeypatch)
-        scan = boundary_curve(a, b, angles=[0.0, 0.3], r_min=0.5, r_max=2.5)
+    monkeypatch.setattr(nonhermitian, "_R_MIN", 0.5)
+    through = boundary_curve(a, b, angles=[0.0, 0.3], r_max=2.5)
+    with pytest.MonkeyPatch.context() as quartic_off:
+        without_quartic(quartic_off)
+        scan = boundary_curve(a, b, angles=[0.0, 0.3], r_max=2.5)
     assert through.points == scan.points and through.empty_rays == scan.empty_rays == (0.3,)
     assert through.failed_solves == scan.failed_solves == 1
     assert through.scanned_rays == 1 and scan.scanned_rays == 2
@@ -2078,3 +2098,19 @@ def test_identities_commuting_case():
     rep = residual_identities(sol, SHIFTED, SHIFTED)
     assert rep.commutator_norm <= 1e-10
     assert rep.factorization_residual <= 1e-10
+
+
+COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ELLIPTIC, st.lists(COMPLEX, min_size=4, max_size=4), st.floats(-math.pi, math.pi))
+def test_matrix_rmap_commutes_with_one_sided_rotations(rmap, entries, psi):
+    # why residual_identities' S steps do not rotate: turning M by e^{-i psi},
+    # applying R and turning back by e^{i psi} gives R(M)
+    m = Complex2x2(*entries)
+    got = _turn(rmap.apply_matrix(_turn(m, cmath.exp(-1j * psi))), cmath.exp(1j * psi))
+    want = rmap.apply_matrix(m)
+    for field in ("q11", "q12", "q21", "q22"):
+        w = getattr(want, field)
+        assert abs(getattr(got, field) - w) <= 1e-15 * (1.0 + abs(w))
