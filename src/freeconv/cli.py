@@ -400,7 +400,8 @@ def _write_output(path, text: str) -> None:
 
 
 def cmd_transform(cfg: JobConfig) -> int:
-    """Tabulate (z, G, R, S) or (y, S, z, G, R) for one ensemble."""
+    """Tabulate (z, G, R, S) or (y, S, z, G, R) for one hermitian ensemble,
+    or (z, G, R) for a non-hermitian one."""
     scalar, matrix = analytic_transforms(cfg.ensemble_a)
     values = np.linspace(cfg.start, cfg.stop, cfg.count)
     rows = []
@@ -443,7 +444,7 @@ def cmd_transform(cfg: JobConfig) -> int:
         # non-hermitian: quaternionic solution and matrix self-energy per point
         header = ["z_re", "z_im", "a_re", "a_im", "b_abs", "correlator", "branch",
                   "r11_re", "r11_im", "r12_re", "r12_im",
-                  "r21_re", "r21_im", "r22_re", "r22_im", "s"]
+                  "r21_re", "r21_im", "r22_re", "r22_im"]
         # one batched solve of each z as the product with the identity, read
         # as solve_single reads it: G = G_M with b replaced by |b|
         solved = nonhermitian._solve_nodes(matrix, nonhermitian._IDENTITY_FACTOR,
@@ -459,8 +460,7 @@ def cmd_transform(cfg: JobConfig) -> int:
             sig = embed_parts(*matrix.apply_q(a, b))
             rows.append([x, 0.0, a.real, a.imag, b, b ** 2, nonhermitian._branch(b ** 2),
                          sig.q11.real, sig.q11.imag, sig.q12.real, sig.q12.imag,
-                         sig.q21.real, sig.q21.imag, sig.q22.real, sig.q22.imag,
-                         "undefined"])
+                         sig.q21.real, sig.q21.imag, sig.q22.real, sig.q22.imag])
         summary = {"points": len(rows), "variable": "z", "section": "matrix"}
 
     _write_table(cfg, summary, header, rows)

@@ -43,9 +43,6 @@ class Complex2x2:
         return Complex2x2(self.q11 - other.q11, self.q12 - other.q12,
                           self.q21 - other.q21, self.q22 - other.q22)
 
-    def scale(self, s: complex) -> "Complex2x2":
-        return Complex2x2(s * self.q11, s * self.q12, s * self.q21, s * self.q22)
-
     @property
     def det(self) -> complex:
         return self.q11 * self.q22 - self.q12 * self.q21
@@ -55,10 +52,6 @@ class Complex2x2:
         entry is NaN.  Entries may be numpy arrays of matching shape."""
         return np.maximum(np.maximum(abs(self.q11), abs(self.q12)),
                           np.maximum(abs(self.q21), abs(self.q22)))
-
-    @staticmethod
-    def identity() -> "Complex2x2":
-        return Complex2x2(1.0, 0.0, 0.0, 1.0)
 
     @staticmethod
     def diagonal(d1: complex, d2: complex) -> "Complex2x2":

@@ -41,19 +41,17 @@ from . import hermitian
 from .hermitian import ScalarTransform
 
 _TOL = 1e-12          # target of the point solvers' Newton polish and certificates
-_IDENTITY_TOL = 1e-10  # target of residual_identities' S-transform fixed points
 _RADIAL_TOL = 1e-5     # width below which boundary_curve stops narrowing a crossing
 _SCAN_POINTS = 24      # boundary_curve's scan points per ray, inward from r_max
 _R_MIN = 1e-4          # boundary_curve's innermost radius, where every scan ends
 _MAX_FP = 60           # the point solvers' cap on damped steps before the hand-off
-_IDENTITY_MAX_FP = 400  # the same cap for residual_identities' S fixed points
 _MAX_NEWTON = 40       # cap on the Newton steps after it
 _X_STEP = 1e-6         # _real_jacobian's step in the unknowns, Newton's and _dbar_g11's
 _Z_STEP = 1e-5         # _dbar_g11's step in Re z and Im z, relative to |z|
 _COLLAPSE = 1e-8  # correlator at or below this means the holomorphic branch
 _HANDOFF = 1e-3   # damped fixed points hand off to Newton below this update
 _GUARD_HANDOFF = 1e-6  # the same for the re-solves that guard an early hand-off
-_FACTORIZES = 1e-8  # residual_identities' S pair factorizes R_M^-1 to this
+_FACTORIZES = 1e-8  # residual_identities' S equations and factorization hold to this
 _PRODUCT_PHASE = (0, 1, 0, 1)  # b_A and b_B of (a_A, b_A, a_B, b_B) share a free phase
 
 
@@ -380,15 +378,15 @@ def _fixed_point(step, values: np.ndarray, tol: float, max_fp: int, handoff: flo
     array into the N, possibly with repeats) to their next values, column by
     column, so one node's result does not depend on which others share the
     call.  A damped iteration (half-way to step(x)) carries each node until
-    it has picked its root; below a handoff update (the callers pass
+    it has picked its root; below a handoff update (_solve_nodes passes
     _HANDOFF = 1e-3), or after max_fp steps where the multiplier is close
     to one, Newton takes over on the real and imaginary parts (_real_jacobian
     with steps _X_STEP, one _bordered_solve per step, at most _MAX_NEWTON
     steps) until the residual is below 0.05 tol.  From an update of 1e-3
     Newton needs about two steps, each costing about as much as five damped
     ones.  An early hand-off can let Newton reach a root that the damped
-    path would have left, such as b = 0 for the product system; the callers
-    check their roots and solve again with the hand-off at _GUARD_HANDOFF =
+    path would have left, such as b = 0 for the product system; _solve_nodes
+    checks its roots and solves again with the hand-off at _GUARD_HANDOFF =
     1e-6 where the check fails.  phase, a 0/1 mask over the k unknowns,
     marks those whose common phase rotation maps step to itself (the b
     parts); every Newton step is held orthogonal to that direction.  Every
@@ -1231,14 +1229,15 @@ def _curl(dbar: np.ndarray):
 class IdentityReport:
     """Deferred consistency checks evaluated at one converged solution.
 
-    gm/ga/gb residuals are the defining equations recomputed from scratch;
-    s_status is "converged", "S undefined" (a centered factor), or
-    "non-convergent"; factorization_residual is the max-entry defect of
-    R_M^{-1} = S_B^{(R)} S_A^{(L)} when both one-sided S transforms exist.
-    commutator_norm measures [Sigma_A^L, Sigma_B^R]; when it vanishes the
-    factorization collapses to the commuting (scalar-like) identity.
-    retried says the S transforms were solved again with the hand-off at
-    _GUARD_HANDOFF, because the first pair did not factorize.
+    gm/ga/gb residuals are the defining equations recomputed from scratch.
+    s_left and s_right are the one-sided S transforms S_A^{(L)} and
+    S_B^{(R)}, the inverses of Sigma_A^L and Sigma_B^R, or None for a
+    centered factor (s_status "S undefined").  factorization_residual is
+    the worst max-entry defect of their two S equations and of
+    R_M^{-1} = S_B^{(R)} S_A^{(L)}; s_status is "converged" when it is at
+    most _FACTORIZES, else "non-convergent".  commutator_norm measures
+    [Sigma_A^L, Sigma_B^R]; when it vanishes the factorization collapses to
+    the commuting (scalar-like) identity.
     """
 
     gm_residual: float
@@ -1249,30 +1248,6 @@ class IdentityReport:
     s_right: Optional[Complex2x2]
     factorization_residual: Optional[float]
     commutator_norm: float
-    retried: bool = False
-
-
-def _matrix_fixed_point(step, seed: Complex2x2, handoff: float):
-    """Fixed point of step on 2x2 matrices, by _fixed_point on the entries
-    (one node, at most _IDENTITY_MAX_FP damped steps, the given hand-off);
-    raises ConvergenceError unless its update is below _IDENTITY_TOL."""
-
-    def entries(m: Complex2x2):
-        return m.q11, m.q12, m.q21, m.q22
-
-    def columns(x, nodes):
-        return np.array([entries(step(Complex2x2(*c))) for c in x.T.tolist()],
-                        dtype=complex).T
-
-    fp = _fixed_point(columns, np.array(entries(seed), dtype=complex)[:, None],
-                      _IDENTITY_TOL, _IDENTITY_MAX_FP, handoff)
-    if fp.failed[0]:
-        raise ConvergenceError("matrix fixed point hit non-finite values")
-    x = Complex2x2(*fp.values[:, 0].tolist())
-    delta = (step(x) - x).norm_max()
-    if delta < _IDENTITY_TOL:
-        return x
-    raise ConvergenceError("matrix fixed point stalled", residual=delta)
 
 
 def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
@@ -1282,18 +1257,17 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
     The left S transform of A solves X = (R_A^L([X Y_L]^R))^{-1} with
     Y_L = R_M G_M, the right S transform of B solves
     X = (R_B^R([Y_R X]^L))^{-1} with Y_R = G_M R_M, and together they must
-    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  The steps do not rotate: a
-    matrix R map scales the off-diagonal entries by sigma^2 and maps the
+    reproduce R_M^{-1} = S_B^{(R)} S_A^{(L)}.  The equations do not rotate:
+    a matrix R map scales the off-diagonal entries by sigma^2 and maps the
     diagonal ones on their own, so it commutes with the one-sided rotations,
-    and with |e^{i psi}| = 1 the two rotations of each step cancel, leaving
-    X = R_A(X Y_L)^{-1} and X = R_B(Y_R X)^{-1}.  Centered factors (kappa1 = 0)
-    have no S transform and are reported as such while the residual checks
-    still run.  Both fixed points start from 1/kappa1 and hand off to Newton
-    at _HANDOFF.  Which root they reach
-    depends on the damped path, and an early hand-off may reach another.
-    So a pair that does not converge or does not factorize R_M^{-1} to
-    _FACTORIZES is solved again with the hand-off at _GUARD_HANDOFF, the
-    slow schedule, and the report is the retry's.
+    and with |e^{i psi}| = 1 the two rotations cancel, leaving
+    X = R_A(X Y_L)^{-1} and X = R_B(Y_R X)^{-1}.  Since R_M is
+    Sigma_A^L Sigma_B^R, the pair that factorizes R_M^{-1} is
+    S_A^{(L)} = (Sigma_A^L)^{-1} and S_B^{(R)} = (Sigma_B^R)^{-1}, so nothing
+    is solved: the report evaluates both S equations at that pair, and the
+    factorization, whose defect is rounding only.  Centered factors
+    (kappa1 = 0) have no S transform and are reported as such while the
+    residual checks still run.
     """
     if sol.z == 0:
         raise OriginError()
@@ -1316,34 +1290,11 @@ def residual_identities(sol: NonHermSolution, rmap_a: MatrixRMap,
         return IdentityReport(s_status="S undefined", s_left=None, s_right=None,
                               factorization_residual=None, **checks)
 
-    y_left = rm @ gm
-    y_right = gm @ rm
-
-    def step_left(x: Complex2x2) -> Complex2x2:
-        return invert(rmap_a.apply_matrix(x @ y_left))
-
-    def step_right(x: Complex2x2) -> Complex2x2:
-        return invert(rmap_b.apply_matrix(y_right @ x))
-
-    seed_a = Complex2x2.identity().scale(1.0 / rmap_a.kappa1)
-    seed_b = Complex2x2.identity().scale(1.0 / rmap_b.kappa1)
-
-    def s_transforms(handoff):
-        """(S_A^(L), S_B^(R), factorization defect), or None where a fixed
-        point does not converge."""
-        try:
-            s_left = _matrix_fixed_point(step_left, seed_a, handoff)
-            s_right = _matrix_fixed_point(step_right, seed_b, handoff)
-        except ConvergenceError:
-            return None
-        return s_left, s_right, float((invert(rm) - s_right @ s_left).norm_max())
-
-    found = s_transforms(_HANDOFF)
-    retried = found is None or not found[2] <= _FACTORIZES
-    if retried:
-        found = s_transforms(_GUARD_HANDOFF)
-    if found is None:
-        return IdentityReport(s_status="non-convergent", s_left=None, s_right=None,
-                              factorization_residual=None, retried=retried, **checks)
-    return IdentityReport(s_status="converged", s_left=found[0], s_right=found[1],
-                          factorization_residual=found[2], retried=retried, **checks)
+    s_left, s_right = invert(sal), invert(sbr)
+    # np.max keeps a NaN defect, which then fails the bound
+    defect = float(np.max([(invert(rmap_a.apply_matrix(s_left @ rm @ gm)) - s_left).norm_max(),
+                           (invert(rmap_b.apply_matrix(gm @ rm @ s_right)) - s_right).norm_max(),
+                           (invert(rm) - s_right @ s_left).norm_max()]))
+    status = "converged" if defect <= _FACTORIZES else "non-convergent"
+    return IdentityReport(s_status=status, s_left=s_left, s_right=s_right,
+                          factorization_residual=defect, **checks)

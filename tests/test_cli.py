@@ -109,7 +109,7 @@ def test_transform_matrix_section(tmp_path):
     assert float(inside["a_re"]) == pytest.approx(0.5, abs=1e-9)
     assert float(inside["b_abs"]) == pytest.approx(math.sqrt(0.75), abs=1e-9)
     assert inside["branch"] == "nonholomorphic"
-    assert inside["s"] == "undefined"
+    assert header[-4:] == ["r21_re", "r21_im", "r22_re", "r22_im"]  # no S column
     outside = dict(zip(header, rows[1]))
     assert float(outside["a_re"]) == pytest.approx(0.5, abs=1e-9)
     assert outside["branch"] == "holomorphic"

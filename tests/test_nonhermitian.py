@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import json
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -15,7 +16,7 @@ from numpy.linalg import eigvals  # bound here: some tests patch np.linalg.eigva
 from hypothesis import example, given, settings, strategies as st
 
 from freeconv import cli, hermitian, nonhermitian
-from freeconv.core import Complex2x2, _turn
+from freeconv.core import Complex2x2, _turn, invert
 from freeconv.ensembles import EnsembleSpec, sample
 from freeconv.errors import ConvergenceError, FreeconvError, GridError, OriginError
 from freeconv.grids import GridSpec
@@ -1497,29 +1498,87 @@ def test_capped_handoff_matches_fully_damped_near_edge(rmap_a, rmap_b, phi):
         assert abs(sol.correlator - want.correlator) <= 1e-10
 
 
-def factorizes(rep) -> bool:
-    return rep.s_status == "converged" and rep.factorization_residual <= 1e-8
+def random_elliptic(rng: random.Random) -> MatrixRMap:
+    """An elliptic map with sigma in 0.3-2, tau in [-1, 1] and a shift in
+    +-1.5 +- 1.5i, drawn from rng."""
+    return elliptic_rmap(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0),
+                         complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
 
 
-@DIFFERENTIAL
-@given(ELLIPTIC, ELLIPTIC, st.builds(cmath.rect, st.floats(0.05, 2.0),
-                                     st.floats(-math.pi, math.pi)))
-def test_handoff_identities_match_fully_damped(rmap_a, rmap_b, z):
-    # the one-sided S roots depend on the damped path; the early hand-off
-    # leaves their choice and their status as the fully damped loop has,
-    # except where it reaches a pair that factorizes R_M^-1 and the damped
-    # path does not (the wrong root of the xfail tests below)
-    sol = solve_product(rmap_a, rmap_b, z)
-    if sol.branch != "nonholomorphic":
-        return
-    got = residual_identities(sol, rmap_a, rmap_b)
-    want = fully_damped(residual_identities, sol, rmap_a, rmap_b)
-    if factorizes(got) and not factorizes(want):
-        return
-    assert got.s_status == want.s_status
-    if want.s_status == "converged":
-        assert (got.s_left - want.s_left).norm_max() <= 1e-8
-        assert (got.s_right - want.s_right).norm_max() <= 1e-8
+def random_inside_points(seed: int, count: int):
+    """count (rmap_a, rmap_b, sol) with a fresh random elliptic pair each and
+    z drawn in [-3, 3]^2 until the solution is nonholomorphic."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        rmap_a, rmap_b = random_elliptic(rng), random_elliptic(rng)
+        sol = solve_product(rmap_a, rmap_b, complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+        if sol.branch == "nonholomorphic":
+            found.append((rmap_a, rmap_b, sol))
+    return found
+
+
+def as_array(m: Complex2x2) -> np.ndarray:
+    return np.array([[m.q11, m.q12], [m.q21, m.q22]])
+
+
+def inverse_self_energies(sol, rmap_a, rmap_b):
+    """(Sigma_A^L)^-1 and (Sigma_B^R)^-1 of a product solution, from its G_A
+    and G_B and the one-sided rotations at half the phase of z."""
+    u = cmath.exp(0.5j * cmath.phase(sol.z))
+    sal = _turn(rmap_a.apply_matrix(sol.gb.embed()), u)
+    sbr = _turn(rmap_b.apply_matrix(sol.ga.embed()), u.conjugate())
+    return invert(sal), invert(sbr)
+
+
+def stacked_rmap(rmap: MatrixRMap, m: np.ndarray) -> np.ndarray:
+    """rmap.apply_matrix on each matrix of an (N, 2, 2) stack."""
+    r = rmap.apply_matrix(Complex2x2(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]))
+    return np.moveaxis(as_array(r), -1, 0)
+
+
+def newton_roots(equation, seeds: np.ndarray, steps: int = 60) -> np.ndarray:
+    """The roots that plain Newton reaches from each (2, 2) seed of the stack
+    for equation(X) = 0, holomorphic in X's four entries (difference step
+    1e-7); seeds that turn non-finite or miss 1e-12 are dropped."""
+    x = seeds.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            f = equation(x).reshape(-1, 4)
+            jac = np.stack([(equation(x + 1e-7 * e).reshape(-1, 4) - f) / 1e-7
+                            for e in np.eye(4).reshape(4, 2, 2)], axis=-1)
+            keep = (np.isfinite(f).all(1) & np.isfinite(jac).all((1, 2))
+                    & (abs(np.linalg.det(jac)) > 1e-300))
+            x, f, jac = x[keep], f[keep], jac[keep]
+            x = x - np.linalg.solve(jac, f[..., None])[..., 0].reshape(-1, 2, 2)
+        return x[abs(equation(x)).reshape(-1, 4).max(1) <= 1e-12]
+
+
+def test_factorizing_s_pair_is_unique():
+    # each one-sided S equation has several roots, but wherever Newton from
+    # random seeds reaches a pair that factorizes R_M^-1 = (Z - G_M^-1)^-1,
+    # it is the product's own inverse self-energies, the pair
+    # residual_identities reports
+    rng = np.random.default_rng(3)
+    seeds = rng.normal(size=(2, 24, 2, 2)) + 1j * rng.normal(size=(2, 24, 2, 2))
+    distinct = 0
+    for rmap_a, rmap_b, sol in random_inside_points(7, 20):
+        gm = as_array(sol.gm.embed())
+        rm = np.diag([sol.z, sol.z.conjugate()]) - np.linalg.inv(gm)
+        y_left, y_right = rm @ gm, gm @ rm
+        lefts = newton_roots(lambda x: np.linalg.inv(stacked_rmap(rmap_a, x @ y_left)) - x,
+                             seeds[0])
+        rights = newton_roots(lambda x: np.linalg.inv(stacked_rmap(rmap_b, y_right @ x)) - x,
+                              seeds[1])
+        distinct = max(distinct, len(np.unique(np.round(lefts, 6), axis=0)))
+        s_left, s_right = (as_array(m) for m in inverse_self_energies(sol, rmap_a, rmap_b))
+        pairs = [(a, b) for a in lefts for b in rights
+                 if abs(np.linalg.inv(rm) - b @ a).max() <= 1e-8]
+        assert pairs
+        for a, b in pairs:
+            assert abs(a - s_left).max() <= 1e-8
+            assert abs(b - s_right).max() <= 1e-8
+    assert distinct > 1  # some S equation has a root that does not factorize
 
 
 @DIFFERENTIAL
@@ -2050,11 +2109,9 @@ def test_identities_centered_reports_undefined():
     assert rep.gb_residual <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="the seed 1/kappa1 leads the one-sided S fixed "
-                   "points to roots that do not factorize R_M^-1")
 def test_identities_factorize_on_tau_pair():
-    # Newton from random seeds finds one-sided S fixed points here whose
-    # factorization residual is 2e-15; from 1/kappa1 it is 1.107
+    # the point where S fixed points iterated from 1/kappa1 reached roots
+    # whose factorization residual was 1.107
     sol = solve_product(*TAU_PAIR, -0.6 - 0.25j)
     assert sol.branch == "nonholomorphic"
     rep = residual_identities(sol, *TAU_PAIR)
@@ -2062,11 +2119,8 @@ def test_identities_factorize_on_tau_pair():
     assert rep.factorization_residual <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="the seed 1/kappa1 leads the one-sided S fixed "
-                   "points to roots that do not factorize R_M^-1, also for tau = 0")
 def test_identities_factorize_on_unequal_factors():
-    # Newton from random seeds finds one-sided S fixed points here whose
-    # factorization residual is 2e-15; from 1/kappa1 it is 1.03
+    # the same for tau = 0, where the iterated roots' residual was 1.03
     a, b = elliptic_rmap(1.3, 0.0, 0.8), elliptic_rmap(0.7, 0.0, 1.1)
     sol = solve_product(a, b, -0.3 - 0.1j)
     assert sol.branch == "nonholomorphic"
@@ -2075,20 +2129,22 @@ def test_identities_factorize_on_unequal_factors():
     assert rep.factorization_residual <= 1e-8
 
 
-def test_identities_retry_a_pair_that_does_not_factorize():
-    # at the point of test_identities_factorize_on_tau_pair the first S pair
-    # does not factorize, so both fixed points are solved again on the slow
-    # schedule and the report is the fully damped loop's; a limacon point's
-    # first pair factorizes
+def test_identities_take_inverse_self_energies():
+    # the reported S pair is the inverse of Sigma_A^L and Sigma_B^R, also at
+    # the point of test_identities_factorize_on_tau_pair
     sol = solve_product(*TAU_PAIR, -0.6 - 0.25j)
     rep = residual_identities(sol, *TAU_PAIR)
-    want = fully_damped(residual_identities, sol, *TAU_PAIR)
-    assert rep.retried and rep.s_status == want.s_status == "converged"
-    assert (rep.s_left - want.s_left).norm_max() <= 1e-8
-    assert (rep.s_right - want.s_right).norm_max() <= 1e-8
-    sol = solve_product(SHIFTED, SHIFTED, 0.8 + 0.3j)
-    rep = residual_identities(sol, SHIFTED, SHIFTED)
-    assert not rep.retried and rep.factorization_residual <= 1e-8
+    s_left, s_right = inverse_self_energies(sol, *TAU_PAIR)
+    assert rep.s_left == s_left and rep.s_right == s_right
+
+
+def test_identities_hold_at_random_inside_points():
+    # 500 inside points of random elliptic pairs; iterating the S fixed
+    # points from 1/kappa1 missed the factorizing pair at 115 of them
+    for rmap_a, rmap_b, sol in random_inside_points(5, 500):
+        rep = residual_identities(sol, rmap_a, rmap_b)
+        assert rep.s_status == "converged"
+        assert rep.factorization_residual <= 1e-8
 
 
 def test_identities_commuting_case():
