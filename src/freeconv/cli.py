@@ -486,12 +486,13 @@ def cmd_solve_product(cfg: JobConfig) -> int:
                 solved.x.T.tolist(), solved.residual.tolist(), solved.iterations.tolist(),
                 rot.ravel().tolist())
     for k, (z, status, (a, b), (_, b_a, _, b_b), residual, iterations, r) in enumerate(nodes):
-        cells = [None, None, None, None, "", None, None, None, "failed"]
+        cells = [None, None, None, None, "", None, None, None]
         if status == nonhermitian._OK:
             corr = abs(b_a) * abs(b_b)  # Python's abs: numpy's differs in the last bit
             cells = [a.real, a.imag, abs(b), corr, nonhermitian._branch(corr), residual,
-                     iterations, r, "ok"]
-        rows.append([float(axis0[k // n1]), float(axis1[k % n1]), z.real, z.imag] + cells)
+                     iterations, r]
+        rows.append([float(axis0[k // n1]), float(axis1[k % n1]), z.real, z.imag] + cells
+                    + [nonhermitian._STATUS_NAMES[status]])  # "ok" or why the node failed
 
     summary = {"points": n0 * n1, "failed": failures,
                "capped": solved.capped, "collapsed": solved.collapsed,

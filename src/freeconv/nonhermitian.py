@@ -12,8 +12,10 @@ collapse, which stays sharp arbitrarily close to the support edge.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -53,6 +55,7 @@ _HANDOFF = 1e-3   # damped fixed points hand off to Newton below this update
 _GUARD_HANDOFF = 1e-6  # the same for the re-solves that guard an early hand-off
 _FACTORIZES = 1e-8  # residual_identities' S equations and factorization hold to this
 _PRODUCT_PHASE = (0, 1, 0, 1)  # b_A and b_B of (a_A, b_A, a_B, b_B) share a free phase
+_POINT_MEMO = 64  # one-point solves _point_solve keeps, about 2 KB each
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +354,13 @@ def solve_single(rmap: MatrixRMap, z: complex) -> NonHermSolution:
     A single matrix A is the product A 1 with the deterministic identity,
     whose R map is the constant 1: there Sigma_B = 1, and the product's G_M
     equation is exactly this one, so the product certificate covers it.
-    This is the one-point call of _solve_nodes with _IDENTITY_FACTOR.  G is
-    G_M with its b replaced by |b|: a common phase of b maps solutions to
-    solutions, and |b| fixes the gauge.  ga = gb = G, the correlator is
-    |b|^2, and the residual and iterations (damped steps) are the product's.
+    This is _point_solve with _IDENTITY_FACTOR, so a repeated (rmap, z)
+    solves once.  G is G_M with its b replaced by |b|: a common phase of b
+    maps solutions to solutions, and |b| fixes the gauge.  ga = gb = G, the
+    correlator is |b|^2, and the residual and iterations (damped steps) are
+    the product's.
     """
-    sol = _solve_nodes(rmap, _IDENTITY_FACTOR, np.array([z])).solution()
+    sol = _point_solve(rmap, _IDENTITY_FACTOR, z).solution()
     gm = QuaternionicGreen(sol.gm.a, abs(sol.gm.b))
     corr = eigenvector_correlator(gm)
     return replace(sol, gm=gm, ga=gm, gb=gm, correlator=corr, branch=_branch(corr))
@@ -571,17 +575,20 @@ def solve_product(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> NonHerm
         G_M = (Z - [R_A(G_B)]^L [R_B(G_A)]^R)^{-1},
         G_A = [G_M [R_A(G_B)]^L]^L,   G_B = [[R_B(G_A)]^R G_M]^R,
 
-    with the one-sided rotations taken at half the phase of z.  This is the
-    one-point call of _solve_nodes: the branch is chosen by one call of
+    with the one-sided rotations taken at half the phase of z.  This is
+    _point_solve, the memoized one-point call of _solve_nodes, which
+    density_at and solve_single share: the branch is chosen by one call of
     _holomorphic_probe, whose holomorphic solution is also the result
     outside the support, and a failed probe counts as inside.  Inside,
     _fixed_point converges the nonholomorphic solution to _TOL; iterations
-    counts its damped steps.
+    counts its damped steps.  A failed point raises the same error on
+    every call.
     """
-    return _solve_nodes(rmap_a, rmap_b, np.array([z])).solution()
+    return _point_solve(rmap_a, rmap_b, z).solution()
 
 
 _OK, _ORIGIN, _NON_FINITE, _SINGULAR, _STALLED = range(5)  # _NodeSolves.status
+_STATUS_NAMES = ("ok", "origin", "non-finite", "singular", "stalled")  # by status code
 
 
 class _NodeSolves(NamedTuple):
@@ -708,6 +715,42 @@ def _solve_nodes(rmap_a: MatrixRMap, rmap_b: MatrixRMap, points) -> _NodeSolves:
     return _NodeSolves(zs, x, gm, residual, det, iterations, status, g11,
                        int(np.count_nonzero(capped)), int(sunk.size),
                        int(np.count_nonzero(retried)))
+
+
+def _bits(*numbers) -> bytes:
+    """The exact bit patterns of real or complex numbers, which == and hash
+    do not give: complex(-0.5, 0.0) == complex(-0.5, -0.0)."""
+    return struct.pack(f"<{2 * len(numbers)}d",
+                       *(part for v in numbers for part in (v.real, v.imag)))
+
+
+@functools.lru_cache(maxsize=_POINT_MEMO)
+def _memo_solve(bits: bytes, rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> _NodeSolves:
+    solved = _solve_nodes(rmap_a, rmap_b, np.array([z]))
+    for field in solved:
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)  # a caller's write cannot reach a later hit
+    return solved
+
+
+def _point_solve(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> _NodeSolves:
+    """_solve_nodes at the one point z, behind an LRU memo of the last
+    _POINT_MEMO calls that solve_product, density_at and solve_single share.
+
+    The key is the exact bits of z and of both maps' numbers, together with
+    the maps, whose equality also tells their classes apart: == would merge
+    z = -0.5 + 0j with -0.5 - 0j, which solve to different bits (the phase
+    e^{i arg z / 2} flips).  A hit is bit-identical to a fresh solve, and a
+    failed point keeps its status, so it raises the same error each time.
+    The cached arrays are read-only.  Code that patches a solver internal
+    must call _point_solve.cache_clear() to see the patch.
+    """
+    z = complex(z)
+    bits = _bits(z, *(v for m in (rmap_a, rmap_b) for v in (m.sigma, m.tau, m.shift)))
+    return _memo_solve(bits, rmap_a, rmap_b, z)
+
+
+_point_solve.cache_clear = _memo_solve.cache_clear
 
 
 def _dbar_g11(rmap_a: MatrixRMap, rmap_b: MatrixRMap, solved: _NodeSolves) -> np.ndarray:
@@ -1156,14 +1199,15 @@ class PointDensity(NamedTuple):
 def density_at(rmap_a: MatrixRMap, rmap_b: MatrixRMap, z: complex) -> PointDensity:
     """Pointwise density of M = A B by the Gauss law rho = (1/pi) d G11 / d conj(z).
 
-    One _solve_nodes call at z, differentiated exactly by _dbar_g11:
+    The _point_solve of z, differentiated exactly by _dbar_g11, so after
+    solve_product at the same z only the derivative is computed:
     rho = Re dG11/dconj(z) / pi, and rot = -2 Im dG11/dconj(z), the curl
     of the Green's vector field (Re g11, -Im g11), is returned as a
     consistency diagnostic (it vanishes for exact fields).  Outside the
     support both are exactly 0.  Raises the solve's FreeconvError where it
     fails, and ConvergenceError where the derivative is not finite.
     """
-    solved = _solve_nodes(rmap_a, rmap_b, np.array([z]))
+    solved = _point_solve(rmap_a, rmap_b, z)
     solved.solution()  # raises where the solve failed
     dbar = _dbar_g11(rmap_a, rmap_b, solved)
     if not np.isfinite(dbar[0]):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from freeconv import hermitian
+from freeconv import hermitian, nonhermitian
 
 
 @pytest.fixture
@@ -17,3 +17,10 @@ def stage_count(monkeypatch):
 
     monkeypatch.setattr(hermitian, "_stage_solve", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def fresh_point_solves():
+    """Start every test with an empty one-point solve memo, so that a solver
+    constant or function the test patches reaches its one-point solves."""
+    nonhermitian._point_solve.cache_clear()

@@ -218,7 +218,7 @@ def test_solve_product_partial_failure(tmp_path, capsys):
     _, summary, header, rows = read_csv(out)
     assert summary.pop("rot_residual") <= 1e-6
     assert summary == {"points": 9, "failed": 1, "capped": 0, "collapsed": 0, "retried": 0}
-    failed = [dict(zip(header, r)) for r in rows if r[-1] == "failed"]
+    failed = [dict(zip(header, r)) for r in rows if r[-1] == "origin"]
     assert len(failed) == 1
     assert failed[0]["x"] == "0" and failed[0]["y"] == "0"
     assert failed[0]["a_re"] == failed[0]["rot"] == ""  # numeric cells emptied
@@ -250,7 +250,7 @@ def test_solve_product_total_failure(tmp_path, capsys, monkeypatch):
     assert summary["failed"] == summary["points"] == 18
     # no node has a derivative, so no rot either: not a rot of 0
     assert summary["rot_residual"] is None
-    assert all(r[-1] == "failed" for r in rows)
+    assert all(r[-1] == "singular" for r in rows)
 
 
 def test_density_aborts_on_many_holes(tmp_path, capsys, monkeypatch):

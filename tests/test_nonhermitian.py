@@ -1402,11 +1402,17 @@ def test_boundary_no_failed_solves_on_registered_pairs(pair):
 def fully_damped(solve, *args):
     """solve(*args) with the damped loop run until its update is below
     0.1 tol = 1e-13, or for 400 steps, so that Newton only polishes: the
-    oracle of the hand-off and of the point solvers' 60-step cap."""
+    oracle of the hand-off and of the point solvers' 60-step cap.  The
+    one-point memo is cleared on entry and on exit, so that neither side of
+    the patch serves the other's solves."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonhermitian, "_HANDOFF", 1e-13)
         mp.setattr(nonhermitian, "_MAX_FP", 400)
-        return solve(*args)
+        nonhermitian._point_solve.cache_clear()
+        try:
+            return solve(*args)
+        finally:
+            nonhermitian._point_solve.cache_clear()
 
 
 INSIDE_FRACTIONS = (0.1, 0.5, 0.9, 0.97)  # of the edge radius along each ray
@@ -1847,7 +1853,8 @@ def test_grid_origin_node_fails_up_front():
     assert solved.capped == solved.collapsed == 0
 
 
-def test_density_at_inside_solves_once(monkeypatch):
+def node_solve_sizes(monkeypatch):
+    """A list that gains the number of points of every _solve_nodes call."""
     calls = []
     real = nonhermitian._solve_nodes
 
@@ -1856,10 +1863,131 @@ def test_density_at_inside_solves_once(monkeypatch):
         return real(rmap_a, rmap_b, points)
 
     monkeypatch.setattr(nonhermitian, "_solve_nodes", recording)
+    return calls
+
+
+def test_density_at_inside_solves_once(monkeypatch):
+    calls = node_solve_sizes(monkeypatch)
     got = density_at(GIN, GIN, cmath.rect(0.6, 0.8))
     # one solve at z; the derivative needs no further solves
     assert calls == [1]
     assert got.rho == pytest.approx(1.0 / (2.0 * math.pi * 0.6), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one-point solves share a memo keyed on exact bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rmap, z", [(SHIFTED, cmath.rect(0.8, 0.5)),
+                                     (SHIFTED, cmath.rect(3.5, 1.0)),
+                                     (GIN, cmath.rect(0.6, 0.8)),
+                                     (elliptic_rmap(1.0, 0.5, 0.7), 0.9 - 0.4j)])
+def test_point_query_solves_once(rmap, z, monkeypatch):
+    # a point query reads its solution, its density and its identities off
+    # one solve: density_at and solve_single reuse solve_product's
+    calls = node_solve_sizes(monkeypatch)
+    sol = solve_product(rmap, rmap, z)
+    density_at(rmap, rmap, z)
+    residual_identities(sol, rmap, rmap)
+    assert calls == [1]
+    solve_single(rmap, z)
+    solve_single(rmap, z)
+    assert calls == [1, 1]
+
+
+def outcome(call, *args) -> str:
+    """repr of call(*args), which tells -0.0 from 0.0, or the type and
+    message of the FreeconvError it raises."""
+    try:
+        return repr(call(*args))
+    except FreeconvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def point_query(rmap_a, rmap_b, z) -> list:
+    """The outcomes of every one-point call at z."""
+    def identities():
+        return residual_identities(solve_product(rmap_a, rmap_b, z), rmap_a, rmap_b)
+
+    return [outcome(solve_product, rmap_a, rmap_b, z), outcome(density_at, rmap_a, rmap_b, z),
+            outcome(identities), outcome(solve_single, rmap_a, z)]
+
+
+def assert_memo_matches_fresh_solves(queries):
+    """Every query's outcomes, run twice in turn through one memo, equal the
+    ones of a cleared memo, query by query."""
+    fresh = []
+    for query in queries:
+        nonhermitian._point_solve.cache_clear()
+        fresh.append(point_query(*query))
+    nonhermitian._point_solve.cache_clear()
+    for _ in range(2):  # the second round only hits
+        assert [point_query(*query) for query in queries] == fresh
+    return fresh
+
+
+def test_point_solves_match_fresh_solves():
+    # inside, outside and failed points (the origin, non-finite and
+    # singular nan_inside_map nodes), z = -0.5 + 0j before -0.5 - 0j, a
+    # shift of 0j before one of -0j, and a NanInside map after its equal
+    # plain twin: == merges each of these pairs, but their bits differ
+    plain = elliptic_rmap(1.0, 0.5, 0.5, "nan inside")
+    points = [0.0, 0.5 + 0.5j, 2.0 + 1.0j, 3.0 + 1.0j, complex(-0.5, 0.0), complex(-0.5, -0.0)]
+    pairs = [(GIN, GIN), (SHIFTED, SHIFTED), TAU_PAIR, (plain, plain),
+             (nan_inside_map(), nan_inside_map()),
+             (elliptic_rmap(1.0, 0.0, 0j), elliptic_rmap(1.0, 0.0, 0j)),
+             (elliptic_rmap(1.0, 0.0, -0j), elliptic_rmap(1.0, 0.0, -0j))]
+    fresh = assert_memo_matches_fresh_solves([(*pair, z) for pair in pairs for z in points])
+
+    def at(pair, point):  # by index: a dict would merge -0.5 + 0j and -0.5 - 0j
+        return fresh[pair * len(points) + point]
+
+    assert at(0, 4) != at(0, 5)
+    assert at(3, 1) != at(4, 1)
+    assert at(5, 2) != at(6, 2)
+    kinds = {text.partition(":")[0] for row in fresh for text in row}
+    assert {"OriginError", "ConvergenceError", "SingularMatrixError"} <= kinds
+
+
+@DIFFERENTIAL
+@given(st.one_of(ROTATION_INVARIANT, ELLIPTIC), st.one_of(ROTATION_INVARIANT, ELLIPTIC),
+       st.lists(st.one_of(POINTS, st.builds(complex, st.floats(-3.0, 3.0),
+                                            st.sampled_from([0.0, -0.0]))),
+                min_size=1, max_size=4))
+def test_point_solves_match_fresh_solves_on_random_pairs(rmap_a, rmap_b, zs):
+    # points on the real axis carry either sign of zero
+    assert_memo_matches_fresh_solves([(rmap_a, rmap_b, z) for z in zs])
+
+
+def test_cached_point_arrays_are_read_only():
+    z = cmath.rect(0.8, 0.5)
+    solved = nonhermitian._point_solve(SHIFTED, SHIFTED, z)
+    arrays = [field for field in solved if isinstance(field, np.ndarray)]
+    assert len(arrays) == 8
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert nonhermitian._point_solve(SHIFTED, SHIFTED, z) is solved
+
+
+@pytest.mark.parametrize("kind", ["origin", "non-finite", "singular", "stalled"])
+def test_failed_point_raises_alike_on_every_call(kind, monkeypatch):
+    rmap = nan_inside_map() if kind in ("non-finite", "singular") else SHIFTED
+    z = {"origin": 0.0, "non-finite": 0.5 + 0.5j, "singular": 2.0 + 1.0j,
+         "stalled": 0.5 + 0.5j}[kind]
+    if kind == "stalled":
+        monkeypatch.setattr(nonhermitian, "_MAX_NEWTON", 0)
+    calls = node_solve_sizes(monkeypatch)
+    errors = set()
+    for _ in range(3):
+        for call in (solve_product, density_at):
+            with pytest.raises(FreeconvError) as err:
+                call(rmap, rmap, z)
+            errors.add((type(err.value), str(err.value)))
+    assert calls == [1] and len(errors) == 1
+    status = nonhermitian._point_solve(rmap, rmap, z).status[0]
+    assert nonhermitian._STATUS_NAMES[status] == kind
 
 
 def test_density_field_nodes_equal_point_densities():
